@@ -20,6 +20,7 @@ from .bounds import (
 from .dmod import DrinfeldModule, random_module
 from .errors import (
     DrinfeldError,
+    InvariantViolation,
     IrreducibilityUncertain,
     KernelNotStable,
     RootExtractionFailure,
@@ -69,6 +70,7 @@ __all__ = [
     "DrinfeldError",
     "DrinfeldModule",
     "GF",
+    "InvariantViolation",
     "IrreducibilityUncertain",
     "Isogeny",
     "KernelNotStable",

@@ -2,8 +2,10 @@
 
 Every report is a single JSON document (or its CSV projection) that is
 byte-identical across runs with the same seed and configuration.  Exit
-codes: 0 when every checked inequality holds, 2 when any is violated,
-1 on usage errors.
+codes: 0 when every checked inequality or identity (a boolean under one
+of the ``VERDICT_KEYS``) holds, 2 when any is violated, 1 on usage
+errors.  Other booleans describe the input, e.g. ``is_reduced``, and do
+not affect the exit code.
 """
 
 import argparse
@@ -63,12 +65,25 @@ def _basis_from_json(q, text):
     return lattice_mod.LatticeBasis.from_rows(F, parsed)
 
 
+VERDICT_KEYS = frozenset(
+    (
+        "satisfied",
+        "ok",
+        "verified",
+        "sandwich_ok",
+        "alpha_norm_ge_1",
+        "identity_ok",
+        "degree_identity_ok",
+        "routes_agree",
+        "height_within_prop65",
+    )
+)
+
+
 def _collect_verdicts(node, out):
     if isinstance(node, dict):
         for key, value in node.items():
-            if key in ("satisfied", "ok", "verified", "sandwich_ok") and isinstance(
-                value, bool
-            ):
+            if key in VERDICT_KEYS and isinstance(value, bool):
                 out.append(value)
             else:
                 _collect_verdicts(value, out)

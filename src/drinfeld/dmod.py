@@ -59,14 +59,14 @@ class DrinfeldModule:
         return self.skew([self.field.t] + list(self.coeffs))
 
     def phi_of(self, a):
-        """phi_a for a in A, via the F_q-algebra homomorphism a -> phi_a."""
-        result = self.skew.zero
-        power = self.skew.one
+        """phi_a for a in A, via the F_q-algebra homomorphism a -> phi_a,
+        by Horner's rule in phi_t: deg a skew products."""
         phit = self.phi_t
-        for c in a.coeffs:
+        result = self.skew.zero
+        for c in reversed(a.coeffs):
+            result = result * phit
             if not c.is_zero:
-                result = result + self.skew.constant(self.field(c)) * power
-            power = power * phit
+                result = result + self.skew.constant(self.field(c))
         return result
 
     def __eq__(self, other):

@@ -10,6 +10,12 @@ class RootExtractionFailure(DrinfeldError):
     (or no root-extraction algorithm is available for it)."""
 
 
+class InvariantViolation(DrinfeldError):
+    """An internal cross-check failed: a computed object does not satisfy
+    the identity that defines it.  Raised instead of ``assert`` so the
+    check also runs under ``python -O``."""
+
+
 class KernelNotStable(DrinfeldError):
     """The kernel of a candidate isogeny is not a module under phi."""
 

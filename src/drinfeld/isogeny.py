@@ -6,7 +6,7 @@ N with ker f contained in phi[N].
 """
 
 from .dmod import DrinfeldModule
-from .errors import KernelNotStable
+from .errors import InvariantViolation, KernelNotStable
 from .extfield import rational_roots
 from .factor import monic_polys_of_degree
 from .poly import PolyRing
@@ -66,7 +66,8 @@ def pushforward(phi, f):
     quot, rem = (f * phi.phi_t).right_divmod(f)
     if not rem.is_zero:
         raise KernelNotStable("ker f is not stable under phi")
-    assert quot.coeff(0) == phi.field.t
+    if quot.coeff(0) != phi.field.t:
+        raise InvariantViolation("constant term of the pushforward is not t")
     return DrinfeldModule(
         phi.field, phi.q, phi.r, [quot.coeff(i) for i in range(1, phi.r + 1)]
     )
@@ -81,7 +82,7 @@ def minimal_N(phi, f):
         for N in monic_polys_of_degree(A, deg):
             if phi.phi_of(N).right_divmod(f)[1].is_zero:
                 return N
-    raise AssertionError("no N up to the degree bound; f is not an isogeny")
+    raise InvariantViolation("no N up to the degree bound; f is not an isogeny")
 
 
 def _A_of(phi):
@@ -93,13 +94,14 @@ def _A_of(phi):
 def dual(phi, phi2, f):
     """fhat with fhat * f = phi_N and f * fhat = phi2_N."""
     N = minimal_N(phi, f)
-    quot, rem = phi.phi_of(N).right_divmod(f)
+    phi_N = phi.phi_of(N)
+    fhat, rem = phi_N.right_divmod(f)
     if not rem.is_zero:
-        raise AssertionError("phi_N not right-divisible by f despite minimal N")
-    fhat = quot
-    if fhat * f != phi.phi_of(N) or f * fhat != phi2.phi_of(N):
-        raise AssertionError("dual composition identities failed")
-    assert int(f.tau_degree + fhat.tau_degree) == phi.r * int(N.degree)
+        raise InvariantViolation("phi_N not right-divisible by f despite minimal N")
+    if fhat * f != phi_N or f * fhat != phi2.phi_of(N):
+        raise InvariantViolation("dual composition identities failed")
+    if int(f.tau_degree + fhat.tau_degree) != phi.r * int(N.degree):
+        raise InvariantViolation("tau-degrees of f and fhat do not sum to r deg N")
     return DualData(fhat, N)
 
 
@@ -168,7 +170,8 @@ def random_isogenous_pair(q, r, rng, size_bound=2):
     phi_t = P * f
     phi = DrinfeldModule(F, q, r, [phi_t.coeff(i) for i in range(1, r + 1)])
     phi2 = pushforward(phi, f)
-    assert phi2.phi_t == f * P
+    if phi2.phi_t != f * P:
+        raise InvariantViolation("pushforward of P * f is not f * P")
     return phi, phi2, f, P
 
 

@@ -42,6 +42,12 @@ def _ARRAY_TYPECODE(bits):
 _FAST_SIZE = 16
 
 
+def _is_power_of(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def _prime_field(ring):
     base = ring.base
     if isinstance(base, GaloisField) and base.e == 1:
@@ -175,6 +181,16 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if n == 1:
+            return self
+        if n > 1 and self.coeffs and _is_power_of(n, self.ring.characteristic):
+            # the n-th power map is additive in characteristic p, so
+            # (sum c_i x^i)^n = sum c_i^n x^(i n): no products needed
+            out = [self.ring.base.zero] * ((len(self.coeffs) - 1) * n + 1)
+            for i, c in enumerate(self.coeffs):
+                if not c.is_zero:
+                    out[i * n] = c**n
+            return self.ring.from_coeffs(out)
         result, base = self.ring.one, self
         while n:
             if n & 1:

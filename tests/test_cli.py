@@ -156,6 +156,61 @@ def test_modpoly_cross_check(capsys):
     assert json.loads(out)["routes_agree"] is True
 
 
+def _force_routes_disagree(monkeypatch):
+    from drinfeld import modpoly
+
+    monkeypatch.setattr(modpoly, "compute_phi_t", lambda q: "a")
+    monkeypatch.setattr(modpoly, "compute_phi_t_interpolated", lambda q: "b")
+    return ["modpoly", "cross-check", "--q", "2"], "routes_agree"
+
+
+def _force_prop65_violated(monkeypatch):
+    from drinfeld import modpoly
+
+    monkeypatch.setattr(modpoly, "prop65_bound", lambda q, m: -1.0)
+    return ["modpoly", "compute", "--q", "2"], "height_within_prop65"
+
+
+def _force_degree_identity_broken(monkeypatch):
+    from drinfeld import cli
+    from drinfeld.isogeny import DualData, dual
+
+    def skewed_dual(phi, phi2, f):
+        data = dual(phi, phi2, f)
+        return DualData(data.fhat, data.N * data.N.ring.gen())
+
+    monkeypatch.setattr(cli, "dual", skewed_dual)
+    argv = [
+        "isogeny",
+        "dual",
+        "--module",
+        '{"q":2,"r":2,"g":["t+1","1"]}',
+        "--f",
+        "1*T^0 + T^1",
+    ]
+    return argv, "degree_identity_ok"
+
+
+@pytest.mark.parametrize(
+    "force",
+    [_force_routes_disagree, _force_prop65_violated, _force_degree_identity_broken],
+)
+def test_false_verdict_exits_two(capsys, monkeypatch, force):
+    argv, key = force(monkeypatch)
+    code, out = _run(capsys, argv)
+    assert json.loads(out)[key] is False
+    assert code == 2
+
+
+def test_unreduced_lattice_is_not_a_violation(capsys):
+    # is_reduced describes the input basis, it is not a verdict
+    code, out = _run(
+        capsys, ["lattice", "reduce", "--q", "2", "--matrix", '[["t","0"],["0","t"]]']
+    )
+    assert json.loads(out)["is_reduced"] is False
+    assert code == 0
+
+
 def test_csv_output(capsys):
     code, out = _run(
         capsys,

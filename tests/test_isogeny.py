@@ -17,7 +17,7 @@ from drinfeld import (
     verify,
 )
 from drinfeld.base import poly_ring_A, rational_function_field, x_ring_over_F
-from drinfeld.errors import KernelNotStable
+from drinfeld.errors import InvariantViolation, KernelNotStable
 
 
 def _mod(q, r, gs):
@@ -68,6 +68,22 @@ def test_minimal_N_cases():
     F = phi.field
     f = phi.skew([F.one, F.one])
     assert minimal_N(phi, f) == t
+
+
+def test_minimal_N_rejects_non_isogeny():
+    phi = _mod(2, 2, ["t+1", "1"])
+    F = phi.field
+    bad = phi.skew([F.t, F.one])  # kernel not phi-stable, see above
+    with pytest.raises(InvariantViolation):
+        minimal_N(phi, bad)
+
+
+def test_dual_rejects_wrong_target():
+    phi = _mod(2, 2, ["t+1", "1"])
+    F = phi.field
+    f = phi.skew([F.one, F.one])
+    with pytest.raises(InvariantViolation):
+        dual(phi, phi, f)
 
 
 def test_dual_identities_trivial():

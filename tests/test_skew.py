@@ -33,7 +33,9 @@ def test_product_example():
     assert b * S.one == b
 
 
-@pytest.mark.parametrize("q", [2, 3])
+# q = 9 is left out: it evaluates x^(9^4) on rational functions, which
+# takes minutes
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_multiplication_is_composition(q):
     """a*b acts on points as the composite additive polynomial."""
     F, S = _setup(q)
@@ -72,7 +74,7 @@ def test_right_divmod_cases():
     assert quo == S.one and rem.is_zero
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_right_divmod_random(q):
     F, S = _setup(q)
     rng = random.Random(53)
