@@ -29,7 +29,8 @@ def working_dps(dps):
 
 
 class BoundReport:
-    """One checked inequality: exact lhs against an upward-rounded rhs."""
+    """One checked inequality: exact lhs against an exact or upward-rounded
+    rhs; an exact rhs is rounded up only in the payload."""
 
     def __init__(self, lhs, rhs, inputs):
         self.lhs = Fraction(lhs)
@@ -38,10 +39,12 @@ class BoundReport:
         self.satisfied = self.lhs <= Fraction(rhs)
 
     def to_payload(self):
-        rhs = self.rhs
+        rhs = float(self.rhs)
+        if Fraction(rhs) < self.rhs:
+            rhs = math.nextafter(rhs, math.inf)
         return {
             "lhs": str(self.lhs),
-            "rhs": float(rhs),
+            "rhs": rhs,
             "rounded": "up",
             "satisfied": self.satisfied,
             "inputs": self.inputs,
@@ -124,10 +127,15 @@ def lemma64_resolve(a, q, dps=DEFAULT_DPS):
         raise ValueError("a must be positive")
     with working_dps(dps):
         a_iv = _frac_iv(a) if isinstance(a, (int, Fraction)) else iv.mpf(a)
-        half = _frac_iv(Fraction(q * q - 1, 2))
-        damp = 1 - half / (q * q * iv.log(q))
-        value = a_iv + half * _logq(1 + (a_iv / q) / damp, q)
-        return _upper_float(value)
+        return _upper_float(_resolved_iv(a_iv, q))
+
+
+def _resolved_iv(a, q):
+    """Interval a + ((q^2-1)/2) log(1 + (a/q) / damp), where damp is
+    1 - (q^2-1)/(2 q^2 ln q); call inside working_dps."""
+    half = _frac_iv(Fraction(q * q - 1, 2))
+    damp = 1 - half / (q * q * iv.log(q))
+    return a + half * _logq(1 + (a / q) / damp, q)
 
 
 def thm1_part1_report(h_diff, deg_N, q, r, extra=None):
@@ -135,10 +143,7 @@ def thm1_part1_report(h_diff, deg_N, q, r, extra=None):
     inputs = {"deg_N": deg_N, "q": q, "r": r}
     if extra:
         inputs.update(extra)
-    report = BoundReport(abs(Fraction(h_diff)), float(bound), inputs)
-    # the bound here is an exact rational; redo the comparison exactly
-    report.satisfied = abs(Fraction(h_diff)) <= bound
-    return report
+    return BoundReport(abs(Fraction(h_diff)), bound, inputs)
 
 
 def thm1_part2_report(h_j, h_jprime, deg_f_log, q, extra=None, dps=DEFAULT_DPS):

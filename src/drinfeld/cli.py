@@ -355,8 +355,6 @@ def build_parser():
     p.add_argument("action", choices=("compute", "table", "cross-check"))
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--m", default=None)
-    p.add_argument("--n", type=int, default=1, help="interpolation radius")
-    p.add_argument("--c2", type=float, default=1.0)
     _add_common(p)
     p.set_defaults(func=cmd_modpoly)
 

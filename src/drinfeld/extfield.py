@@ -7,7 +7,7 @@ nested ring A[x] = PolyRing(PolyRing(F_q, 't'), 'x').
 
 from .errors import IrreducibilityUncertain, RootExtractionFailure
 from .factor import factor
-from .poly import Poly, PolyRing, poly_gcd, poly_xgcd
+from .poly import Poly, PolyRing, content, poly_gcd, poly_xgcd, primitive_part
 
 
 class ExtElem:
@@ -155,45 +155,12 @@ class QuotientField:
 # Irreducibility over F for polynomials with A-coefficients
 
 
-def A_x_ring(A):
-    return PolyRing(A, "x")
-
-
 def to_A_x(fx_over_F):
     """Clear denominators of a polynomial in F[x], returning a primitive
     polynomial in A[x] with the same roots."""
     F = fx_over_F.ring.base
-    A = F.ring
-    den = A.one
-    for c in fx_over_F.coeffs:
-        den = den * c.den.exact_div(poly_gcd(den, c.den)) if not c.is_zero else den
-    coeffs = []
-    for c in fx_over_F.coeffs:
-        scaled = c * F.from_poly(den)
-        assert scaled.is_polynomial
-        coeffs.append(scaled.num.scale(F.base_field.one / scaled.den.constant))
-    f = PolyRing(A, "x").from_coeffs(coeffs)
-    return _primitive(f)
-
-
-def _primitive(f):
-    g = None
-    for c in f.coeffs:
-        if c.is_zero:
-            continue
-        g = c.monic() if g is None else poly_gcd(g, c)
-    if g is None or g.degree == 0:
-        return f
-    return f.map_coeffs(lambda c: c.exact_div(g), f.ring)
-
-
-def _content_is_one(f):
-    g = None
-    for c in f.coeffs:
-        if c.is_zero:
-            continue
-        g = c.monic() if g is None else poly_gcd(g, c)
-    return g is not None and g.degree == 0
+    coeffs, _ = F.clear_denominators(fx_over_F.coeffs)
+    return primitive_part(PolyRing(F.ring, "x").from_coeffs(coeffs))
 
 
 def _swap_to_t_outer(f):
@@ -226,7 +193,7 @@ def _monic_divisors(a, seed=0):
 def rational_roots(f_in_Ax, F):
     """All roots in F of a nonzero polynomial in A[x], found by the
     rational root test (divisors of the constant and leading terms)."""
-    f = _primitive(f_in_Ax)
+    f = primitive_part(f_in_Ax)
     roots = []
     if f.constant.is_zero:
         roots.append(F.zero)
@@ -261,7 +228,7 @@ def irreducible_over_F(f_in_Ax):
     f = f_in_Ax
     if f.degree < 1:
         return False
-    if not _content_is_one(f):
+    if content(f).degree != 0:
         return False
     if f.degree == 1:
         return True

@@ -7,7 +7,7 @@ N with ker f contained in phi[N].
 
 from .dmod import DrinfeldModule
 from .errors import InvariantViolation, KernelNotStable
-from .extfield import rational_roots
+from .extfield import rational_roots, to_A_x
 from .factor import monic_polys_of_degree
 from .poly import PolyRing
 
@@ -118,26 +118,10 @@ def rank2_t_isogenies(phi):
         yring.monomial(g2, phi.q + 1) + yring.monomial(g1, 1) + yring.constant(F.t)
     )
     out = []
-    for y in _roots_in_F(ypoly, F):
+    for y in rational_roots(to_A_x(ypoly), F):
         f = phi.skew([-y, F.one])
         out.append(Isogeny(f, phi, pushforward(phi, f)))
     return out
-
-
-def _roots_in_F(poly_over_F, F):
-    A = F.ring
-    den = A.one
-    from .poly import poly_gcd
-
-    for c in poly_over_F.coeffs:
-        if not c.is_zero:
-            den = den * c.den.exact_div(poly_gcd(den, c.den))
-    ax = PolyRing(A, poly_over_F.ring.var)
-    coeffs = []
-    for c in poly_over_F.coeffs:
-        cleared = c * F.from_poly(den)
-        coeffs.append(cleared.num.scale(F.base_field.one / cleared.den.constant))
-    return rational_roots(ax.from_coeffs(coeffs), F)
 
 
 def random_isogenous_pair(q, r, rng, size_bound=2):

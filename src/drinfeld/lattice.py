@@ -9,7 +9,7 @@ Smith normal form over A.
 
 from fractions import Fraction
 
-from .poly import poly_gcd
+from .errors import InvariantViolation
 
 
 class LatticeBasis:
@@ -114,25 +114,6 @@ def solve_columns(field, basis_columns, target_columns):
 # -- reduction ---------------------------------------------------------------
 
 
-def _clear_denominators(L):
-    F = L.field
-    A = F.ring
-    den = A.one
-    for col in L.columns:
-        for x in col:
-            if not x.is_zero:
-                den = den * x.den.exact_div(poly_gcd(den, x.den))
-    cols = []
-    for col in L.columns:
-        newcol = []
-        for x in col:
-            y = x * F.from_poly(den)
-            assert y.is_polynomial
-            newcol.append(y.num.scale(F.base_field.one / y.den.constant))
-        cols.append(newcol)
-    return cols, den
-
-
 def _col_degree(col):
     degs = [int(p.degree) for p in col if not p.is_zero]
     return max(degs) if degs else None
@@ -186,10 +167,10 @@ def weak_popov(cols):
 
 def reduce(L):
     """Successive-minimum basis via weak Popov column reduction."""
-    cols, den = _clear_denominators(L)
-    cols = weak_popov(cols)
+    F, r = L.field, L.r
+    flat, den = F.clear_denominators([x for col in L.columns for x in col])
+    cols = weak_popov([flat[j * r : (j + 1) * r] for j in range(r)])
     shift = int(den.degree)
-    F = L.field
     pairs = sorted(
         ((Fraction(_col_degree(col) - shift), col) for col in cols),
         key=lambda p: -p[0],
@@ -200,7 +181,8 @@ def reduce(L):
     ]
     basis = LatticeBasis(F, newcols)
     red = ReducedBasis(basis, minima)
-    assert red.log_covolume == Fraction(det(F, basis.columns).deg_infinity())
+    if red.log_covolume != Fraction(det(F, basis.columns).deg_infinity()):
+        raise InvariantViolation("covolume differs from the degree of det")
     return red
 
 
@@ -221,28 +203,30 @@ def change_of_basis(sub, sup):
     return solve_columns(sub.field, sup.columns, sub.columns)
 
 
-def _to_A_matrix(field, cols):
-    out = []
+def _to_A_matrix(cols):
     for col in cols:
-        newcol = []
-        for x in col:
-            if not x.is_zero and not x.is_polynomial:
-                raise ValueError("not contained: change of basis is not integral")
-            newcol.append(x.num.scale(field.base_field.one / x.den.constant))
-        out.append(newcol)
-    return out
+        if any(not x.is_polynomial for x in col):
+            raise ValueError("not contained: change of basis is not integral")
+    return [[x.num for x in col] for col in cols]
+
+
+def _index(sub, sup):
+    """(log(sup : sub), Smith invariant factors), requiring genuine
+    containment; the log index is deg det, cross-checked against the
+    Smith form."""
+    M = change_of_basis(sub, sup)
+    M_A = _to_A_matrix(M)
+    value = Fraction(det(sub.field, M).deg_infinity())
+    inv_factors = smith_invariant_factors(M_A)
+    if value != sum(Fraction(int(f.degree)) for f in inv_factors):
+        raise InvariantViolation("index differs from the Smith form degree")
+    return value, inv_factors
 
 
 def log_index(sub, sup):
     """log(sup : sub), requiring genuine containment; equals the covolume
     difference and the Smith-form cardinality exponent."""
-    M = change_of_basis(sub, sup)
-    M_A = _to_A_matrix(sub.field, M)
-    d = det(sub.field, M)
-    value = Fraction(d.deg_infinity())
-    inv_factors = smith_invariant_factors(M_A)
-    assert value == sum(Fraction(int(f.degree)) for f in inv_factors)
-    return value
+    return _index(sub, sup)[0]
 
 
 def smith_invariant_factors(cols):
@@ -322,11 +306,7 @@ def analytic_isogeny_check(Lam, Lam2, alpha):
     red, red2 = reduce(Lam), reduce(Lam2)
     if not red.is_reduced or not red2.is_reduced:
         raise ValueError("both lattices must be reduced")
-    scaled = Lam.scaled(alpha)
-    M = change_of_basis(scaled, Lam2)
-    M_A = _to_A_matrix(F, M)
-    log_deg_f = log_index(scaled, Lam2)
-    inv_factors = smith_invariant_factors(M_A)
+    log_deg_f, inv_factors = _index(Lam.scaled(alpha), Lam2)
     N = inv_factors[-1]
     log_deg_fhat = Lam.r * Fraction(int(N.degree)) - log_deg_f
     diff = red.log_covolume - red2.log_covolume
@@ -408,7 +388,8 @@ def random_containment_instance(F, r, rng, max_degree=2):
         cols.append(vec)
     product = LatticeBasis(F, cols)  # = Lam2 * C, contained in Lam2
     m = min(reduce(product).minima_logs)
-    assert m >= 0
+    if m < 0:
+        raise InvariantViolation("sublattice of a reduced lattice has minimum < 0")
     alpha = F.t ** int(m)
     Lam = LatticeBasis(
         F, [[x / alpha for x in col] for col in product.columns]

@@ -21,7 +21,10 @@ from functools import lru_cache
 from mpmath import iv
 
 from .base import poly_ring_A, rational_function_field
-from .bounds import _frac_iv, _logq, _upper_float, working_dps, DEFAULT_DPS
+from .bounds import (
+    _frac_iv, _logq, _resolved_iv, _upper_float, working_dps, DEFAULT_DPS
+)
+from .errors import InvariantViolation
 from .factor import factor
 from .poly import PolyRing, resultant
 
@@ -136,7 +139,8 @@ def psi(q, m):
     value = Fraction(q ** int(m.degree))
     for p in _prime_divisors(m):
         value *= 1 + Fraction(1, q ** int(p.degree))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InvariantViolation("psi(m) is not an integer")
     return int(value)
 
 
@@ -147,10 +151,6 @@ def kappa(q, m):
         (Fraction(int(p.degree), q ** int(p.degree)) for p in _prime_divisors(m)),
         Fraction(0),
     )
-
-
-def poly_height(f):
-    return f.height()
 
 
 # -- the two Phi_t constructions ----------------------------------------------
@@ -208,20 +208,20 @@ def compute_phi_t(q, allow_large=False):
     p, g1p, g2p = _pushforward_coeffs(Asy, s, As.constant(t), q)
     res = _phi_slice(Asy, AsX, p, g1p, g2p, q)
     if res.degree != q + 1 or res.lead != As.one:
-        raise AssertionError("resultant is not monic of degree q+1 in X")
+        raise InvariantViolation("resultant is not monic of degree q+1 in X")
     coeffs = {}
     for i, ci in enumerate(res.coeffs):
         for k, a in enumerate(ci.coeffs):
             if a.is_zero:
                 continue
             if k % (q + 1) != 0:
-                raise AssertionError("resultant is not a polynomial in s^(q+1)")
+                raise InvariantViolation("resultant is not a polynomial in s^(q+1)")
             coeffs[(i, k // (q + 1))] = a
     out = BivarPoly(A, coeffs)
     if not out.is_symmetric():
-        raise AssertionError("Phi_t is not symmetric")
+        raise InvariantViolation("Phi_t is not symmetric")
     if not (out.is_monic_in_x() and out.is_monic_in_y()):
-        raise AssertionError("Phi_t is not monic in both variables")
+        raise InvariantViolation("Phi_t is not monic in both variables")
     return out
 
 
@@ -251,21 +251,8 @@ def compute_phi_t_interpolated(q, allow_large=False):
 # -- interpolation sets and Lagrange reconstruction ---------------------------
 
 
-class InterpolationSet:
-    """The q^(2n+1) Laurent polynomials sum a_i t^i, -n <= i <= n."""
-
-    def __init__(self, n, points):
-        self.n = n
-        self.points = points
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
 def build_Sn(q, n):
+    """The q^(2n+1) Laurent polynomials sum a_i t^i, -n <= i <= n, as a tuple."""
     if n < 0:
         raise ValueError("n must be >= 0")
     F = rational_function_field(q)
@@ -283,8 +270,9 @@ def build_Sn(q, n):
             c //= q
         num = A.from_coeffs(digits)
         points.append(F.make(num, den))
-    assert len(set(points)) == q**width
-    return InterpolationSet(n, tuple(points))
+    if len(set(points)) != q**width:
+        raise InvariantViolation("S_n has repeated points")
+    return tuple(points)
 
 
 def tk_bounds(q, n, points):
@@ -368,7 +356,8 @@ def lagrange_reconstruct(pairs, d, n=None):
             if not c.is_zero
         ]
         B = max(logs)  # out nonzero forces a nonzero evaluation coefficient
-        assert out.height() <= B + 2 * n * d, "height bound B + 2nd violated"
+        if out.height() > B + 2 * n * d:
+            raise InvariantViolation("height bound B + 2nd violated")
     return out
 
 
@@ -387,11 +376,7 @@ def prop65_bound(q, m, dps=DEFAULT_DPS):
     _check_modulus(m)
     psi_m = psi(q, m)
     with working_dps(dps):
-        a = _a_constant(q, m, psi_m)
-        half = _frac_iv(Fraction(q * q - 1, 2))
-        damp = 1 - half / (q * q * iv.log(q))
-        resolved = a + half * _logq(1 + (a / q) / damp, q)
-        hi = max(q**3, _upper_float(resolved))
+        hi = max(q**3, _upper_float(_resolved_iv(_a_constant(q, m, psi_m), q)))
         tail = _upper_float(2 * psi_m * _logq(iv.mpf(psi_m), q))
         return psi_m * hi + tail
 

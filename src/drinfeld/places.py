@@ -11,8 +11,9 @@ are computed through minimal polynomials instead.
 
 from fractions import Fraction
 
-from .extfield import irreducible_over_F, _content_is_one
+from .extfield import irreducible_over_F
 from .factor import factor, is_irreducible
+from .poly import content
 
 
 class Place:
@@ -119,7 +120,7 @@ def algebraic_height(minpoly_in_Ax):
     f = minpoly_in_Ax
     if f.degree < 1:
         raise ValueError("minimal polynomial must be nonconstant")
-    if not _content_is_one(f):
+    if content(f).degree != 0:
         raise ValueError("minimal polynomial must be primitive (content 1)")
     if not irreducible_over_F(f):
         raise ValueError("minimal polynomial must be irreducible over F")

@@ -480,8 +480,9 @@ def content(f):
 
 
 def primitive_part(f):
+    """f divided by its content; f itself when the content is 0 or 1."""
     c = content(f)
-    if c.is_zero:
+    if c.degree < 1:
         return f
     return f.map_coeffs(lambda a: a.exact_div(c), f.ring)
 

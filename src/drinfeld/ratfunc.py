@@ -63,11 +63,10 @@ class RatFunc:
         # num/den pairs across the factors can share divisors
         a, b = self.num, self.den
         c, d = other.num, other.den
-        g1 = poly_gcd(a, d)
-        if g1.degree > 0:
+        # a constant (monic, so unit) denominator shares nothing: skip its gcd
+        if d.degree > 0 and (g1 := poly_gcd(a, d)).degree > 0:
             a, d = a.exact_div(g1), d.exact_div(g1)
-        g2 = poly_gcd(c, b)
-        if g2.degree > 0:
+        if b.degree > 0 and (g2 := poly_gcd(c, b)).degree > 0:
             c, b = c.exact_div(g2), b.exact_div(g2)
         num, den = a * c, b * d
         if not den.is_monic:
@@ -165,6 +164,15 @@ class FractionField:
             num = num.scale(self.base_field.one / lead)
             den = den.monic()
         return RatFunc(self, num, den)
+
+    def clear_denominators(self, xs):
+        """(polys, den): den the monic lcm of the denominators of xs and
+        polys[i] = xs[i] * den, exactly, as elements of the ring."""
+        den = self.ring.one
+        for x in xs:
+            if x.den.degree > 0:
+                den = den * x.den.exact_div(poly_gcd(den, x.den))
+        return [x.num * den.exact_div(x.den) for x in xs], den
 
     def __call__(self, value):
         if isinstance(value, RatFunc) and value.field is self:

@@ -117,3 +117,14 @@ def test_report_payload_shape():
     assert payload["satisfied"] is True
     assert payload["inputs"]["trial"] == 0
     assert isinstance(payload["lhs"], str)
+
+
+@pytest.mark.parametrize("deg_N,q,r", [(1, 3, 3), (1, 4, 2), (2, 2, 2)])
+def test_part1_payload_rhs_rounds_up(deg_N, q, r):
+    """The exact rational bound is sent as the least float >= it; the
+    nearest float lies below the bound in each of these cases."""
+    bound = thm1_part1_bound(deg_N, q, r)
+    assert Fraction(float(bound)) < bound
+    rhs = thm1_part1_report(Fraction(0), deg_N, q, r).to_payload()["rhs"]
+    assert Fraction(rhs) >= bound
+    assert Fraction(math.nextafter(rhs, -math.inf)) < bound

@@ -1,0 +1,116 @@
+"""Golden digests of CLI reports: sha256 of stdout and the exit code for
+a fixed list of small invocations.
+
+A change that alters any report byte for these inputs fails here; if the
+change is intended, record the new digest and say which reports moved.
+"""
+
+import hashlib
+
+import pytest
+
+from drinfeld.cli import main
+
+GOLDEN = [
+    (
+        'harness-q2-r2',
+        ['harness', '--q', '2', '--r', '2', '--trials', '8', '--seed', '1'],
+        0,
+        '39e06ae2dded74e1fcf524dc3ccefd741d6e0238589152db318b87b05dc14cac',
+    ),
+    (
+        'harness-q3-r2',
+        ['harness', '--q', '3', '--r', '2', '--trials', '4', '--seed', '1'],
+        0,
+        'f4577f442167881953cb3b7cd2efeffc5e99e48cdab6a9b248d16b60292bf62e',
+    ),
+    (
+        'harness-q3-r3',
+        ['harness', '--q', '3', '--r', '3', '--trials', '4', '--seed', '1'],
+        0,
+        '0345b1d9422b1d697fafe3a68689e402907782ceea6a532d0380e7bec162c844',
+    ),
+    (
+        'harness-q2-r4',
+        ['harness', '--q', '2', '--r', '4', '--trials', '4', '--seed', '1'],
+        0,
+        'dca51df8d12a4e63b507f112a223d2047a03525e63ec8747bd9dec966ff75755',
+    ),
+    (
+        'harness-q4-r2',
+        ['harness', '--q', '4', '--r', '2', '--trials', '4', '--seed', '1'],
+        0,
+        'da89a0fa57ff939bee5cfe0e60e208db420255513bf08a1853b1821c63f2af66',
+    ),
+    (
+        'harness-csv',
+        ['harness', '--q', '2', '--r', '2', '--trials', '8', '--seed', '1', '--format', 'csv'],
+        0,
+        '9aaba04a7ef39c4399b87277453bf4df8bc437bf8830a2b88f5ecea6ee3b0e5a',
+    ),
+    (
+        'modpoly-compute',
+        ['modpoly', 'compute', '--q', '2'],
+        0,
+        'b91ce1d729ec77a28241789eaaecaf697ac3e7e668e189f4f5643d519b39def2',
+    ),
+    (
+        'modpoly-table',
+        ['modpoly', 'table', '--q', '2'],
+        0,
+        'f8fc7737558f8e29b5067f7dc286f9ad60b73f9f6424cf1b22ef223ac9243e99',
+    ),
+    (
+        'modpoly-cross-check',
+        ['modpoly', 'cross-check', '--q', '2'],
+        0,
+        '19769cf791984814a553b1fe8925f0d4626f6724c6ffda7bfaa6cc87170ce96a',
+    ),
+    (
+        'lattice-reduce',
+        ['lattice', 'reduce', '--q', '3', '--matrix', '[["t^2+1","t"],["1/t","t+2"]]'],
+        0,
+        'f1eccbb0a4ad92412aacd115bbcfc427d1d33edbc5a8f675c5d91e51a242cd53',
+    ),
+    (
+        'lattice-covolume',
+        ['lattice', 'covolume', '--q', '2', '--matrix', '[["t","1/(t+1)"],["0","t^2"]]'],
+        0,
+        '4d1cdf437d9382bb2e38462e85a5867c0bc4f4b7d2ca2d87f43e9a600ff4ad31',
+    ),
+    (
+        'lattice-index',
+        ['lattice', 'index', '--q', '2', '--sub', '[["t^2","t"],["0","t+1"]]',
+         '--sup', '[["1","0"],["0","1"]]'],
+        0,
+        '78ce55e1cf4f215cfab0c056ca1cdb2ace8c78dbede75af61186464311e54987',
+    ),
+    (
+        'lattice-analytic-check',
+        ['lattice', 'analytic-check', '--q', '2', '--sub', '[["1","0"],["0","1"]]',
+         '--sup', '[["1","1/t"],["0","1"]]', '--alpha', 't'],
+        0,
+        '23d45d03c741779ff5ad4dd42a5701f914f7c23f3a3bf2cdaed76e96ea7ada0f',
+    ),
+    (
+        'isogeny-dual',
+        ['isogeny', 'dual', '--module', '{"q":2,"r":2,"g":["t+1","1"]}', '--f', '1*T^0 + T^1'],
+        0,
+        '77460111f25d6a30c529b287b18854a68e2bb391f2d421730ab42d5711d9aca3',
+    ),
+    (
+        'heights',
+        ['heights', '--module', '{"q":3,"r":2,"g":["t^2+1","t"]}'],
+        0,
+        'e37058222747d14cda2a5ff7306237e717ff255a03065ceeb3fdf587c9fb72dd',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,sha256", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN]
+)
+def test_cli_report_digest(capsys, argv, code, sha256):
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

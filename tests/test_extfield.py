@@ -7,7 +7,8 @@ import pytest
 from drinfeld import QuotientField
 from drinfeld.base import rational_function_field, x_ring_over_A, x_ring_over_F
 from drinfeld.errors import IrreducibilityUncertain, RootExtractionFailure
-from drinfeld.extfield import irreducible_over_F, rational_roots
+from drinfeld.extfield import irreducible_over_F, rational_roots, to_A_x
+from drinfeld.poly import content
 
 
 def _L(q, build):
@@ -51,6 +52,30 @@ def test_rational_roots():
     roots = set(rational_roots(f, F))
     assert roots == {F.one / F.t, F.from_poly(t + A.one)}
     assert rational_roots(x**2 + Ax.constant(t), F) == []
+
+
+def test_rational_roots_of_cleared_product_q4():
+    """Over F_4(t): clear the denominators of a product of linear factors
+    with rational roots, then recover exactly those roots."""
+    F = rational_function_field(4)
+    A = F.ring
+    t = A.gen()
+    u = F.base_field.generator_u()
+    Fx = x_ring_over_F(4)
+    roots = [
+        F.make(t.scale(u), t + A.one),
+        F.from_poly(t + A.constant(u)),
+        F.one / F.t,
+        F.zero,
+    ]
+    f = Fx.one
+    for y in roots:
+        f = f * (Fx.gen() - Fx.constant(y))
+    f = f.scale(F.make(A.one, t**2 + A.constant(u)))
+    g = to_A_x(f)
+    assert g.ring.base is A and content(g) == A.one
+    assert set(rational_roots(g, F)) == set(roots)
+    assert len(rational_roots(g, F)) == len(roots)
 
 
 def test_irreducibility_certificates():

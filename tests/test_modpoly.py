@@ -1,7 +1,10 @@
 """Modular polynomial machinery: psi/kappa, the two Phi_t routes,
 interpolation sets, and the height bound evaluators."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -169,6 +172,37 @@ def test_lagrange_roundtrip_random_bivariate():
         pairs = [(y, target.eval_y(FX, y)) for y in points]
         back = lagrange_reconstruct(pairs, d, n=1)
         assert back == target
+
+
+_HEIGHT_BOUND_VIOLATION = """
+from drinfeld.base import poly_ring_A, rational_function_field
+from drinfeld.errors import InvariantViolation
+from drinfeld.modpoly import BivarPoly, build_Sn, lagrange_reconstruct
+from drinfeld.poly import PolyRing
+
+A, F = poly_ring_A(2), rational_function_field(2)
+FX = PolyRing(F, "X")
+P = BivarPoly(A, {(1, 0): A.one, (0, 1): A.gen() ** 4})  # X + t^4 Y
+points = [y for y in build_Sn(2, 1) if y in (F.zero, F.one / F.t)]
+pairs = [(y, P.eval_y(FX, y)) for y in points]
+try:
+    lagrange_reconstruct(pairs, 1, n=0)
+    print("returned", __debug__)
+except InvariantViolation:
+    print("raised", __debug__)
+"""
+
+
+def test_lagrange_height_bound_survives_optimize():
+    """h(P) = 4 > B + 2nd = 3 on the points {0, 1/t} of S_1 with n = 0:
+    the check must raise even under python -O, which strips asserts."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _HEIGHT_BOUND_VIOLATION],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["raised", "False"]
 
 
 def test_lagrange_reconstructs_phi_t():

@@ -162,13 +162,29 @@ def test_resultant_against_sympy():
     assert lifted == expect
 
 
-def test_content_and_primitive_part():
-    A = poly_ring_A(2)
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_content_and_primitive_part(q):
+    A = poly_ring_A(q)
     t = A.gen()
     x = PolyRing(A, "x")
     f = x.monomial(t**2 + t, 1) + x.constant(t**3 + t)
     c = content(f)
-    assert f == primitive_part(f).scale(c) or primitive_part(f) * x.constant(c) == f
+    assert c.is_monic and c.degree >= 1
+    assert f == primitive_part(f).scale(c)
+    assert content(primitive_part(f)) == A.one
+    # content 1: f comes back as the same object, with no divisions
+    g = x.gen() + x.constant(t)
+    assert content(g) == A.one and primitive_part(g) is g
+    # the zero polynomial has content 0 and is its own primitive part
+    assert content(x.zero).is_zero and primitive_part(x.zero) is x.zero
+    rng = random.Random(165)
+    for _ in range(20):
+        h = x.from_coeffs([A.random_element(rng, 2) for _ in range(4)])
+        k = A.random_element(rng, 2, nonzero=True)
+        if h.is_zero:
+            continue
+        assert content(h.scale(k)) == content(h) * k.monic()
+        assert primitive_part(h.scale(k)) == primitive_part(h).scale(k.lead)
 
 
 def test_pseudo_divmod_fraction_free():

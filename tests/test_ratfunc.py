@@ -5,6 +5,7 @@ import random
 import pytest
 
 from drinfeld.base import rational_function_field
+from drinfeld.poly import poly_gcd
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -64,3 +65,45 @@ def test_zero_division():
         F.one / F.zero
     with pytest.raises(ZeroDivisionError):
         F.make(F.ring.one, F.ring.zero)
+
+
+def _elements(F, rng, count):
+    """Random elements of F: zero, polynomials and proper fractions."""
+    A = F.ring
+    out = [F.zero, F.one]
+    for i in range(count):
+        if i % 3 == 0:
+            out.append(F.from_poly(A.random_element(rng, 3)))
+        else:
+            out.append(F.random_element(rng, 3))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_mul_matches_make_of_products(q):
+    """The cross-cancelling product (which skips gcds against constant
+    denominators) agrees with canonicalizing the plain products."""
+    F = rational_function_field(q)
+    xs = _elements(F, random.Random(200 + q), 24)
+    for x in xs:
+        for y in xs[::3]:
+            assert x * y == F.make(x.num * y.num, x.den * y.den)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_clear_denominators_matches_multiplication(q):
+    F = rational_function_field(q)
+    A = F.ring
+    rng = random.Random(300 + q)
+    assert F.clear_denominators([]) == ([], A.one)
+    for _ in range(15):
+        xs = _elements(F, rng, rng.randint(0, 5))
+        rng.shuffle(xs)
+        polys, den = F.clear_denominators(xs)
+        assert den.is_monic
+        assert all(F.from_poly(p) == x * F.from_poly(den) for p, x in zip(polys, xs))
+        # den is the lcm: every denominator divides it, and it is the least
+        lcm = A.one
+        for x in xs:
+            lcm = (lcm * x.den).exact_div(poly_gcd(lcm, x.den))
+        assert den == lcm
