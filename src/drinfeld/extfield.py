@@ -192,8 +192,10 @@ def _monic_divisors(a, seed=0):
 
 def rational_roots(f_in_Ax, F):
     """All roots in F of a nonzero polynomial in A[x], found by the
-    rational root test (divisors of the constant and leading terms)."""
-    f = primitive_part(f_in_Ax)
+    rational root test (divisors of the constant and leading terms).
+    The test holds for any nonzero f in A[x], primitive or not, so the
+    content is not taken here: to_A_x already returns a primitive f."""
+    f = f_in_Ax
     roots = []
     if f.constant.is_zero:
         roots.append(F.zero)

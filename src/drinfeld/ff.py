@@ -12,6 +12,8 @@ meant for small q (desk scale).
 
 from functools import lru_cache
 
+from .errors import InvariantViolation
+
 
 def is_prime(n):
     if n < 2:
@@ -52,21 +54,6 @@ def _poly_mul_mod_p(a, b, p):
     return out
 
 
-def _poly_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for j in range(dm + 1):
-                a[shift + j] = (a[shift + j] - c * m[j]) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _smallest_irreducible(p, e):
     """Monic irreducible of degree e over F_p with the smallest
     non-leading coefficient vector (as a base-p integer)."""
@@ -79,7 +66,7 @@ def _smallest_irreducible(p, e):
         m = coeffs + [1]
         if _is_irreducible_mod_p(m, p):
             return m
-    raise AssertionError("no irreducible found")  # cannot happen
+    raise InvariantViolation(f"no monic irreducible of degree {e} over F_{p}")
 
 
 def _is_irreducible_mod_p(m, p):
@@ -268,7 +255,7 @@ class GaloisField:
                 prod = _poly_mul_mod_p(
                     self._decode(a) or [0], self._decode(b) or [0], p
                 )
-                row.append(self._encode(_poly_mod(prod, self.modulus, p) + [0]))
+                row.append(self._encode(_poly_rem(prod, self.modulus, p) + [0]))
             self.mul_table.append(row)
         self.inv_table = [0] * q
         for a in range(1, q):

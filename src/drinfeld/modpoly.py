@@ -275,6 +275,26 @@ def build_Sn(q, n):
     return tuple(points)
 
 
+def _lagrange_basis(points):
+    """For each point y_k, (num_k, c_k) with T_k = num_k / c_k the Lagrange
+    basis polynomial: num_k = M / (Y - y_k) in F[Y] for the master
+    polynomial M = prod_s (Y - y_s), built once, and c_k = prod_{s != k}
+    (y_k - y_s).  exact_div raises if M(y_k) != 0."""
+    F = points[0].field
+    FY = PolyRing(F, "Y")
+    master = FY.one
+    for y in points:
+        master = master * (FY.gen() - FY.constant(y))
+    out = []
+    for k, yk in enumerate(points):
+        ck = F.one
+        for s, ys in enumerate(points):
+            if s != k:
+                ck = ck * (yk - ys)
+        out.append((master.exact_div(FY.gen() - FY.constant(yk)), ck))
+    return out
+
+
 def tk_bounds(q, n, points):
     """Lagrange basis data for d+1 chosen points of S_n: the maximum
     T_k coefficient log-height against the bound n*d, and the minimum
@@ -284,24 +304,16 @@ def tk_bounds(q, n, points):
         raise ValueError("need at least one point")
     if d > q ** (2 * n + 1) - 1:
         raise ValueError("d exceeds |S_n| - 1")
-    F = points[0].field
-    FY = PolyRing(F, "Y")
     coeff_max = None
     spacing_min = None
-    for k, yk in enumerate(points):
-        num = FY.one
-        ck = F.one
-        for s, ys in enumerate(points):
-            if s == k:
-                continue
-            num = num * (FY.gen() - FY.constant(ys))
-            ck = ck * (yk - ys)
+    for num, ck in _lagrange_basis(points):
         spacing = Fraction(ck.deg_infinity())
         spacing_min = spacing if spacing_min is None else min(spacing_min, spacing)
         for c in num.coeffs:
             if c.is_zero:
                 continue
-            h = Fraction((c / ck).deg_infinity())
+            # deg at infinity is additive: this is (c / ck).deg_infinity()
+            h = Fraction(c.deg_infinity() - ck.deg_infinity())
             coeff_max = h if coeff_max is None else max(coeff_max, h)
     return {
         "d": d,
@@ -325,22 +337,17 @@ def lagrange_reconstruct(pairs, d, n=None):
     points = [y for y, _ in pairs]
     if len(set(points)) != len(points):
         raise ValueError("interpolation points must be distinct")
-    F = points[0].field
     FX = pairs[0][1].ring
-    FXY = PolyRing(FX, "Y")
-    total = FXY.zero
-    for k, (yk, pk) in enumerate(pairs):
-        basis = FXY.one
-        ck = F.one
-        for s, (ys, _) in enumerate(pairs):
-            if s == k:
-                continue
-            basis = basis * (FXY.gen() - FXY.constant(FX.constant(ys)))
-            ck = ck * (yk - ys)
-        total = total + basis.scale(pk.scale(ck.inverse()))
-    A = F.ring
+    # the basis has constant coefficients in X: total[j] is the Y^j
+    # coefficient of P, accumulated in F[X]
+    total = [FX.zero] * (d + 1)
+    for (num, ck), (_, pk) in zip(_lagrange_basis(points), pairs):
+        pk = pk.scale(ck.inverse())
+        for j, c in enumerate(num.coeffs):
+            total[j] = total[j] + pk.scale(c)
+    A = FX.base.ring
     coeffs = {}
-    for j, cy in enumerate(total.coeffs):
+    for j, cy in enumerate(total):
         for i, cf in enumerate(cy.coeffs):
             if cf.is_zero:
                 continue

@@ -25,17 +25,9 @@ NEG_INF = float("-inf")
 
 
 def _ARRAY_TYPECODE(bits):
-    """Fixed-width typecode for packed Kronecker digits, or None when the
-    digits are too wide (or the platform is big-endian)."""
-    if sys.byteorder != "little":
-        return None
-    if bits <= 16:
-        return "H"
-    if bits <= 32:
-        return "I"
-    if bits <= 64:
-        return "Q"
-    return None
+    """Fixed-width typecode for packed Kronecker digits.  Wider than 64
+    bits would take operands of about 2^63 / (p-1)^2 coefficients."""
+    return "H" if bits <= 16 else "I" if bits <= 32 else "Q"
 
 # dense polynomials over a prime field switch to integer-coded fast paths
 # above this total size (Kronecker substitution / raw int arithmetic)
@@ -150,31 +142,17 @@ class Poly:
         b = [c.code for c in other.coeffs]
         bits = (min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 1
         typecode = _ARRAY_TYPECODE(bits)
-        if typecode is None:
-            return self._mul_kronecker_slow(a, b, bits, base)
-        width = {"H": 2, "I": 4, "Q": 8}[typecode]
-        packed_a = int.from_bytes(array.array(typecode, a).tobytes(), "little")
-        packed_b = int.from_bytes(array.array(typecode, b).tobytes(), "little")
-        prod = packed_a * packed_b
+        # native byte order: on a big-endian host both operands pack
+        # reversed, and so does their exact-length product, so one path
+        # is correct on either byte order
+        order = sys.byteorder
+        arr = array.array(typecode, a)
+        packed_a = int.from_bytes(arr.tobytes(), order)
+        packed_b = int.from_bytes(array.array(typecode, b).tobytes(), order)
         n = len(a) + len(b) - 1
-        digits = array.array(typecode, prod.to_bytes(n * width, "little"))
+        prod = (packed_a * packed_b).to_bytes(n * arr.itemsize, order)
+        digits = array.array(typecode, prod)
         return self.ring.from_coeffs([FFElem(base, d % p) for d in digits])
-
-    def _mul_kronecker_slow(self, a, b, bits, base):
-        p = base.p
-        packed_a = 0
-        for c in reversed(a):
-            packed_a = (packed_a << bits) | c
-        packed_b = 0
-        for c in reversed(b):
-            packed_b = (packed_b << bits) | c
-        prod = packed_a * packed_b
-        mask = (1 << bits) - 1
-        out = []
-        while prod:
-            out.append(FFElem(base, (prod & mask) % p))
-            prod >>= bits
-        return self.ring.from_coeffs(out)
 
     __rmul__ = __mul__
 

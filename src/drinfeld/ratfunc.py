@@ -68,12 +68,8 @@ class RatFunc:
             a, d = a.exact_div(g1), d.exact_div(g1)
         if b.degree > 0 and (g2 := poly_gcd(c, b)).degree > 0:
             c, b = c.exact_div(g2), b.exact_div(g2)
-        num, den = a * c, b * d
-        if not den.is_monic:
-            lead = den.lead
-            num = num.scale(self.field.base_field.one / lead)
-            den = den.monic()
-        return RatFunc(self.field, num, den)
+        # b, d and the gcds cancelled from them are monic, so b*d is monic
+        return RatFunc(self.field, a * c, b * d)
 
     __rmul__ = __mul__
 

@@ -54,6 +54,24 @@ def test_rational_roots():
     assert rational_roots(x**2 + Ax.constant(t), F) == []
 
 
+@pytest.mark.parametrize("q", [2, 4])
+def test_rational_roots_ignore_content(q):
+    """The rational root test needs no primitive input: scaling g by a
+    nonconstant c in A leaves the root set unchanged."""
+    F = rational_function_field(q)
+    Ax = x_ring_over_A(q)
+    A = Ax.base
+    t = A.gen()
+    x = Ax.gen()
+    c = t**2 + A.one
+    g = (Ax.monomial(t, 1) - Ax.one) * (x - Ax.constant(t + A.one)) * x
+    cg = g.scale(c)
+    assert content(cg) == c
+    assert set(rational_roots(cg, F)) == set(rational_roots(g, F))
+    assert set(rational_roots(g, F)) == {F.zero, F.one / F.t, F.from_poly(t + A.one)}
+    assert rational_roots((x**2 + Ax.constant(t)).scale(c), F) == []
+
+
 def test_rational_roots_of_cleared_product_q4():
     """Over F_4(t): clear the denominators of a product of linear factors
     with rational roots, then recover exactly those roots."""

@@ -2,7 +2,8 @@
 
 import pytest
 
-from drinfeld import GF
+from drinfeld import GF, ff
+from drinfeld.errors import InvariantViolation
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -63,3 +64,11 @@ def test_element_codes_roundtrip():
 def test_bad_order_rejected():
     with pytest.raises(ValueError):
         GF(6)
+
+
+def test_no_irreducible_raises_domain_error(monkeypatch):
+    """The "cannot happen" branch of the modulus search raises a
+    DrinfeldError, which python -O keeps, not an AssertionError."""
+    monkeypatch.setattr(ff, "_is_irreducible_mod_p", lambda m, p: False)
+    with pytest.raises(InvariantViolation):
+        ff._smallest_irreducible(2, 3)

@@ -139,6 +139,43 @@ def test_tk_bounds_guards():
         tk_bounds(2, 1, [])
 
 
+def _tk_bounds_oracle(points):
+    """Reference (coeff_log_max, spacing_log_min): every T_k built from
+    scratch as prod_{s != k} (Y - y_s) / (y_k - y_s), O(d^3) products."""
+    F = points[0].field
+    FY = PolyRing(F, "Y")
+    coeff_max = spacing_min = None
+    for k, yk in enumerate(points):
+        num, ck = FY.one, F.one
+        for s, ys in enumerate(points):
+            if s != k:
+                num = num * (FY.gen() - FY.constant(ys))
+                ck = ck * (yk - ys)
+        spacing = Fraction(ck.deg_infinity())
+        spacing_min = spacing if spacing_min is None else min(spacing_min, spacing)
+        for c in num.coeffs:
+            if not c.is_zero:
+                h = Fraction((c / ck).deg_infinity())
+                coeff_max = h if coeff_max is None else max(coeff_max, h)
+    return coeff_max, spacing_min
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1])
+def test_tk_bounds_match_per_k_oracle(q, n):
+    """Every d up to |S_n| - 1 where the O(d^3) oracle stays within
+    seconds; at q = 4, n = 1 (|S_1| = 64) it would take minutes, so d
+    stops at 15 there."""
+    points = list(build_Sn(q, n))
+    top = len(points) - 1 if len(points) <= 27 else 15
+    rng = random.Random(93)
+    for d in sorted({0, 1, 2, top // 2, top} & set(range(top + 1))):
+        chosen = points[: d + 1] if d % 2 else rng.sample(points, d + 1)
+        rep = tk_bounds(q, n, chosen)
+        assert (rep["coeff_log_max"], rep["spacing_log_min"]) == _tk_bounds_oracle(chosen)
+        assert rep["d"] == d and rep["coeff_ok"] and rep["spacing_ok"]
+
+
 def test_lagrange_roundtrip_constant():
     F = rational_function_field(2)
     FX = PolyRing(F, "X")
@@ -149,8 +186,8 @@ def test_lagrange_roundtrip_constant():
     assert out.height() == 0
 
 
-def test_lagrange_roundtrip_random_bivariate():
-    q = 2
+@pytest.mark.parametrize("q", [2, 3])
+def test_lagrange_roundtrip_random_bivariate(q):
     F = rational_function_field(q)
     A = F.ring
     FX = PolyRing(F, "X")

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from drinfeld import GF, poly_ring_A
-from drinfeld.poly import PolyRing, content, poly_gcd, poly_xgcd, primitive_part, resultant
+from drinfeld.poly import _ARRAY_TYPECODE, PolyRing, content, poly_gcd, poly_xgcd, primitive_part, resultant
 
 
 def _schoolbook_mul(ring, a, b):
@@ -20,7 +20,7 @@ def _schoolbook_mul(ring, a, b):
     return ring.from_coeffs(out)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_mul_matches_schoolbook(q):
     A = poly_ring_A(q)
     rng = random.Random(11)
@@ -28,6 +28,19 @@ def test_mul_matches_schoolbook(q):
         a = A.random_element(rng, rng.randrange(0, 35))
         b = A.random_element(rng, rng.randrange(0, 35))
         assert a * b == _schoolbook_mul(A, a, b)
+
+
+def test_mul_kronecker_32bit_digits():
+    """At q = 7 with both degrees >= 1000 the packed digits need more than
+    16 bits, so the product runs on 32-bit ("I") digits."""
+    A = poly_ring_A(7)
+    k = A.base
+    rng = random.Random(13)
+    a = A.from_coeffs([k.random_element(rng) for _ in range(1000)] + [k.one])
+    b = A.from_coeffs([k.random_element(rng) for _ in range(1200)] + [k(3)])
+    bits = (min(len(a.coeffs), len(b.coeffs)) * 6 * 6).bit_length() + 1
+    assert _ARRAY_TYPECODE(bits) == "I"
+    assert a * b == _schoolbook_mul(A, a, b)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
