@@ -175,9 +175,9 @@ def _swap_to_t_outer(f):
         rows.append(xring.from_coeffs([c.coeff(k) for c in f.coeffs]))
     return tring.from_coeffs(rows)
 
-def _monic_divisors(a, seed=0):
+def _monic_divisors(a):
     """All monic divisors of nonzero a in A."""
-    _, facs = factor(a, seed=seed)
+    _, facs = factor(a)
     divisors = [a.ring.one]
     for p, mult in facs:
         new = []

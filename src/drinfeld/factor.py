@@ -1,9 +1,10 @@
 """Factorization of univariate polynomials over F_q.
 
-Distinct-degree splitting followed by Cantor-Zassenhaus equal-degree
-splitting.  The equal-degree stage draws random elements from an explicit
-seed, so runs are reproducible; degree <= 3 inputs are handled by
-deterministic trial division over the enumerated irreducibles.
+One path for every degree: squarefree decomposition, distinct-degree
+splitting, then Cantor-Zassenhaus equal-degree splitting.  The
+equal-degree stage draws random elements from a fixed seed; the
+factorization is unique and returned sorted, so the seed never shows in
+a result.  Irreducibility is Ben-Or's test on the same Frobenius step.
 """
 
 import random
@@ -12,16 +13,16 @@ from .poly import poly_gcd
 
 
 def _powmod(a, n, m):
-    """a^n mod m."""
-    ring = a.ring
-    result = ring.one
+    """a^n mod m for n >= 1; squares only while bits of n remain."""
     a = a % m
-    while n:
+    result = None
+    while True:
         if n & 1:
-            result = (result * a) % m
-        a = (a * a) % m
+            result = a if result is None else (result * a) % m
         n >>= 1
-    return result
+        if not n:
+            return result
+        a = (a * a) % m
 
 
 def squarefree_decomposition(f):
@@ -126,7 +127,7 @@ def equal_degree_split(f, d, rng):
         return out
 
 
-def factor(f, seed=0):
+def factor(f):
     """Factor nonzero f over F_q into monic irreducibles.
 
     Returns (unit, [(irreducible, multiplicity), ...]) with the factors
@@ -137,35 +138,13 @@ def factor(f, seed=0):
     unit = f.lead
     if f.degree == 0:
         return unit, []
-    monic = f.monic()
-    if monic.degree <= 3:
-        return unit, _factor_trial(monic)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     out = {}
-    for sqf, mult in squarefree_decomposition(monic):
+    for sqf, mult in squarefree_decomposition(f):
         for block, d in distinct_degree_split(sqf):
             for irr in equal_degree_split(block, d, rng):
                 out[irr] = out.get(irr, 0) + mult
     return unit, sorted(out.items(), key=lambda kv: (int(kv[0].degree), _lex_key(kv[0])))
-
-
-def _factor_trial(f):
-    out = []
-    bound = int(f.degree)
-    for p in enumerate_irreducibles(f.ring, bound):
-        mult = 0
-        while True:
-            q, r = divmod(f, p)
-            if r.is_zero:
-                f = q
-                mult += 1
-            else:
-                break
-        if mult:
-            out.append((p, mult))
-        if f.degree == 0:
-            break
-    return out
 
 
 def monic_polys_of_degree(ring, d):
@@ -185,26 +164,17 @@ def monic_polys_of_degree(ring, d):
     return out
 
 
-def enumerate_irreducibles(ring, d):
-    """Ordered list of all monic irreducibles of degree <= d over F_q."""
-    if d < 1:
-        raise ValueError("degree bound must be >= 1")
-    found = []
-    for k in range(1, d + 1):
-        for f in monic_polys_of_degree(ring, k):
-            if all(not divmod(f, p)[1].is_zero for p in found if 2 * int(p.degree) <= k):
-                found.append(f)
-    return found
-
-
 def is_irreducible(f):
-    """Irreducibility over F_q by trial division (desk-scale degrees)."""
+    """Ben-Or's test: f of degree n >= 1 is irreducible over F_q iff
+    gcd(x^(q^i) - x, f) = 1 for every i <= n / 2, since a reducible f has
+    an irreducible factor of degree at most n / 2."""
     if f.degree < 1:
         return False
-    half = int(f.degree) // 2
-    if half == 0:
-        return True
-    for p in enumerate_irreducibles(f.ring, half):
-        if divmod(f, p)[1].is_zero:
+    q = f.ring.base.q
+    x = f.ring.gen()
+    h = x
+    for _ in range(int(f.degree) // 2):
+        h = _powmod(h, q, f)
+        if poly_gcd(h - x, f).degree > 0:
             return False
     return True

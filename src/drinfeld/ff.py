@@ -85,26 +85,28 @@ def _is_irreducible_mod_p(m, p):
             c //= p
         if div[-1] != 1 or len(div) < 2:
             continue
-        if not _poly_rem(m, div, p):
+        if not _poly_divmod(m, div, p)[1]:
             return False
     return True
 
 
-def _poly_rem(a, b, p):
-    """Remainder of a by monic-leading b over F_p (b need not be monic)."""
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv_lead) % p
+def _poly_divmod(a, b, p):
+    """(quotient, remainder) code lists of a by nonzero b over F_p, both
+    lowest degree first; b need not be monic."""
+    rem = list(a)
+    dv = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    quot = [0] * max(len(rem) - dv, 0)
+    while len(rem) - 1 >= dv and rem:
+        c = (rem[-1] * inv) % p
+        shift = len(rem) - 1 - dv
+        quot[shift] = c
         if c:
-            shift = len(a) - 1 - db
-            for j in range(db + 1):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+            for j, bc in enumerate(b):
+                rem[shift + j] = (rem[shift + j] - c * bc) % p
+        while rem and not rem[-1]:
+            rem.pop()
+    return quot, rem
 
 
 class FFElem:
@@ -255,7 +257,7 @@ class GaloisField:
                 prod = _poly_mul_mod_p(
                     self._decode(a) or [0], self._decode(b) or [0], p
                 )
-                row.append(self._encode(_poly_rem(prod, self.modulus, p) + [0]))
+                row.append(self._encode(_poly_divmod(prod, self.modulus, p)[1] + [0]))
             self.mul_table.append(row)
         self.inv_table = [0] * q
         for a in range(1, q):

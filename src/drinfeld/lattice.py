@@ -24,7 +24,8 @@ class LatticeBasis:
                 raise ValueError("basis matrix must be square")
             cols.append(tuple(field(x) for x in col))
         self.columns = tuple(cols)
-        if det(field, self.columns).is_zero:
+        self.det = det(field, self.columns)
+        if self.det.is_zero:
             raise ValueError("basis matrix is singular")
 
     @classmethod
@@ -181,7 +182,7 @@ def reduce(L):
     ]
     basis = LatticeBasis(F, newcols)
     red = ReducedBasis(basis, minima)
-    if red.log_covolume != Fraction(det(F, basis.columns).deg_infinity()):
+    if red.log_covolume != Fraction(basis.det.deg_infinity()):
         raise InvariantViolation("covolume differs from the degree of det")
     return red
 

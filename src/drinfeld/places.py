@@ -21,10 +21,9 @@ class Place:
 
     __slots__ = ("prime",)
 
-    def __init__(self, prime=None, checked=False):
-        if prime is not None and not checked:
-            if not prime.is_monic or not is_irreducible(prime):
-                raise ValueError("finite places are keyed by monic irreducibles")
+    def __init__(self, prime=None):
+        if prime is not None and not (prime.is_monic and is_irreducible(prime)):
+            raise ValueError("finite places are keyed by monic irreducibles")
         self.prime = prime
 
     @classmethod
@@ -32,8 +31,8 @@ class Place:
         return cls(None)
 
     @classmethod
-    def finite(cls, prime, checked=False):
-        return cls(prime, checked=checked)
+    def finite(cls, prime):
+        return cls(prime)
 
     @property
     def is_infinite(self):
@@ -92,8 +91,7 @@ def support(xs):
             _, facs = factor(f)
             for p, _ in facs:
                 primes[p] = True
-    # the factorizer only emits irreducibles; skip re-certification
-    return [Place.finite(p, checked=True) for p in primes]
+    return [Place.finite(p) for p in primes]
 
 
 def weil_height(coords):

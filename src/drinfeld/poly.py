@@ -19,7 +19,7 @@ Division helpers:
 import array
 import sys
 
-from .ff import FFElem, GaloisField
+from .ff import FFElem, GaloisField, _poly_divmod
 
 NEG_INF = float("-inf")
 
@@ -204,21 +204,9 @@ class Poly:
     def _divmod_prime(self, other, base):
         """Schoolbook division on raw integer coefficient codes; division
         is always exact since the base is a field."""
-        p = base.p
-        rem = [c.code for c in self.coeffs]
-        den = [c.code for c in other.coeffs]
-        dv = len(den) - 1
-        inv = pow(den[-1], p - 2, p)
-        quot = [0] * max(len(rem) - dv, 0)
-        while len(rem) - 1 >= dv and rem:
-            c = (rem[-1] * inv) % p
-            shift = len(rem) - 1 - dv
-            quot[shift] = c
-            if c:
-                for j, bc in enumerate(den):
-                    rem[shift + j] = (rem[shift + j] - c * bc) % p
-            while rem and not rem[-1]:
-                rem.pop()
+        quot, rem = _poly_divmod(
+            [c.code for c in self.coeffs], [c.code for c in other.coeffs], base.p
+        )
         ring = self.ring
         return (
             ring.from_coeffs([FFElem(base, v) for v in quot]),

@@ -104,6 +104,20 @@ GOLDEN = [
         0,
         'e37058222747d14cda2a5ff7306237e717ff255a03065ceeb3fdf587c9fb72dd',
     ),
+    (
+        'heights-q4',
+        ['heights', '--module',
+         '{"q":4,"r":2,"g":["(t^2+u)/(t^3+t+1)","(t^5+u*t+1)/(t^4+u)"]}'],
+        0,
+        '40b102920c52a4af288499fd5222d937604d33c23d1e728fd7575929cd2125e6',
+    ),
+    (
+        'heights-q9',
+        ['heights', '--module',
+         '{"q":9,"r":2,"g":["(u*t^3+1)/(t^2+u)","(t^4+t+u)/(t^5+u*t^2+2)"]}'],
+        0,
+        '309888fe68e96cdf110e54d3bb8df51ad7a0a045bd4175907baf3a43b5728ee3',
+    ),
 ]
 
 

@@ -1,15 +1,54 @@
 """Factorization over F_q: round-trips, counting formulas, determinism."""
 
+import functools
 import random
 
 import pytest
 
 from drinfeld import factor, is_irreducible, poly_ring_A
-from drinfeld.factor import (
-    enumerate_irreducibles,
-    monic_polys_of_degree,
-    squarefree_decomposition,
-)
+from drinfeld.factor import monic_polys_of_degree, squarefree_decomposition
+
+
+# -- test-only oracle: trial division by the enumerated irreducibles --------
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_irreducibles(ring, d):
+    """Ordered list of all monic irreducibles of degree <= d over F_q."""
+    found = []
+    for k in range(1, d + 1):
+        for f in monic_polys_of_degree(ring, k):
+            if all(not divmod(f, p)[1].is_zero for p in found if 2 * int(p.degree) <= k):
+                found.append(f)
+    return found
+
+
+def trial_factor(f):
+    """(unit, [(irreducible, multiplicity), ...]) by trial division."""
+    unit, f = f.lead, f.monic()
+    out = []
+    for p in enumerate_irreducibles(f.ring, int(f.degree)):
+        mult = 0
+        while True:
+            quot, rem = divmod(f, p)
+            if not rem.is_zero:
+                break
+            f = quot
+            mult += 1
+        if mult:
+            out.append((p, mult))
+        if f.degree == 0:
+            break
+    return unit, out
+
+
+def trial_is_irreducible(f):
+    if f.degree < 1:
+        return False
+    half = int(f.degree) // 2
+    return half == 0 or all(
+        not divmod(f, p)[1].is_zero for p in enumerate_irreducibles(f.ring, half)
+    )
 
 
 def _necklace_count(q, d):
@@ -34,11 +73,38 @@ def _necklace_count(q, d):
     return total // d
 
 
-@pytest.mark.parametrize("q,d", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize(
+    "q,d",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (8, 2), (9, 2)],
+)
 def test_irreducible_counts(q, d):
     A = poly_ring_A(q)
     irr = [f for f in monic_polys_of_degree(A, d) if is_irreducible(f)]
     assert len(irr) == _necklace_count(q, d)
+
+
+def _differential_inputs(q):
+    """Every monic polynomial of degree <= 3 for q <= 4, which includes
+    the inputs with vanishing derivative (t^2 + 1 at q = 2, (t + u)^2 at
+    q = 4, (t + 1)^3 at q = 3); otherwise a seeded sample of 40 degree-3
+    inputs, with (t + 1)^3 and a nonmonic scalar multiple added."""
+    A = poly_ring_A(q)
+    if q <= 4:
+        return [f for d in range(1, 4) for f in monic_polys_of_degree(A, d)]
+    rng = random.Random(q)
+    cubics = monic_polys_of_degree(A, 3)
+    sample = rng.sample(cubics, 40)
+    t = A.gen()
+    sample.append((t + A.one) ** 3)
+    sample.append(A.constant(A.base.element_from_code(2)) * sample[0])
+    return sample
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_factor_matches_trial_division(q):
+    for f in _differential_inputs(q):
+        assert factor(f) == trial_factor(f), f
+        assert is_irreducible(f) == trial_is_irreducible(f), f
 
 
 def test_known_splits():
@@ -54,6 +120,14 @@ def test_known_splits():
     _, facs = factor(t**3 - t)
     assert [p for p, _ in facs] == [t, t + A3.one, t + A3(2)]
     assert all(m == 1 for _, m in facs)
+
+    # vanishing derivative: the squarefree stage takes a p-th root
+    assert factor((t + A3.one) ** 3)[1] == [(t + A3.one, 3)]
+    t = A2.gen()
+    assert factor(t**2 + A2.one)[1] == [(t + A2.one, 2)]
+    A4 = poly_ring_A(4)
+    t, u = A4.gen(), A4.constant(A4.base.generator_u())
+    assert factor((t + u) ** 2)[1] == [(t + u, 2)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
