@@ -99,12 +99,9 @@ class ExtElem:
 
 
 class QuotientField:
-    """F[x]/(m) for monic irreducible m over F.
+    """F[x]/(m) for monic irreducible m over F."""
 
-    Pass certified=True to skip the irreducibility certificate (used when
-    the caller constructed m so that irreducibility is known)."""
-
-    def __init__(self, F, modulus, certified=False):
+    def __init__(self, F, modulus):
         if not modulus.is_monic:
             raise ValueError("modulus must be monic")
         if modulus.degree < 1:
@@ -114,7 +111,7 @@ class QuotientField:
         self.modulus = modulus
         self.degree = int(modulus.degree)
         self.characteristic = F.characteristic
-        if not certified and not irreducible_over_F(to_A_x(modulus)):
+        if not irreducible_over_F(to_A_x(modulus)):
             raise ValueError("modulus is reducible over F")
         self.zero = ExtElem(self, self.xring.zero)
         self.one = ExtElem(self, self.xring.one)

@@ -7,10 +7,13 @@ F_p.  The modulus is the one whose non-leading coefficient vector, read as
 a base-p integer, is smallest; this makes field construction deterministic.
 
 Multiplication and inversion tables are precomputed, so the fields are
-meant for small q (desk scale).
+meant for small q (desk scale).  Polynomials over F_q multiply and divide
+as lists of codes through these tables (``_poly_mul``, ``_poly_divmod``);
+the tables of F_q with e > 1 are built on the same kernels over F_p.
 """
 
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import InvariantViolation
 
@@ -41,17 +44,6 @@ def factor_prime_power(q):
             if e > 0:
                 break
     raise ValueError(f"{q} is not a prime power")
-
-
-def _poly_mul_mod_p(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _smallest_irreducible(p, e):
@@ -85,25 +77,46 @@ def _is_irreducible_mod_p(m, p):
             c //= p
         if div[-1] != 1 or len(div) < 2:
             continue
-        if not _poly_divmod(m, div, p)[1]:
+        if not _poly_divmod(m, div, GF(p))[1]:
             return False
     return True
 
 
-def _poly_divmod(a, b, p):
-    """(quotient, remainder) code lists of a by nonzero b over F_p, both
-    lowest degree first; b need not be monic."""
+def _poly_mul(a, b, F):
+    """Product of code lists a and b over the field F, lowest degree
+    first; either may be empty (the zero polynomial)."""
+    add, mul = F.add_table, F.mul_table
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            row = mul[ai]
+            for k, c in enumerate(b, i):
+                out[k] = add[out[k]][row[c]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _poly_divmod(a, b, F):
+    """(quotient, remainder) code lists of a by nonzero b over the field
+    F, both lowest degree first; b need not be monic."""
+    add, mul = F.add_table, F.mul_table
     rem = list(a)
     dv = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
+    inv = F.inv_table[b[-1]]
+    neg_b = [F.neg_table[c] for c in b[:-1]]
     quot = [0] * max(len(rem) - dv, 0)
-    while len(rem) - 1 >= dv and rem:
-        c = (rem[-1] * inv) % p
-        shift = len(rem) - 1 - dv
+    while len(rem) > dv:
+        # the leading term cancels: pop it and subtract c x^shift b
+        # from the rest
+        c = mul[rem.pop()][inv]
+        shift = len(rem) - dv
         quot[shift] = c
-        if c:
-            for j, bc in enumerate(b):
-                rem[shift + j] = (rem[shift + j] - c * bc) % p
+        row = mul[c]
+        for k, nc in enumerate(neg_b, shift):
+            rem[k] = add[rem[k]][row[nc]]
         while rem and not rem[-1]:
             rem.pop()
     return quot, rem
@@ -232,39 +245,30 @@ class GaloisField:
 
     def _build_tables(self):
         p, q = self.p, self.q
+        digits = [self._decode(a) for a in range(q)]
+        # F_q = F_p[u]/(modulus): add and negate coordinatewise (_encode
+        # reduces mod p)
         self.add_table = [
             [
-                self._encode(
-                    [
-                        (x + y) % p
-                        for x, y in zip(
-                            self._decode(a) + [0] * self.e,
-                            self._decode(b) + [0] * self.e,
-                        )
-                    ]
-                )
-                for b in range(q)
+                self._encode([a + b for a, b in zip_longest(x, y, fillvalue=0)])
+                for y in digits
             ]
-            for a in range(q)
+            for x in digits
         ]
-        self.neg_table = [
-            self._encode([(-x) % p for x in self._decode(a)] + [0]) for a in range(q)
-        ]
-        self.mul_table = []
-        for a in range(q):
-            row = []
-            for b in range(q):
-                prod = _poly_mul_mod_p(
-                    self._decode(a) or [0], self._decode(b) or [0], p
-                )
-                row.append(self._encode(_poly_divmod(prod, self.modulus, p)[1] + [0]))
-            self.mul_table.append(row)
-        self.inv_table = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul_table[a][b] == 1:
-                    self.inv_table[a] = b
-                    break
+        self.neg_table = [self._encode([-a for a in x]) for x in digits]
+        if self.e == 1:
+            self.mul_table = [[a * b % p for b in range(q)] for a in range(q)]
+        else:
+            # multiply and reduce on the code-list kernels of the prime field
+            Fp = GF(p)
+            self.mul_table = [
+                [
+                    self._encode(_poly_divmod(_poly_mul(x, y, Fp), self.modulus, Fp)[1])
+                    for y in digits
+                ]
+                for x in digits
+            ]
+        self.inv_table = [0] + [self.mul_table[a].index(1) for a in range(1, q)]
 
     def __call__(self, value):
         """Coerce an integer (reduced mod p) or an element of this field."""

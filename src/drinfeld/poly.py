@@ -5,6 +5,13 @@ shows up: a PolyRing wraps any base ring whose elements implement the
 arithmetic dunders plus ``exact_div`` and ``is_zero``.  Nesting PolyRings
 gives multivariate polynomial rings in recursive (dense) representation.
 
+Over a GaloisField base, for every q and every size, products and
+divisions unwrap the coefficients to integer codes and run the code-list
+kernels ``ff._poly_mul`` and ``ff._poly_divmod`` on the field tables; over
+a prime field, products large enough to pay for it pack into big integers
+instead (Kronecker substitution).  The per-coefficient loops below serve
+the nested towers only.
+
 Division helpers:
 
 * ``divmod`` performs ordinary division, dividing by the leading
@@ -19,9 +26,15 @@ Division helpers:
 import array
 import sys
 
-from .ff import FFElem, GaloisField, _poly_divmod
+from .ff import FFElem, GaloisField, _poly_divmod, _poly_mul
 
 NEG_INF = float("-inf")
+
+# over a prime field a product packs into big integers (Kronecker
+# substitution) once the code loop's len(a) * len(b) table steps exceed this
+# many per coefficient of the factors; packing costs a fixed overhead plus
+# len(a) + len(b) digit steps (crossover measured in CHANGES.md)
+_KRONECKER_PAIRS_PER_COEFF = 2.5
 
 
 def _ARRAY_TYPECODE(bits):
@@ -29,22 +42,29 @@ def _ARRAY_TYPECODE(bits):
     bits would take operands of about 2^63 / (p-1)^2 coefficients."""
     return "H" if bits <= 16 else "I" if bits <= 32 else "Q"
 
-# dense polynomials over a prime field switch to integer-coded fast paths
-# above this total size (Kronecker substitution / raw int arithmetic)
-_FAST_SIZE = 16
+
+def _mul_kronecker(a, b, p):
+    """Product of code lists over F_p by packing each operand into one big
+    integer; the digit width is chosen so column sums cannot overflow into
+    the next digit."""
+    bits = (min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 1
+    typecode = _ARRAY_TYPECODE(bits)
+    # native byte order: on a big-endian host both operands pack
+    # reversed, and so does their exact-length product, so one path
+    # is correct on either byte order
+    order = sys.byteorder
+    arr = array.array(typecode, a)
+    packed_a = int.from_bytes(arr.tobytes(), order)
+    packed_b = int.from_bytes(array.array(typecode, b).tobytes(), order)
+    n = len(a) + len(b) - 1
+    prod = (packed_a * packed_b).to_bytes(n * arr.itemsize, order)
+    return [d % p for d in array.array(typecode, prod)]
 
 
 def _is_power_of(n, p):
     while n % p == 0:
         n //= p
     return n == 1
-
-
-def _prime_field(ring):
-    base = ring.base
-    if isinstance(base, GaloisField) and base.e == 1:
-        return base
-    return None
 
 
 class Poly:
@@ -121,40 +141,26 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return self.ring.zero
-        if len(a) + len(b) > _FAST_SIZE:
-            base = _prime_field(self.ring)
-            if base is not None:
-                return self._mul_kronecker(other, base)
-        zero = self.ring.base.zero
-        out = [zero] * (len(a) + len(b) - 1)
+        base = self.ring.base
+        if isinstance(base, GaloisField):
+            a, b = [c.code for c in a], [c.code for c in b]
+            size = len(a) + len(b)
+            if base.e == 1 and len(a) * len(b) > _KRONECKER_PAIRS_PER_COEFF * size:
+                return self._from_codes(_mul_kronecker(a, b, base.p))
+            return self._from_codes(_poly_mul(a, b, base))
+        out = [base.zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai.is_zero:
                 for j, bj in enumerate(b):
                     out[i + j] = out[i + j] + ai * bj
         return self.ring.from_coeffs(out)
 
-    def _mul_kronecker(self, other, base):
-        """Multiply over a prime field by packing coefficients into one
-        big integer per operand; digit width is chosen so column sums
-        cannot overflow into the next digit."""
-        p = base.p
-        a = [c.code for c in self.coeffs]
-        b = [c.code for c in other.coeffs]
-        bits = (min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 1
-        typecode = _ARRAY_TYPECODE(bits)
-        # native byte order: on a big-endian host both operands pack
-        # reversed, and so does their exact-length product, so one path
-        # is correct on either byte order
-        order = sys.byteorder
-        arr = array.array(typecode, a)
-        packed_a = int.from_bytes(arr.tobytes(), order)
-        packed_b = int.from_bytes(array.array(typecode, b).tobytes(), order)
-        n = len(a) + len(b) - 1
-        prod = (packed_a * packed_b).to_bytes(n * arr.itemsize, order)
-        digits = array.array(typecode, prod)
-        return self.ring.from_coeffs([FFElem(base, d % p) for d in digits])
-
     __rmul__ = __mul__
+
+    def _from_codes(self, codes):
+        """The polynomial of this ring over F_q with trimmed code list codes."""
+        base = self.ring.base
+        return Poly(self.ring, tuple([FFElem(base, v) for v in codes]))
 
     def __pow__(self, n):
         if n < 0:
@@ -183,10 +189,11 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         ring = self.ring
-        if len(self.coeffs) + len(other.coeffs) > _FAST_SIZE:
-            base = _prime_field(ring)
-            if base is not None:
-                return self._divmod_prime(other, base)
+        if isinstance(ring.base, GaloisField):
+            quot, rem = _poly_divmod(
+                [c.code for c in self.coeffs], [c.code for c in other.coeffs], ring.base
+            )
+            return self._from_codes(quot), self._from_codes(rem)
         rem = list(self.coeffs)
         dv = other.degree
         lead = other.lead
@@ -200,18 +207,6 @@ class Poly:
             while rem and rem[-1].is_zero:
                 rem.pop()
         return ring.from_coeffs(quot), ring.from_coeffs(rem)
-
-    def _divmod_prime(self, other, base):
-        """Schoolbook division on raw integer coefficient codes; division
-        is always exact since the base is a field."""
-        quot, rem = _poly_divmod(
-            [c.code for c in self.coeffs], [c.code for c in other.coeffs], base.p
-        )
-        ring = self.ring
-        return (
-            ring.from_coeffs([FFElem(base, v) for v in quot]),
-            ring.from_coeffs([FFElem(base, v) for v in rem]),
-        )
 
     def __truediv__(self, other):
         """Division by a unit (degree-0) divisor, or exact polynomial
@@ -281,14 +276,11 @@ class Poly:
         return self.scale(inv)
 
     def derivative(self):
+        # i * c = (i mod p) * c in characteristic p
         base = self.ring.base
-        out = []
-        for i in range(1, len(self.coeffs)):
-            c = base.zero
-            for _ in range(i):
-                c = c + self.coeffs[i]
-            out.append(c)
-        return self.ring.from_coeffs(out)
+        return self.ring.from_coeffs(
+            [base(i) * c for i, c in enumerate(self.coeffs[1:], 1)]
+        )
 
     def __call__(self, x):
         """Evaluate; x may live in any ring containing the coefficients

@@ -1,6 +1,7 @@
 """Command line surface: JSON shape, exit codes, determinism, CSV."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -171,6 +172,18 @@ def _force_prop65_violated(monkeypatch):
     return ["modpoly", "compute", "--q", "2"], "height_within_prop65"
 
 
+def _force_prop65_violated_past_float(monkeypatch):
+    """h = 2^53 + 1 exceeds the bound 2^53, but float(h) rounds to 2^53:
+    only an exact comparison sees the violation."""
+    from drinfeld import modpoly
+
+    monkeypatch.setattr(
+        modpoly.BivarPoly, "height", lambda self: Fraction(2**53 + 1)
+    )
+    monkeypatch.setattr(modpoly, "prop65_bound", lambda q, m: 2.0**53)
+    return ["modpoly", "compute", "--q", "2"], "height_within_prop65"
+
+
 def _force_degree_identity_broken(monkeypatch):
     from drinfeld import cli
     from drinfeld.isogeny import DualData, dual
@@ -193,7 +206,12 @@ def _force_degree_identity_broken(monkeypatch):
 
 @pytest.mark.parametrize(
     "force",
-    [_force_routes_disagree, _force_prop65_violated, _force_degree_identity_broken],
+    [
+        _force_routes_disagree,
+        _force_prop65_violated,
+        _force_prop65_violated_past_float,
+        _force_degree_identity_broken,
+    ],
 )
 def test_false_verdict_exits_two(capsys, monkeypatch, force):
     argv, key = force(monkeypatch)

@@ -1,5 +1,8 @@
 """Exhaustive field-axiom checks for the small coefficient fields."""
 
+import hashlib
+import json
+
 import pytest
 
 from drinfeld import GF, ff
@@ -72,3 +75,22 @@ def test_no_irreducible_raises_domain_error(monkeypatch):
     monkeypatch.setattr(ff, "_is_irreducible_mod_p", lambda m, p: False)
     with pytest.raises(InvariantViolation):
         ff._smallest_irreducible(2, 3)
+
+
+# sha256 of json.dumps([modulus, add, neg, mul, inv]) for GF(q), recorded
+# before the tables were built on the code-list kernels
+TABLE_DIGESTS = {
+    4: "7a3d1d79b497c0ea78febb73e496c92d6e283da190409a3744566a180513381a",
+    8: "e41648a5851ddbbdbc231fdb47619707f49b6c61400875945e5c883e301e0086",
+    9: "aef9dbc513895353ba15aff2b41d17734a15bcc0409ed37dd61dbe9b1a4dae5a",
+    16: "70810df1ab3f51b9d03c08e56388e1c2b8616a5b4e6dcfc0afae89ed271f37e0",
+    25: "5412b0e256424a4d7c31dcf3b31b1e74609ef1a6a3bb992d6972fba0559cfc55",
+    27: "919239bf1441510000426b6e900e874bad5ce4f253f4fbdbf248864860cec47d",
+}
+
+
+@pytest.mark.parametrize("q", sorted(TABLE_DIGESTS))
+def test_tables_pinned(q):
+    k = GF(q)
+    blob = json.dumps([k.modulus, k.add_table, k.neg_table, k.mul_table, k.inv_table])
+    assert hashlib.sha256(blob.encode()).hexdigest() == TABLE_DIGESTS[q]

@@ -106,10 +106,10 @@ def test_phi_t_height_within_prop65():
     h = compute_phi_t(2).height()
     bound = prop65_bound(2, t)
     assert abs(bound - 33.66) < 0.05
-    assert float(h) <= bound
+    assert h <= Fraction(bound)
 
     A3 = poly_ring_A(3)
-    assert float(compute_phi_t(3).height()) <= prop65_bound(3, A3.gen())
+    assert compute_phi_t(3).height() <= Fraction(prop65_bound(3, A3.gen()))
 
 
 def test_build_Sn_sizes():

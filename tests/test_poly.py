@@ -1,5 +1,6 @@
-"""Univariate polynomial arithmetic: invariants, oracles, and the
-fast prime-field code paths against the generic schoolbook ones."""
+"""Univariate polynomial arithmetic: invariants, oracles, and the F_q
+code-list kernels (and Kronecker packing over prime fields) against
+schoolbook references on FFElem coefficients."""
 
 import random
 
@@ -20,8 +21,25 @@ def _schoolbook_mul(ring, a, b):
     return ring.from_coeffs(out)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def _schoolbook_divmod(ring, a, b):
+    """Long division on FFElem coefficients, the reference for the kernel."""
+    rem = list(a.coeffs)
+    quot = [ring.base.zero] * max(len(rem) - len(b.coeffs) + 1, 0)
+    while rem and len(rem) >= len(b.coeffs):
+        c = rem[-1] / b.lead
+        shift = len(rem) - len(b.coeffs)
+        quot[shift] = c
+        for j, bc in enumerate(b.coeffs):
+            rem[shift + j] = rem[shift + j] - c * bc
+        while rem and rem[-1].is_zero:
+            rem.pop()
+    return ring.from_coeffs(quot), ring.from_coeffs(rem)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_mul_matches_schoolbook(q):
+    """Factors of 1 to 35 coefficients: over prime fields they fall on
+    both sides of the Kronecker crossover."""
     A = poly_ring_A(q)
     rng = random.Random(11)
     for _ in range(150):
@@ -43,15 +61,29 @@ def test_mul_kronecker_32bit_digits():
     assert a * b == _schoolbook_mul(A, a, b)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_divmod_invariants(q):
+    """Dividends of 0 to 40 coefficients, divisors of 1 to 20, including
+    constants and divisors longer than the dividend."""
     A = poly_ring_A(q)
     rng = random.Random(12)
-    for _ in range(150):
-        a = A.random_element(rng, rng.randrange(0, 40))
-        b = A.random_element(rng, rng.randrange(0, 20), nonzero=True)
+    k = A.base
+    t = A.gen()
+    cases = [
+        (A.random_element(rng, rng.randrange(0, 40)),
+         A.random_element(rng, rng.randrange(0, 20), nonzero=True))
+        for _ in range(150)
+    ]
+    cases += [
+        (t**5 + t + A.one, A(k.random_element(rng, nonzero=True))),
+        (A.random_element(rng, 30), A(k.random_element(rng, nonzero=True))),
+        (t**3 + A.one, t**7 + t),
+        (A.zero, t + A.one),
+    ]
+    for a, b in cases:
         quo, rem = divmod(a, b)
-        assert quo * b + rem == a
+        assert (quo, rem) == _schoolbook_divmod(A, a, b)
+        assert _schoolbook_mul(A, quo, b) + rem == a
         assert rem.is_zero or rem.degree < b.degree
 
 
@@ -77,6 +109,18 @@ def test_derivative_and_qth_root():
     assert root == t**2 + t + A.one
     assert root * root == f
     assert (t**3 + t).qth_root(2) is None
+    # degree > p: i * c is (i mod p) * c, against the definition of i * c
+    # as c added i times
+    for q in (3, 9):
+        A = poly_ring_A(q)
+        f = A.random_element(random.Random(q), 11) + A.gen() ** 12
+        expected = []
+        for i, c in enumerate(f.coeffs[1:], 1):
+            s = A.base.zero
+            for _ in range(i):
+                s = s + c
+            expected.append(s)
+        assert f.derivative() == A.from_coeffs(expected)
 
 
 @pytest.mark.parametrize("q", [2, 3])
