@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -41,13 +40,6 @@ SCHEMA_VERSION = 1
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("DRINFELD_SEED")
-    return int(env) if env else 0
 
 
 def _module_from_json(text):
@@ -187,7 +179,7 @@ def cmd_isogeny(args):
 
 def cmd_harness(args):
     q, r = args.q, args.r
-    rng = random.Random(_seed(args))
+    rng = random.Random(args.seed)
     F = rational_function_field(q)
     part1 = []
     for i in range(args.trials):
@@ -216,7 +208,7 @@ def cmd_harness(args):
                 part2.append(rep.to_payload())
     report = {
         "command": "harness",
-        "config": {"q": q, "r": r, "seed": _seed(args), "trials": args.trials},
+        "config": {"q": q, "r": r, "seed": args.seed, "trials": args.trials},
         "rows": part1,
         "part2": part2,
     }
@@ -308,7 +300,7 @@ def cmd_modpoly(args):
 def _add_common(sp):
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():

@@ -28,20 +28,17 @@ def _powmod(a, n, m):
 def squarefree_decomposition(f):
     """List of (squarefree monic factor, multiplicity) with product f.
 
-    Standard characteristic-p routine: strips gcd(f, f') and recurses on
-    p-th powers when the derivative vanishes.
+    Standard characteristic-p routine: strips gcd(f, f') and takes p-th
+    roots when the derivative vanishes, in a loop over one (g, mult) pair.
     """
     p = f.ring.characteristic
     out = {}
-
-    def accumulate(g, mult):
-        if g.degree == 0:
-            return
+    g, mult = f.monic(), 1
+    while g.degree > 0:
         d = g.derivative()
         if d.is_zero:
-            root = g.qth_root(p)  # g is a polynomial in t^p
-            accumulate(root, mult * p)
-            return
+            g, mult = g.qth_root(p), mult * p  # g is a polynomial in t^p
+            continue
         w = poly_gcd(g, d)
         sqf = g.exact_div(w)
         m = 1
@@ -53,12 +50,9 @@ def squarefree_decomposition(f):
             sqf = y
             w = w.exact_div(y)
             m += 1
-        if w.degree > 0:
-            # leftover factors have multiplicity divisible by p, so w is a
-            # p-th power; the recursion takes the root and scales by p
-            accumulate(w, mult)
-
-    accumulate(f.monic(), 1)
+        # leftover factors have multiplicity divisible by p, so w is a
+        # p-th power (or 1); the next pass takes the root and scales by p
+        g = w
     return sorted(out.items(), key=lambda kv: (int(kv[0].degree), _lex_key(kv[0])))
 
 

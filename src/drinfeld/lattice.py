@@ -214,10 +214,9 @@ def _to_A_matrix(cols):
 def _index(sub, sup):
     """(log(sup : sub), Smith invariant factors), requiring genuine
     containment; the log index is deg det, cross-checked against the
-    Smith form."""
-    M = change_of_basis(sub, sup)
-    M_A = _to_A_matrix(M)
-    value = Fraction(det(sub.field, M).deg_infinity())
+    Smith form.  sub = sup * M, so deg det M = deg det sub - deg det sup."""
+    M_A = _to_A_matrix(change_of_basis(sub, sup))
+    value = Fraction(sub.det.deg_infinity() - sup.det.deg_infinity())
     inv_factors = smith_invariant_factors(M_A)
     if value != sum(Fraction(int(f.degree)) for f in inv_factors):
         raise InvariantViolation("index differs from the Smith form degree")

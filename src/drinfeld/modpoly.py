@@ -6,10 +6,11 @@ Phi_t is computed two independent ways:
 * resultant route: the generic rank-2 module g = (s, 1) has j = s^(q+1);
   the kernel parameter y satisfies p(y) = y^(q+1) + s y + t = 0, the
   pushforward along tau - y has coefficients (g1', g2') = (s^q - y +
-  y^(q^2), 1) mod p, and Phi_t(X, s^(q+1)) is the y-resultant of p
-  against g2' X - g1'^(q+1), normalized by Res_y(p, g2').
+  y^(q^2), 1) mod p, and since g2' = 1, Phi_t(X, s^(q+1)) is the
+  y-resultant of p against X - g1'^(q+1).
 * interpolation route: specialize s = t^k, take univariate resultants,
-  and Lagrange-interpolate in Y = j.
+  and Lagrange-interpolate in Y = j, over A in Z = D Y with D the lcm
+  of the point denominators.
 
 Coefficient heights are log base q of the sup norm at infinity, i.e.
 t-degrees.
@@ -169,44 +170,39 @@ def _rings(q):
     return A, F, As, Asy, AsX, Ay, AX, FX
 
 
-def _size_guard(q, allow_large):
-    if q not in (2, 3) and not allow_large:
-        raise ValueError("q > 3 needs allow_large=True (resultants grow fast)")
+def _size_guard(q):
+    if q not in (2, 3):
+        raise ValueError("Phi_t is computed only for q in (2, 3) (resultants grow fast)")
 
 
 def _pushforward_coeffs(yring, s_elem, t_elem, q):
-    """(p, g1', g2') in yring, with g1' already reduced mod p."""
+    """(p, g1') in yring, with g1' already reduced mod p; g2' = 1."""
     y = yring.gen()
     p = y ** (q + 1) + yring.monomial(s_elem, 1) + yring.constant(t_elem)
     g1p = (yring.constant(s_elem**q) - y + y ** (q * q)) % p
-    g2p = yring.one
-    return p, g1p, g2p
+    return p, g1p
 
 
-def _phi_slice(yring, up, p, g1p, g2p, q):
-    """Res_y(p, g2' X - g1'^(q+1)) / Res_y(p, g2') in up = (base)[X]."""
-    base = yring.base
-    power = yring.one
+def _phi_slice(up, p, g1p, q):
+    """Res_y(p, X - g1'^(q+1)) in up = (base)[X]."""
+    power = p.ring.one
     for _ in range(q + 1):
         power = (power * g1p) % p
     upy = PolyRing(up, "y")
     lift = lambda c: up.constant(c)
-    p2 = p.map_coeffs(lift, upy)
-    xconst = upy.constant(up.gen())
-    G = g2p.map_coeffs(lift, upy) * xconst - power.map_coeffs(lift, upy)
-    res = resultant(p2, G)
-    norm = resultant(p, g2p)
-    return res.map_coeffs(lambda c: c.exact_div(up.base(norm)), up)
+    return resultant(
+        p.map_coeffs(lift, upy), upy.constant(up.gen()) - power.map_coeffs(lift, upy)
+    )
 
 
-def compute_phi_t(q, allow_large=False):
+def compute_phi_t(q):
     """Phi_t(X, Y) by the generic resultant route."""
-    _size_guard(q, allow_large)
+    _size_guard(q)
     A, _, As, Asy, AsX, _, _, _ = _rings(q)
     t = A.gen()
     s = As.gen()
-    p, g1p, g2p = _pushforward_coeffs(Asy, s, As.constant(t), q)
-    res = _phi_slice(Asy, AsX, p, g1p, g2p, q)
+    p, g1p = _pushforward_coeffs(Asy, s, As.constant(t), q)
+    res = _phi_slice(AsX, p, g1p, q)
     if res.degree != q + 1 or res.lead != As.one:
         raise InvariantViolation("resultant is not monic of degree q+1 in X")
     coeffs = {}
@@ -233,17 +229,17 @@ def phi_t_slices(q, ks):
     out = []
     for k in ks:
         sk = t**k
-        p, g1p, g2p = _pushforward_coeffs(Ay, sk, t, q)
-        res = _phi_slice(Ay, AX, p, g1p, g2p, q)
+        p, g1p = _pushforward_coeffs(Ay, sk, t, q)
+        res = _phi_slice(AX, p, g1p, q)
         jk = F.from_poly(sk ** (q + 1))
         out.append((jk, res.map_coeffs(F.from_poly, FX)))
     return out
 
 
-def compute_phi_t_interpolated(q, allow_large=False):
+def compute_phi_t_interpolated(q):
     """Phi_t(X, Y) by per-specialization resultants at s = t^k for
     k = 0..q+1, then Lagrange interpolation in Y = j."""
-    _size_guard(q, allow_large)
+    _size_guard(q)
     pairs = phi_t_slices(q, range(q + 2))
     return lagrange_reconstruct(pairs, q + 1)
 
@@ -276,23 +272,28 @@ def build_Sn(q, n):
 
 
 def _lagrange_basis(points):
-    """For each point y_k, (num_k, c_k) with T_k = num_k / c_k the Lagrange
-    basis polynomial: num_k = M / (Y - y_k) in F[Y] for the master
-    polynomial M = prod_s (Y - y_s), built once, and c_k = prod_{s != k}
-    (y_k - y_s).  exact_div raises if M(y_k) != 0."""
+    """(D, [(b_k, c_k)]): the Lagrange basis over A in Z = D Y, where D is
+    the monic lcm of the point denominators and a_k = D y_k lies in A.
+    b_k = M / (Z - a_k) in A[Z] for the master polynomial M = prod_s
+    (Z - a_s), built once, and c_k = prod_{s != k} (a_k - a_s) in A, so
+    T_k(Y) = b_k(D Y) / c_k.  Every divisor is monic, so no step runs a
+    gcd; exact_div raises if M(a_k) != 0."""
+    if len(set(points)) != len(points):
+        raise ValueError("interpolation points must be distinct")
     F = points[0].field
-    FY = PolyRing(F, "Y")
-    master = FY.one
-    for y in points:
-        master = master * (FY.gen() - FY.constant(y))
+    nums, D = F.clear_denominators(points)
+    AZ = PolyRing(F.ring, "Z")
+    master = AZ.one
+    for a in nums:
+        master = master * (AZ.gen() - AZ.constant(a))
     out = []
-    for k, yk in enumerate(points):
-        ck = F.one
-        for s, ys in enumerate(points):
+    for k, ak in enumerate(nums):
+        ck = F.ring.one
+        for s, a in enumerate(nums):
             if s != k:
-                ck = ck * (yk - ys)
-        out.append((master.exact_div(FY.gen() - FY.constant(yk)), ck))
-    return out
+                ck = ck * (ak - a)
+        out.append((master.exact_div(AZ.gen() - AZ.constant(ak)), ck))
+    return D, out
 
 
 def tk_bounds(q, n, points):
@@ -306,14 +307,17 @@ def tk_bounds(q, n, points):
         raise ValueError("d exceeds |S_n| - 1")
     coeff_max = None
     spacing_min = None
-    for num, ck in _lagrange_basis(points):
-        spacing = Fraction(ck.deg_infinity())
+    D, basis = _lagrange_basis(points)
+    dD = int(D.degree)
+    for bk, ck in basis:
+        # prod_{s != k} (y_k - y_s) = c_k / D^d and the Y^j coefficient of
+        # T_k is b_{k,j} D^j / c_k; degrees at infinity are additive
+        spacing = Fraction(int(ck.degree) - d * dD)
         spacing_min = spacing if spacing_min is None else min(spacing_min, spacing)
-        for c in num.coeffs:
+        for j, c in enumerate(bk.coeffs):
             if c.is_zero:
                 continue
-            # deg at infinity is additive: this is (c / ck).deg_infinity()
-            h = Fraction(c.deg_infinity() - ck.deg_infinity())
+            h = Fraction(int(c.degree) + j * dD - int(ck.degree))
             coeff_max = h if coeff_max is None else max(coeff_max, h)
     return {
         "d": d,
@@ -334,27 +338,26 @@ def lagrange_reconstruct(pairs, d, n=None):
     pairs = list(pairs)
     if len(pairs) != d + 1:
         raise ValueError("need exactly d+1 evaluation points")
-    points = [y for y, _ in pairs]
-    if len(set(points)) != len(points):
-        raise ValueError("interpolation points must be distinct")
     FX = pairs[0][1].ring
-    # the basis has constant coefficients in X: total[j] is the Y^j
+    F = FX.base
+    # the basis has constant coefficients in X: total[j] is the Z^j
     # coefficient of P, accumulated in F[X]
+    D, basis = _lagrange_basis([y for y, _ in pairs])
     total = [FX.zero] * (d + 1)
-    for (num, ck), (_, pk) in zip(_lagrange_basis(points), pairs):
-        pk = pk.scale(ck.inverse())
-        for j, c in enumerate(num.coeffs):
-            total[j] = total[j] + pk.scale(c)
-    A = FX.base.ring
+    for (bk, ck), (_, pk) in zip(basis, pairs):
+        pk = pk.scale(F.from_poly(ck).inverse())
+        for j, c in enumerate(bk.coeffs):
+            total[j] = total[j] + pk.scale(F.from_poly(c))
     coeffs = {}
-    for j, cy in enumerate(total):
-        for i, cf in enumerate(cy.coeffs):
+    for j, cz in enumerate(total):
+        # Z = D Y: the Y^j coefficient is D^j times the Z^j one
+        for i, cf in enumerate(cz.scale(F.from_poly(D) ** j).coeffs):
             if cf.is_zero:
                 continue
             if not cf.is_polynomial:
                 raise ValueError("reconstruction has non-polynomial coefficients")
             coeffs[(i, j)] = cf.num
-    out = BivarPoly(A, coeffs)
+    out = BivarPoly(F.ring, coeffs)
     if n is not None and not out.is_zero:
         logs = [
             Fraction(c.deg_infinity())

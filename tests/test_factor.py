@@ -1,6 +1,7 @@
 """Factorization over F_q: round-trips, counting formulas, determinism."""
 
 import functools
+import gc
 import random
 
 import pytest
@@ -167,6 +168,24 @@ def test_squarefree_decomposition():
     assert rebuilt == f
     assert dict(parts)[t] == 2
     assert dict(parts)[t + A.one] == 3
+
+
+def test_squarefree_decomposition_leaves_no_cycles():
+    """(t+1)^3 at q = 3 takes the p-th-root branch; no call may leave a
+    reference cycle for the cyclic collector."""
+    A = poly_ring_A(3)
+    t = A.gen()
+    f = t * (t + A.one) ** 3 * (t**2 + A.one) ** 2
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            parts = squarefree_decomposition(f)
+        leaked = gc.collect()
+    finally:
+        gc.enable()
+    assert dict(parts) == {t: 1, t + A.one: 3, t**2 + A.one: 2}
+    assert leaked == 0
 
 
 def test_enumerate_irreducibles_ordering():

@@ -76,6 +76,12 @@ def test_phi_t_routes_agree(q):
     assert compute_phi_t(q) == compute_phi_t_interpolated(q)
 
 
+@pytest.mark.parametrize("route", [compute_phi_t, compute_phi_t_interpolated])
+def test_phi_t_guard_rejects_large_q(route):
+    with pytest.raises(ValueError):
+        route(4)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_phi_t_vanishes_on_isogenous_pairs(q):
     F = rational_function_field(q)
@@ -137,20 +143,43 @@ def test_tk_bounds_guards():
         tk_bounds(2, 1, s + s)  # more than |S_1| points
     with pytest.raises(ValueError):
         tk_bounds(2, 1, [])
+    with pytest.raises(ValueError, match="distinct"):
+        tk_bounds(2, 1, [s[0], s[1], s[0]])
 
 
-def _tk_bounds_oracle(points):
-    """Reference (coeff_log_max, spacing_log_min): every T_k built from
-    scratch as prod_{s != k} (Y - y_s) / (y_k - y_s), O(d^3) products."""
-    F = points[0].field
-    FY = PolyRing(F, "Y")
-    coeff_max = spacing_min = None
-    for k, yk in enumerate(points):
-        num, ck = FY.one, F.one
+def _per_k_basis(points):
+    """Every T_k numerator built from scratch as prod_{s != k} (Y - y_s)
+    in F[Y], O(d^3) products."""
+    FY = PolyRing(points[0].field, "Y")
+    nums = []
+    for k in range(len(points)):
+        num = FY.one
         for s, ys in enumerate(points):
             if s != k:
                 num = num * (FY.gen() - FY.constant(ys))
-                ck = ck * (yk - ys)
+        nums.append(num)
+    return nums
+
+
+def _master_basis(points):
+    """Every T_k numerator as M / (Y - y_k) in F[Y], for the master
+    polynomial M = prod_s (Y - y_s) built once over F."""
+    FY = PolyRing(points[0].field, "Y")
+    master = FY.one
+    for y in points:
+        master = master * (FY.gen() - FY.constant(y))
+    return [master.exact_div(FY.gen() - FY.constant(y)) for y in points]
+
+
+def _tk_bounds_oracle(points, basis=_per_k_basis):
+    """Reference (coeff_log_max, spacing_log_min) from T_k = num_k / c_k,
+    c_k = prod_{s != k} (y_k - y_s), with every coefficient in F."""
+    coeff_max = spacing_min = None
+    for k, num in enumerate(basis(points)):
+        ck = points[0].field.one
+        for s, ys in enumerate(points):
+            if s != k:
+                ck = ck * (points[k] - ys)
         spacing = Fraction(ck.deg_infinity())
         spacing_min = spacing if spacing_min is None else min(spacing_min, spacing)
         for c in num.coeffs:
@@ -163,17 +192,70 @@ def _tk_bounds_oracle(points):
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("n", [0, 1])
 def test_tk_bounds_match_per_k_oracle(q, n):
-    """Every d up to |S_n| - 1 where the O(d^3) oracle stays within
-    seconds; at q = 4, n = 1 (|S_1| = 64) it would take minutes, so d
-    stops at 15 there."""
+    """Both F[Y] oracles, at every d up to |S_n| - 1 where the O(d^3)
+    one stays within seconds; at q = 4, n = 1 (|S_1| = 64) it would take
+    minutes, so d stops at 15 there."""
     points = list(build_Sn(q, n))
     top = len(points) - 1 if len(points) <= 27 else 15
     rng = random.Random(93)
     for d in sorted({0, 1, 2, top // 2, top} & set(range(top + 1))):
         chosen = points[: d + 1] if d % 2 else rng.sample(points, d + 1)
         rep = tk_bounds(q, n, chosen)
-        assert (rep["coeff_log_max"], rep["spacing_log_min"]) == _tk_bounds_oracle(chosen)
+        got = (rep["coeff_log_max"], rep["spacing_log_min"])
+        assert got == _tk_bounds_oracle(chosen)
+        assert got == _tk_bounds_oracle(chosen, _master_basis)
         assert rep["d"] == d and rep["coeff_ok"] and rep["spacing_ok"]
+
+
+def _mixed_points(q, count, rng):
+    """Distinct points of F outside S_n, with denominators 1, t + 1 and
+    t^2 so that the common denominator D is not a power of t."""
+    F = rational_function_field(q)
+    A = F.ring
+    t = A.gen()
+    dens = [A.one, t + A.one, t**2]
+    points = []
+    while len(points) < count:
+        den = dens[len(points) % 3]
+        y = F.make(A.random_element(rng, 2, nonzero=True), den)
+        if y.den == den and y not in points:
+            points.append(y)
+    return points
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_tk_bounds_and_reconstruction_off_Sn(q):
+    """tk_bounds against both F[Y] oracles, and Lagrange round trips, on
+    points with mixed denominators (D = t^2 (t + 1))."""
+    F = rational_function_field(q)
+    A = F.ring
+    t = A.gen()
+    FX = PolyRing(F, "X")
+    rng = random.Random(94 + q)
+    for d in (2, 4, 6):
+        points = _mixed_points(q, d + 1, rng)
+        assert F.clear_denominators(points)[1] == t**2 * (t + A.one)
+        rep = tk_bounds(q, 1, points)
+        got = (rep["coeff_log_max"], rep["spacing_log_min"])
+        assert got == _tk_bounds_oracle(points)
+        assert got == _tk_bounds_oracle(points, _master_basis)
+        coeffs = {(i, j): A.random_element(rng, 2) for i in range(3) for j in range(d)}
+        coeffs[(0, d)] = A.one  # degree exactly d in Y
+        target = BivarPoly(A, coeffs)
+        pairs = [(y, target.eval_y(FX, y)) for y in points]
+        assert lagrange_reconstruct(pairs, d) == target
+
+
+def test_lagrange_rejects_non_polynomial_and_repeated_points():
+    F = rational_function_field(3)
+    FX = PolyRing(F, "X")
+    t = F.t
+    # the line through (0, 0) and (1, 1/t) is Y / t: not over A
+    pairs = [(F.zero, FX.zero), (F.one, FX.constant(F.one / t))]
+    with pytest.raises(ValueError, match="non-polynomial"):
+        lagrange_reconstruct(pairs, 1)
+    with pytest.raises(ValueError, match="distinct"):
+        lagrange_reconstruct([(t, FX.one), (t, FX.one)], 1)
 
 
 def test_lagrange_roundtrip_constant():
