@@ -33,6 +33,7 @@ from .isogeny import (
     verify,
 )
 from .parsing import parse_element, parse_skew
+from .places import weil_height
 
 SCHEMA_VERSION = 1
 
@@ -198,10 +199,10 @@ def cmd_harness(args):
         for i in range(args.trials):
             phi = random_module(F, q, 2, rng)
             j = phi.j_invariants()[0]
-            hj = _height_of(phi.field, j)
+            hj = weil_height([F.one, j])
             for iso in rank2_t_isogenies(phi):
                 jp = iso.target.j_invariants()[0]
-                hjp = _height_of(phi.field, jp)
+                hjp = weil_height([F.one, jp])
                 rep = bounds_mod.thm1_part2_report(
                     hj, hjp, 1, q, extra={"trial": i, "f": repr(iso.f)}
                 )
@@ -213,14 +214,6 @@ def cmd_harness(args):
         "part2": part2,
     }
     return _emit(report, args)
-
-
-def _height_of(F, x):
-    from .places import weil_height
-
-    if x.is_zero:
-        return Fraction(0)
-    return weil_height([F.one, x])
 
 
 def cmd_lattice(args):

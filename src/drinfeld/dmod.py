@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import StableReductionRequired
-from .places import Place, log_abs, support
+from .places import Place, log_abs, support, weil_height
 from .ratfunc import FractionField
 from .skew import skew_ring
 
@@ -161,8 +161,6 @@ class DrinfeldModule:
     def naive_height(self):
         """h(phi) = max_i h(g_i), the coefficient height used by the
         isogeny-degree bound of David-Denis type."""
-        from .places import weil_height
-
         self._require_over_F()
         out = Fraction(0)
         for g in self.coeffs:

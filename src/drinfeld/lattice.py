@@ -1,10 +1,12 @@
 """A-lattices in the sup-normed model F_infinity^r, with entries in F.
 
-Column reduction (weak Popov form after clearing denominators) produces
-a successive-minimum basis; the covolume is the sum of the minima in log
-form and always equals the degree of the determinant.  Indices of
-sublattices come from determinants and are cross-checked against the
-Smith normal form over A.
+Every matrix computation runs over A after clearing denominators.
+Column reduction (weak Popov form) produces a successive-minimum basis;
+the covolume is the sum of the minima in log form and always equals the
+degree of the determinant.  Determinants, and the change of basis from a
+lattice to a sublattice, come from one fraction-free (Bareiss)
+elimination over A whose divisions are exact and need no gcd; indices
+are cross-checked against the Smith normal form over A.
 """
 
 from fractions import Fraction
@@ -62,54 +64,51 @@ class Covolume:
         self.log_value = log_value
 
 
-# -- basic matrix algebra over F --------------------------------------------
+# -- fraction-free elimination over A ----------------------------------------
+
+
+def _integral(field, columns):
+    """(columns over A, den): den the monic lcm of the denominators and
+    each entry times den, so the matrix over F is the A-matrix over den."""
+    r = len(columns)
+    flat, den = field.clear_denominators([x for col in columns for x in col])
+    return [flat[j * r : (j + 1) * r] for j in range(r)], den
+
+
+def _bareiss(cols, extra=()):
+    """Bareiss's fraction-free elimination with row swaps of the square
+    A-matrix given as columns, carrying the columns of extra along.
+
+    Returns (+-det, rows): the last pivot with the sign of the swaps (zero
+    for a singular matrix) and the upper-triangular rows, each pivot the
+    leading minor of the row-swapped matrix.  Every update
+    (p_k a - m_ik b) / p_(k-1) divides exactly."""
+    n = len(cols)
+    A = cols[0][0].ring
+    m = [[c[i] for c in cols] + [e[i] for e in extra] for i in range(n)]
+    prev, sign = A.one, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not m[i][k].is_zero), None)
+        if piv is None:
+            return A.zero, m
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pk, row = m[k][k], m[k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            m[i] = [A.zero] * (k + 1) + [
+                (pk * a - mik * b).exact_div(prev)
+                for a, b in zip(m[i][k + 1 :], row[k + 1 :])
+            ]
+        prev = pk
+    return (prev if sign > 0 else -prev), m
 
 
 def det(field, columns):
-    n = len(columns)
-    m = [list(col) for col in columns]  # m[j][i] = entry (row i, col j)
-    sign = 1
-    result = field.one
-    for i in range(n):
-        pivot = next((j for j in range(i, n) if not m[j][i].is_zero), None)
-        if pivot is None:
-            return field.zero
-        if pivot != i:
-            m[i], m[pivot] = m[pivot], m[i]
-            sign = -sign
-        result = result * m[i][i]
-        inv = m[i][i].inverse()
-        for j in range(i + 1, n):
-            if m[j][i].is_zero:
-                continue
-            factor = m[j][i] * inv
-            m[j] = [a - factor * b for a, b in zip(m[j], m[i])]
-    if sign < 0:
-        result = -result
-    return result
-
-
-def solve_columns(field, basis_columns, target_columns):
-    """X with basis * X = target, column by column (Gaussian elimination)."""
-    n = len(basis_columns)
-    out = []
-    for target in target_columns:
-        aug = [
-            [basis_columns[j][i] for j in range(n)] + [target[i]] for i in range(n)
-        ]
-        for i in range(n):
-            pivot = next((k for k in range(i, n) if not aug[k][i].is_zero), None)
-            if pivot is None:
-                raise ValueError("singular system")
-            aug[i], aug[pivot] = aug[pivot], aug[i]
-            inv = aug[i][i].inverse()
-            aug[i] = [a * inv for a in aug[i]]
-            for k in range(n):
-                if k != i and not aug[k][i].is_zero:
-                    factor = aug[k][i]
-                    aug[k] = [a - factor * b for a, b in zip(aug[k], aug[i])]
-        out.append(tuple(aug[i][n] for i in range(n)))
-    return out
+    """Determinant over F of the square matrix with the given columns."""
+    cols, den = _integral(field, columns)
+    return field.make(_bareiss(cols)[0], den ** len(cols))
 
 
 # -- reduction ---------------------------------------------------------------
@@ -133,14 +132,7 @@ def _pivot(col):
 def weak_popov(cols):
     """In-place weak Popov form of a nonsingular polynomial matrix given
     as a list of columns; pivot rows become pairwise distinct."""
-    A = None
-    for col in cols:
-        for p in col:
-            A = p.ring
-            break
-        if A:
-            break
-    t = A.gen()
+    A = cols[0][0].ring
     changed = True
     while changed:
         changed = False
@@ -168,19 +160,16 @@ def weak_popov(cols):
 
 def reduce(L):
     """Successive-minimum basis via weak Popov column reduction."""
-    F, r = L.field, L.r
-    flat, den = F.clear_denominators([x for col in L.columns for x in col])
-    cols = weak_popov([flat[j * r : (j + 1) * r] for j in range(r)])
+    F = L.field
+    cols, den = _integral(F, L.columns)
+    weak_popov(cols)
     shift = int(den.degree)
     pairs = sorted(
         ((Fraction(_col_degree(col) - shift), col) for col in cols),
         key=lambda p: -p[0],
     )
     minima = [p[0] for p in pairs]
-    newcols = [
-        [F.from_poly(p) / F.from_poly(den) for p in col] for _, col in pairs
-    ]
-    basis = LatticeBasis(F, newcols)
+    basis = LatticeBasis(F, [[F.make(p, den) for p in col] for _, col in pairs])
     red = ReducedBasis(basis, minima)
     if red.log_covolume != Fraction(basis.det.deg_infinity()):
         raise InvariantViolation("covolume differs from the degree of det")
@@ -199,23 +188,31 @@ def is_reduced(L):
 # -- indices and the Smith form ---------------------------------------------
 
 
-def change_of_basis(sub, sup):
-    """Matrix M over F with sub = sup * M."""
-    return solve_columns(sub.field, sup.columns, sub.columns)
-
-
-def _to_A_matrix(cols):
-    for col in cols:
-        if any(not x.is_polynomial for x in col):
-            raise ValueError("not contained: change of basis is not integral")
-    return [[x.num for x in col] for col in cols]
-
-
 def _index(sub, sup):
     """(log(sup : sub), Smith invariant factors), requiring genuine
     containment; the log index is deg det, cross-checked against the
-    Smith form.  sub = sup * M, so deg det M = deg det sub - deg det sup."""
-    M_A = _to_A_matrix(change_of_basis(sub, sup))
+    Smith form.  sub = sup * M, so deg det M = deg det sub - deg det sup.
+
+    One Bareiss elimination of [S | T] over A, S = ds * sup and
+    T = dt * sub, and fraction-free back substitution give y = p S^-1 T
+    with p the last pivot; M = y ds / (p dt) must be integral."""
+    S, ds = _integral(sub.field, sup.columns)
+    T, dt = _integral(sub.field, sub.columns)
+    n = len(S)
+    p, rows = _bareiss(S, T)
+    scale = p * dt
+    M_A = []
+    for c in range(n, n + len(T)):
+        y = [None] * n
+        for i in range(n - 1, -1, -1):
+            acc = p * rows[i][c]
+            for j in range(i + 1, n):
+                acc = acc - rows[i][j] * y[j]
+            y[i] = acc.exact_div(rows[i][i])
+        col = [divmod(yi * ds, scale) for yi in y]
+        if any(not rem.is_zero for _, rem in col):
+            raise ValueError("not contained: change of basis is not integral")
+        M_A.append([quo for quo, _ in col])
     value = Fraction(sub.det.deg_infinity() - sup.det.deg_infinity())
     inv_factors = smith_invariant_factors(M_A)
     if value != sum(Fraction(int(f.degree)) for f in inv_factors):
@@ -235,7 +232,6 @@ def smith_invariant_factors(cols):
     n = len(cols)
     m = [[cols[j][i] for j in range(n)] for i in range(n)]  # rows
     factors = []
-    A = m[0][0].ring
 
     def nonzero_min(sub_m, size):
         best = None
@@ -365,8 +361,7 @@ def random_reduced_lattice(F, r, rng, max_degree=2):
     red = reduce(L)
     m = min(red.minima_logs)
     t = F.t
-    scale = t ** int(-m) if m < 0 else F.one / t ** int(m)
-    return LatticeBasis(F, [[x * scale for x in col] for col in L.columns])
+    return L.scaled(t ** int(-m) if m < 0 else F.one / t ** int(m))
 
 
 def random_containment_instance(F, r, rng, max_degree=2):

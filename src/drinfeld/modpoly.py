@@ -81,14 +81,22 @@ class BivarPoly:
         return total
 
     def eval_y(self, FX, yval):
-        """Partial evaluation Y = yval in F; result is a poly in X over F."""
+        """Partial evaluation Y = yval in F; result is a poly in X over F.
+
+        With yval = a/b and d = deg_Y, each X-coefficient is
+        sum_j c_ij a^j b^(d-j) in A over b^d: one canonical form each."""
         F = FX.base
+        if self.is_zero:
+            return FX.zero
+        d = self.deg_y
+        a_pows = [yval.num**j for j in range(d + 1)]
+        b_pows = [yval.den**j for j in range(d + 1)]
         out = {}
         for (i, j), c in self.coeffs.items():
-            term = F.from_poly(c) * yval**j
-            out[i] = out.get(i, F.zero) + term
-        top = max(out, default=-1)
-        return FX.from_coeffs([out.get(i, F.zero) for i in range(top + 1)])
+            out[i] = out.get(i, self.A.zero) + c * a_pows[j] * b_pows[d - j]
+        return FX.from_coeffs(
+            [F.make(out.get(i, self.A.zero), b_pows[d]) for i in range(self.deg_x + 1)]
+        )
 
     def to_sparse_list(self):
         return [

@@ -10,10 +10,11 @@ are computed through minimal polynomials instead.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 from .extfield import irreducible_over_F
 from .factor import factor, is_irreducible
-from .poly import content
+from .poly import content, poly_gcd
 
 
 class Place:
@@ -97,18 +98,17 @@ def support(xs):
 def weil_height(coords):
     """Logarithmic Weil height of a projective tuple over F.
 
-    Sums max_i log|x_i|_v over the infinite place and the support of the
-    tuple; invariant under scaling by the product formula.
-    """
+    Invariant under scaling by the product formula, so scale to the
+    primitive tuple a_i / g over A, a_i = D x_i with D the lcm of the
+    denominators and g = gcd(a_i): no finite place contributes, and the
+    height is max deg a_i - deg g."""
     coords = list(coords)
     nonzero = [x for x in coords if not x.is_zero]
     if not nonzero:
         raise ValueError("height of the zero tuple is undefined")
-    places = [Place.infinity()] + support(nonzero)
-    total = Fraction(0)
-    for v in places:
-        total += max(log_abs(x, v) for x in nonzero)
-    return total
+    polys, _ = nonzero[0].field.clear_denominators(nonzero)
+    g = reduce(poly_gcd, polys)
+    return Fraction(max(int(a.degree) for a in polys) - int(g.degree))
 
 
 def algebraic_height(minpoly_in_Ax):

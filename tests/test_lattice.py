@@ -18,6 +18,7 @@ from drinfeld import (
 )
 from drinfeld.base import rational_function_field
 from drinfeld.lattice import (
+    _index,
     det,
     random_containment_instance,
     random_lattice,
@@ -202,3 +203,125 @@ def test_gekeler_model_shape():
         assert b >= a
     for a, b, c in zip(vals, vals[1:], vals[2:]):
         assert c - b >= b - a
+
+
+# -- differential test against the F-level elimination ------------------------
+#
+# The library eliminates over A (Bareiss, then fraction-free back
+# substitution).  The Gaussian determinant and Gauss-Jordan solve over F it
+# replaced are kept here as test-only oracles.
+
+
+def _gauss_det(field, columns):
+    n = len(columns)
+    m = [list(col) for col in columns]  # m[j][i] = entry (row i, col j)
+    sign = 1
+    result = field.one
+    for i in range(n):
+        pivot = next((j for j in range(i, n) if not m[j][i].is_zero), None)
+        if pivot is None:
+            return field.zero
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            sign = -sign
+        result = result * m[i][i]
+        inv = m[i][i].inverse()
+        for j in range(i + 1, n):
+            if m[j][i].is_zero:
+                continue
+            factor = m[j][i] * inv
+            m[j] = [a - factor * b for a, b in zip(m[j], m[i])]
+    return -result if sign < 0 else result
+
+
+def _gauss_jordan_solve(basis_columns, target_columns):
+    """X with basis * X = target, column by column, over F."""
+    n = len(basis_columns)
+    out = []
+    for target in target_columns:
+        aug = [
+            [basis_columns[j][i] for j in range(n)] + [target[i]] for i in range(n)
+        ]
+        for i in range(n):
+            pivot = next(k for k in range(i, n) if not aug[k][i].is_zero)
+            aug[i], aug[pivot] = aug[pivot], aug[i]
+            inv = aug[i][i].inverse()
+            aug[i] = [a * inv for a in aug[i]]
+            for k in range(n):
+                if k != i and not aug[k][i].is_zero:
+                    factor = aug[k][i]
+                    aug[k] = [a - factor * b for a, b in zip(aug[k], aug[i])]
+        out.append([aug[i][n] for i in range(n)])
+    return out
+
+
+def _times(F, cols, C):
+    """The columns of cols * C, C given as columns over F."""
+    r = len(cols)
+    out = []
+    for ccol in C:
+        vec = [F.zero] * r
+        for j, coeff in enumerate(ccol):
+            for i in range(r):
+                vec[i] = vec[i] + cols[j][i] * coeff
+        out.append(vec)
+    return out
+
+
+def _nonsingular(F, r, rng, with_den, zero_top):
+    """Random nonsingular columns; entries with denominators when with_den,
+    and entry (0, 0) zero when zero_top, so elimination must swap rows."""
+    A = F.ring
+    while True:
+        cols = [
+            [
+                F.random_element(rng, 2)
+                if with_den
+                else F.from_poly(A.random_element(rng, 2))
+                for _ in range(r)
+            ]
+            for _ in range(r)
+        ]
+        if zero_top:
+            cols[0][0] = F.zero
+        if not _gauss_det(F, cols).is_zero:
+            return cols
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_elimination_over_A_matches_F_oracle(q, r):
+    F = rational_function_field(q)
+    A = F.ring
+    rng = random.Random(1000 * q + r)
+    for with_den, zero_top in [(True, False), (True, True), (False, True)]:
+        cols = _nonsingular(F, r, rng, with_den, zero_top)
+        assert det(F, cols) == _gauss_det(F, cols)
+        # a last column in the span of the others makes the matrix singular
+        coeffs = [F.random_element(rng, 1) for _ in range(r - 1)]
+        last = [
+            sum((c * col[i] for c, col in zip(coeffs, cols)), F.zero)
+            for i in range(r)
+        ]
+        singular = cols[:-1] + [last]
+        assert det(F, singular).is_zero and _gauss_det(F, singular).is_zero
+        with pytest.raises(ValueError):
+            LatticeBasis(F, singular)
+
+        sup = LatticeBasis(F, cols)
+        C = _nonsingular(F, r, rng, False, zero_top)
+        sub = LatticeBasis(F, _times(F, sup.columns, C))
+        M = _gauss_jordan_solve(sup.columns, sub.columns)
+        assert M == C
+        value, inv_factors = _index(sub, sup)
+        assert value == log_index(sub, sup) == _gauss_det(F, M).deg_infinity()
+        assert inv_factors == smith_invariant_factors([[x.num for x in col] for col in M])
+
+        # one column of sub outside sup: sup * (e_0 / t), or sup * C with a
+        # fractional entry
+        outside = [[x / F.t for x in sup.columns[0]]] + list(sup.columns[1:])
+        with pytest.raises(ValueError, match="not contained"):
+            _index(LatticeBasis(F, outside), sup)
+        C[-1][0] = C[-1][0] + F.one / (F.t + F.one)
+        with pytest.raises(ValueError, match="not contained"):
+            log_index(LatticeBasis(F, _times(F, sup.columns, C)), sup)

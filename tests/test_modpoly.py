@@ -246,6 +246,31 @@ def test_tk_bounds_and_reconstruction_off_Sn(q):
         assert lagrange_reconstruct(pairs, d) == target
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_eval_y_matches_evaluate(q):
+    """eval_y sums over A on the denominator b^d of y = a/b; its value at X
+    agrees with the termwise evaluation in F, for y from S_1 (including 0)
+    and from points with mixed denominators."""
+    F = rational_function_field(q)
+    A = F.ring
+    FX = PolyRing(F, "X")
+    rng = random.Random(120 + q)
+    s1 = build_Sn(q, 1)
+    ys = [s1[0], s1[1], s1[-1], rng.choice(s1)] + _mixed_points(q, 3, rng)
+    xs = [F.zero, F.one, F.t, F.random_element(rng, 2, nonzero=True)]
+    assert BivarPoly(A, {}).eval_y(FX, ys[-1]) == FX.zero
+    for _ in range(3):
+        target = BivarPoly(
+            A, {(i, j): A.random_element(rng, 2) for i in range(4) for j in range(4)}
+        )
+        if target.is_zero:
+            continue
+        for y in ys:
+            sliced = target.eval_y(FX, y)
+            for x in xs:
+                assert sliced(x) == target.evaluate(F, x, y)
+
+
 def test_lagrange_rejects_non_polynomial_and_repeated_points():
     F = rational_function_field(3)
     FX = PolyRing(F, "X")

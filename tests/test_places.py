@@ -80,6 +80,32 @@ def test_weil_height_scaling_invariance_random():
         assert weil_height(coords) == weil_height([x * c for x in coords])
 
 
+def _place_sum_height(coords):
+    """The Weil height as a sum over places: max_i log|x_i|_v at infinity
+    and at every finite place in the support of the tuple."""
+    nonzero = [x for x in coords if not x.is_zero]
+    total = Fraction(0)
+    for v in [Place.infinity()] + support(nonzero):
+        total += max(log_abs(x, v) for x in nonzero)
+    return total
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_weil_height_matches_place_sum(q):
+    F = rational_function_field(q)
+    rng = random.Random(34 + q)
+    t = F.t
+    cases = [[F.one, F.zero], [F.zero, t**2 / (t + 1)], [t, t**2, F.one / t]]
+    for _ in range(25):
+        coords = [F.random_element(rng, 3) for _ in range(rng.randint(1, 4))]
+        if any(not x.is_zero for x in coords):
+            cases.append(coords)
+    for coords in cases:
+        assert weil_height(coords) == _place_sum_height(coords)
+    with pytest.raises(ValueError):
+        weil_height([F.zero, F.zero])
+
+
 def test_algebraic_height():
     Ax = x_ring_over_A(2)
     A = Ax.base
