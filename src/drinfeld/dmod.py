@@ -2,16 +2,20 @@
 
 A module is determined by phi_t = t + g_1 tau + ... + g_r tau^r with
 g_r != 0; the constant term is structurally t (generic characteristic is
-not a runtime option).  Heights are exact rationals; h_J is evaluated
-place by place from valuations of the coefficients, so the J-invariant
-tuple never has to be expanded for large lcm exponents.
+not a runtime option).  Heights are exact rationals, read off one
+per-module table of local log-values log_q |g_i|_v: the place at
+infinity and every prime of a numerator or denominator, with v_P(g_i)
+taken from one factorization of each (`places.valuations`).  h_J is
+evaluated place by place from that table, so the J-invariant tuple
+never has to be expanded for large lcm exponents.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import StableReductionRequired
-from .places import Place, log_abs, support, weil_height
+from .places import Place, valuations, weil_height
 from .ratfunc import FractionField
 from .skew import skew_ring
 
@@ -110,52 +114,42 @@ class DrinfeldModule:
         if not isinstance(self.field, FractionField):
             raise ValueError("heights with local parts need coefficients in F")
 
-    def _places(self):
-        return [Place.infinity()] + support([g for g in self.coeffs if not g.is_zero])
+    @cached_property
+    def _local_logs(self):
+        """{place: [(i, log_q |g_i|_v) for the nonzero g_i]} at infinity
+        and at every prime of a numerator or denominator of the g_i."""
+        self._require_over_F()
+        nonzero = [(i, g) for i, g in enumerate(self.coeffs, start=1) if not g.is_zero]
+        table = {Place.infinity(): [(i, g.deg_infinity()) for i, g in nonzero]}
+        for v, vals in valuations([g for _, g in nonzero]).items():
+            table[v] = [(i, -v.degree * n) for (i, _), n in zip(nonzero, vals)]
+        return table
 
     def local_height_G(self, place):
-        """h_G^v = log max_i |g_i|_v^(1/(q^i - 1))."""
-        self._require_over_F()
-        return max(
-            Fraction(log_abs(g, place), self.q**i - 1)
-            for i, g in enumerate(self.coeffs, start=1)
-            if not g.is_zero
-        )
+        """h_G^v = log max_i |g_i|_v^(1/(q^i - 1)); 0 where every g_i is a unit."""
+        logs = self._local_logs.get(place)
+        if logs is None:
+            return Fraction(0)
+        return max(Fraction(a, self.q**i - 1) for i, a in logs)
 
     def height_G(self):
-        self._require_over_F()
-        return sum((self.local_height_G(v) for v in self._places()), Fraction(0))
+        fin, inf, _ = self.height_G_split()
+        return fin + inf
 
     def height_G_split(self):
         """(finite part, infinite part, per-place table)."""
-        self._require_over_F()
-        table = {}
-        fin = Fraction(0)
-        inf = Fraction(0)
-        for v in self._places():
-            h = self.local_height_G(v)
-            table[v] = h
-            if v.is_infinite:
-                inf += h
-            else:
-                fin += h
-        return fin, inf, table
+        table = {v: self.local_height_G(v) for v in self._local_logs}
+        inf = table[Place.infinity()]
+        return sum(table.values(), Fraction(0)) - inf, inf, table
 
     def height_J(self):
         """h_J = d * h_G, evaluated directly as the Weil height of the
         J-tuple from coefficient valuations (no power expansion)."""
-        self._require_over_F()
         d = self.d
-        wr = d // (self.q**self.r - 1)
-        gr = self.coeffs[-1]
         total = Fraction(0)
-        for v in self._places():
-            base = wr * log_abs(gr, v)
-            total += max(
-                (d // (self.q**k - 1)) * log_abs(g, v) - base
-                for k, g in enumerate(self.coeffs, start=1)
-                if not g.is_zero
-            )
+        for logs in self._local_logs.values():
+            base = (d // (self.q**self.r - 1)) * logs[-1][1]  # g_r != 0 comes last
+            total += max((d // (self.q**i - 1)) * a - base for i, a in logs)
         return total
 
     def naive_height(self):
@@ -181,27 +175,24 @@ class DrinfeldModule:
         return DrinfeldModule(self.field, self.q, self.r, new)
 
     def stable_at(self, place):
-        """Stable reduction at a finite place: the local graded height is
-        an integer."""
+        """Stable reduction at a finite place P: min_i v_P(g_i)/(q^i - 1)
+        is an integer, i.e. h_G^P / deg P is, since a twist by c shifts
+        v_P(g_i) by (q^i - 1) v_P(c)."""
         if place.is_infinite:
             raise ValueError("stable reduction is a finite-place predicate")
-        return self.local_height_G(place).denominator == 1
+        return (self.local_height_G(place) / place.degree).denominator == 1
 
     def taguchi_finite(self):
         """Finite part of the Taguchi height (= finite part of h_G),
         defined only under everywhere stable reduction."""
-        self._require_over_F()
-        total = Fraction(0)
-        for v in self._places():
-            if v.is_infinite:
-                continue
-            h = self.local_height_G(v)
-            if h.denominator != 1:
+        fin, _, table = self.height_G_split()
+        for v, h in table.items():
+            if not v.is_infinite and not self.stable_at(v):
                 raise StableReductionRequired(
-                    f"local height {h} at {v!r} is not an integer; twist first"
+                    f"local height {h} at {v!r} is not deg P times an integer; "
+                    "twist first"
                 )
-            total += h
-        return total
+        return fin
 
 
 def random_module(F, q, r, rng, max_degree=2):

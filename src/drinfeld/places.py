@@ -4,6 +4,10 @@ All values are log base q of the absolute value, stored as exact
 Fractions.  At the infinite place |x| = q^deg(x); at the finite place
 attached to a monic irreducible P, |x| = q^(-deg(P) v_P(x)).
 
+`valuations` reads every v_P(x) of a list off one factorization of each
+numerator and denominator, multiplicities included; `valuation` and
+`log_abs` divide by one given P and serve as the reference.
+
 Over F itself all local degrees n_v are 1; the e_v/f_v bookkeeping of
 general extensions never enters because heights of algebraic elements
 are computed through minimal polynomials instead.
@@ -23,8 +27,7 @@ class Place:
     __slots__ = ("prime",)
 
     def __init__(self, prime=None):
-        if prime is not None and not (prime.is_monic and is_irreducible(prime)):
-            raise ValueError("finite places are keyed by monic irreducibles")
+        """Unchecked; `finite` certifies a prime that `factor` did not emit."""
         self.prime = prime
 
     @classmethod
@@ -33,6 +36,8 @@ class Place:
 
     @classmethod
     def finite(cls, prime):
+        if not (prime.is_monic and is_irreducible(prime)):
+            raise ValueError("finite places are keyed by monic irreducibles")
         return cls(prime)
 
     @property
@@ -79,20 +84,21 @@ def log_abs(x, place):
     return Fraction(-place.degree * valuation(x, place.prime))
 
 
-def support(xs):
-    """All finite places where some nonzero coordinate has nonzero
-    valuation, i.e. the primes dividing any numerator or denominator."""
-    primes = {}
-    for x in xs:
+def valuations(xs):
+    """{Place(P): [v_P(x) for x in xs]} over the primes P of every
+    numerator and denominator, for nonzero xs: one `factor` call per
+    nonconstant num or den, v_P = mult in num - mult in den."""
+    xs = list(xs)
+    table = {}
+    for i, x in enumerate(xs):
         if x.is_zero:
-            continue
-        for f in (x.num, x.den):
+            raise ValueError("zero has no valuation")
+        for f, sign in ((x.num, 1), (x.den, -1)):
             if f.degree < 1:
                 continue
-            _, facs = factor(f)
-            for p, _ in facs:
-                primes[p] = True
-    return [Place.finite(p) for p in primes]
+            for p, mult in factor(f)[1]:
+                table.setdefault(p, [0] * len(xs))[i] += sign * mult
+    return {Place(p): vals for p, vals in table.items()}
 
 
 def weil_height(coords):

@@ -168,7 +168,8 @@ class FractionField:
         for x in xs:
             if x.den.degree > 0:
                 den = den * x.den.exact_div(poly_gcd(den, x.den))
-        return [x.num * den.exact_div(x.den) for x in xs], den
+        polys = [x.num if x.den == den else x.num * den.exact_div(x.den) for x in xs]
+        return polys, den
 
     def __call__(self, value):
         if isinstance(value, RatFunc) and value.field is self:

@@ -118,6 +118,14 @@ GOLDEN = [
         0,
         '309888fe68e96cdf110e54d3bb8df51ad7a0a045bd4175907baf3a43b5728ee3',
     ),
+    (
+        # rank 3: a zero coefficient, multiplicities above 1, a degree-2 place
+        'heights-r3',
+        ['heights', '--module',
+         '{"q":2,"r":3,"g":["(t^2+t+1)^2/t","0","(t+1)^3/(t^2+t+1)"]}'],
+        0,
+        'cb8e0289d6dd645e84c1eeb8d8104e77fde805bc89c142ba434dd4c882c338c2',
+    ),
 ]
 
 

@@ -1,10 +1,13 @@
 """Drinfeld modules: the phi_a homomorphism, J-invariants, heights."""
 
+import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from drinfeld import DrinfeldModule, Place, random_module
+from drinfeld import DrinfeldModule, Place, log_abs, random_module
+from drinfeld.factor import factor
 from drinfeld.base import poly_ring_A, rational_function_field
 from drinfeld.errors import StableReductionRequired
 
@@ -109,6 +112,15 @@ def test_stable_at():
     assert _mod(2, 2, ["t", "1"]).stable_at(vt)
     assert _mod(2, 2, ["1", "t"]).stable_at(vt)  # max(0, -1/3) = 0
     assert not _mod(2, 2, ["1", "1/t"]).stable_at(vt)  # 1/3 not an integer
+    # degree-2 place P = t^2 + 1 over F_3: the test is on h_G^P / deg P
+    P = Place.finite(poly_ring_A(3).gen() ** 2 + poly_ring_A(3).one)
+    half = _mod(3, 2, ["1/(t^2+1)", "1"])  # min(-1/2, 0) = -1/2
+    assert half.local_height_G(P) == 1
+    assert not half.stable_at(P)
+    whole = _mod(3, 2, ["1/(t^2+1)^2", "1"])  # min(-2/2, 0) = -1
+    assert whole.local_height_G(P) == 2
+    assert whole.stable_at(P)
+    assert whole.twist(whole.field.t**2 + 1).coeffs[0] == whole.field.one
 
 
 def test_taguchi_finite():
@@ -121,6 +133,90 @@ def test_taguchi_finite():
     assert _mod(2, 2, ["t", "t^3"]).taguchi_finite() == -1
     with pytest.raises(StableReductionRequired):
         _mod(2, 2, ["1", "1/t"]).taguchi_finite()
+    # an integral h_G^P at a degree-2 place is not enough
+    with pytest.raises(StableReductionRequired):
+        _mod(3, 2, ["1/(t^2+1)", "1"]).taguchi_finite()
+    assert _mod(3, 2, ["1/(t^2+1)^2", "1"]).taguchi_finite() == 2
+
+
+def _oracle_places(coeffs):
+    """Infinity and every certified prime of a numerator or denominator,
+    found by factoring each one (the reference route)."""
+    primes = {}
+    for g in coeffs:
+        for f in (g.num, g.den):
+            if f.degree > 0:
+                for p, _ in factor(f)[1]:
+                    primes[p] = True
+    return [Place.infinity()] + [Place.finite(p) for p in primes]
+
+
+def _oracle_heights(phi):
+    """(h_G, h_J, finite part, infinite part, per-place table, Taguchi
+    finite part or None) as sums over places of log_abs, which divides
+    by each prime for its valuation."""
+    q, d = phi.q, phi.d
+    nonzero = [(i, g) for i, g in enumerate(phi.coeffs, start=1) if not g.is_zero]
+    gr = phi.coeffs[-1]
+    table, hJ, stable = {}, Fraction(0), True
+    for v in _oracle_places([g for _, g in nonzero]):
+        table[v] = max(Fraction(log_abs(g, v), q**i - 1) for i, g in nonzero)
+        base = d // (q**phi.r - 1) * log_abs(gr, v)
+        hJ += max(d // (q**i - 1) * log_abs(g, v) - base for i, g in nonzero)
+        if not v.is_infinite:
+            stable = stable and (table[v] / v.degree).denominator == 1
+    inf = table[Place.infinity()]
+    fin = sum(table.values(), Fraction(0)) - inf
+    return fin + inf, hJ, fin, inf, table, fin if stable else None
+
+
+def _random_modules(q, r, rng, count):
+    """Random modules, every other one with denominators, and some zero
+    middle coefficients."""
+    F = rational_function_field(q)
+    out = []
+    for k in range(count):
+        if k % 2:
+            gs = [F.random_element(rng, 3) for _ in range(r - 1)]
+        else:
+            gs = [F.from_poly(F.ring.random_element(rng, 3)) for _ in range(r - 1)]
+        if r > 2:
+            gs[rng.randrange(1, r - 1)] = F.zero
+        gs.append(F.random_element(rng, 3, nonzero=True))
+        out.append(DrinfeldModule(F, q, r, gs))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_heights_match_place_sum_oracle(q, r):
+    rng = random.Random(64 + 10 * q + r)
+    for phi in _random_modules(q, r, rng, 6):
+        hG, hJ, fin, inf, table, tag = _oracle_heights(phi)
+        assert phi.height_G() == hG
+        assert phi.height_J() == hJ
+        assert phi.height_G_split() == (fin, inf, table)
+        for v, h in table.items():
+            assert phi.local_height_G(v) == h
+        if tag is None:
+            with pytest.raises(StableReductionRequired):
+                phi.taguchi_finite()
+        else:
+            assert phi.taguchi_finite() == tag
+
+
+def test_heights_do_not_recertify_primes(monkeypatch):
+    """Heights use the primes factor returned; no irreducibility test."""
+
+    def refuse(f):
+        raise AssertionError("is_irreducible called on a height path")
+
+    for name in ("drinfeld.places", "drinfeld.factor"):
+        monkeypatch.setattr(importlib.import_module(name), "is_irreducible", refuse)
+    phi = _mod(2, 3, ["(t^2+t+1)^2/t", "0", "(t+1)^3/(t^2+t+1)"])
+    assert phi.height_G() == Fraction(30, 7)
+    assert phi.height_J() == 90
+    assert phi.height_G_split()[:2] == (Fraction(9, 7), 3)
 
 
 def test_literal_roundtrip():

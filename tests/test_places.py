@@ -5,9 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld import Place, log_abs, rational_function_field, valuation, weil_height
-from drinfeld.places import algebraic_height, support
+from drinfeld import (
+    Place,
+    log_abs,
+    parse_element,
+    rational_function_field,
+    valuation,
+    weil_height,
+)
+from drinfeld.places import algebraic_height, valuations
 from drinfeld.base import poly_ring_A, x_ring_over_A
+from drinfeld.factor import factor
 
 
 def test_log_abs_examples():
@@ -40,8 +48,33 @@ def test_product_formula(q):
     rng = random.Random(32)
     for _ in range(100):
         x = F.random_element(rng, 4, nonzero=True)
-        places = [Place.infinity()] + support([x])
+        places = [Place.infinity()] + list(valuations([x]))
         assert sum(log_abs(x, v) for v in places) == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_valuations_match_valuation(q):
+    """The table read off one factorization agrees with repeated division
+    by each prime, p-th-power factors included."""
+    F = rational_function_field(q)
+    powers = {2: "(t+1)^2/t", 3: "t/(t+1)^3", 4: "t^4+u", 9: "(t^3+u)^3/(t^2+1)"}
+    rng = random.Random(35 + q)
+    for _ in range(20):
+        xs = [F.random_element(rng, 4, nonzero=True) for _ in range(rng.randint(1, 3))]
+        xs.append(parse_element(powers[q], F))
+        table = valuations(xs)
+        for v, vals in table.items():
+            assert v == Place.finite(v.prime)
+            assert vals == [valuation(x, v.prime) for x in xs]
+            assert any(vals)
+        # every prime of a numerator or denominator has a row
+        for x in xs:
+            for f in (x.num, x.den):
+                for p, _ in factor(f)[1]:
+                    assert Place(p) in table
+    assert valuations([]) == {}
+    with pytest.raises(ValueError):
+        valuations([F.one, F.zero])
 
 
 def test_place_keying():
@@ -85,7 +118,7 @@ def _place_sum_height(coords):
     and at every finite place in the support of the tuple."""
     nonzero = [x for x in coords if not x.is_zero]
     total = Fraction(0)
-    for v in [Place.infinity()] + support(nonzero):
+    for v in [Place.infinity()] + list(valuations(nonzero)):
         total += max(log_abs(x, v) for x in nonzero)
     return total
 
