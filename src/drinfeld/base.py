@@ -1,7 +1,8 @@
 """Shared constructors for the standard tower F_q -> A = F_q[t] -> F.
 
-Element classes compare parents by identity, so code that wants elements
-of "the" field F_q(t) must go through these cached factories.
+Every parent is a single object: ``GF(q)`` and ``rational_function_field(q)``
+are cached, and ``PolyRing(base, var)`` returns its one ring, so elements,
+which compare their parents by identity, built through any route agree.
 """
 
 from functools import lru_cache
@@ -11,7 +12,6 @@ from .poly import PolyRing
 from .ratfunc import FractionField
 
 
-@lru_cache(maxsize=None)
 def poly_ring_A(q):
     """A = F_q[t]."""
     return PolyRing(GF(q), "t")
@@ -23,13 +23,11 @@ def rational_function_field(q):
     return FractionField(poly_ring_A(q))
 
 
-@lru_cache(maxsize=None)
 def x_ring_over_A(q):
     """A[x], for minimal polynomials."""
     return PolyRing(poly_ring_A(q), "x")
 
 
-@lru_cache(maxsize=None)
 def x_ring_over_F(q):
     """F[x], for quotient-field moduli."""
     return PolyRing(rational_function_field(q), "x")

@@ -293,7 +293,6 @@ def cmd_modpoly(args):
 def _add_common(sp):
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
@@ -321,6 +320,7 @@ def build_parser():
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_harness)
 

@@ -157,7 +157,8 @@ class FFElem:
         return FFElem(f, f.neg_table[self.code])
 
     def __sub__(self, other):
-        return self + (-other)
+        f = self.field
+        return FFElem(f, f.add_table[self.code][f.neg_table[other.code]])
 
     def __mul__(self, other):
         f = self.field
@@ -295,12 +296,6 @@ class GaloisField:
         if self.e == 1:
             raise ValueError("prime field has no extension generator")
         return FFElem(self, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, GaloisField) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("GaloisField", self.q))
 
     def __repr__(self):
         return f"GF({self.q})"

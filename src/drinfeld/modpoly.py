@@ -17,7 +17,6 @@ t-degrees.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from mpmath import iv
 
@@ -165,7 +164,6 @@ def kappa(q, m):
 # -- the two Phi_t constructions ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _rings(q):
     A = poly_ring_A(q)
     F = rational_function_field(q)

@@ -131,10 +131,15 @@ class Poly:
         return Poly(self.ring, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self.ring(other))
+        other = self.ring(other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [-c for c in b[len(a):]]
+        for i, c in enumerate(b[: len(a)]):
+            out[i] = out[i] - c
+        return self.ring.from_coeffs(out)
 
     def __rsub__(self, other):
-        return self.ring(other) + (-self)
+        return self.ring(other) - self
 
     def __mul__(self, other):
         other = self.ring(other)
@@ -343,14 +348,29 @@ class Poly:
 
 
 class PolyRing:
-    """Univariate polynomials over ``base`` in the variable ``var``."""
+    """Univariate polynomials over ``base`` in the variable ``var``.
 
-    def __init__(self, base, var):
-        self.base = base
-        self.var = var
-        self.zero = Poly(self, ())
-        self.one = Poly(self, (base.one,))
-        self.characteristic = base.characteristic
+    There is one ring per (base, var): ``PolyRing(base, var)`` returns the
+    ring already built for that base object and variable, so rings, like
+    every other parent, compare by identity.  The registry keys on
+    ``id(base)``; it keeps each ring, and so its base, alive, so an id is
+    never reused while its entry stands.
+    """
+
+    _registry = {}
+
+    def __new__(cls, base, var):
+        key = (id(base), var)
+        ring = cls._registry.get(key)
+        if ring is None:
+            ring = super().__new__(cls)
+            ring.base = base
+            ring.var = var
+            ring.zero = Poly(ring, ())
+            ring.one = Poly(ring, (base.one,))
+            ring.characteristic = base.characteristic
+            cls._registry[key] = ring
+        return ring
 
     def gen(self):
         return Poly(self, (self.base.zero, self.base.one))
@@ -386,16 +406,6 @@ class PolyRing:
             p = self.from_coeffs(coeffs)
             if not (nonzero and p.is_zero):
                 return p
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and self.base == other.base
-            and self.var == other.var
-        )
-
-    def __hash__(self):
-        return hash(("PolyRing", self.base, self.var))
 
     def __repr__(self):
         return f"{self.base!r}[{self.var}]"

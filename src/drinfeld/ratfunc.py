@@ -40,9 +40,15 @@ class RatFunc:
 
     def __add__(self, other):
         other = self.field(other)
-        return self.field.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b = self.num, self.den
+        c, d = other.num, other.den
+        # a constant (monic, so 1) denominator needs no gcd: (a d + c)/d is
+        # reduced, as gcd(a d + c, d) = gcd(c, d) = 1, and d is monic
+        if b.degree == 0:
+            return RatFunc(self.field, a * d + c, d)
+        if d.degree == 0:
+            return RatFunc(self.field, a + c * b, b)
+        return self.field.make(a * d + c * b, b * d)
 
     __radd__ = __add__
 
@@ -191,12 +197,6 @@ class FractionField:
             x = self.make(num, den)
             if not (nonzero and x.is_zero):
                 return x
-
-    def __eq__(self, other):
-        return isinstance(other, FractionField) and self.ring == other.ring
-
-    def __hash__(self):
-        return hash(("FractionField", self.ring))
 
     def __repr__(self):
         return f"Frac({self.ring!r})"

@@ -7,6 +7,8 @@ coefficients are needed); left division additionally requires q^m-th
 roots and reports failure when one does not exist.
 """
 
+from functools import lru_cache
+
 from .errors import RootExtractionFailure
 
 
@@ -172,15 +174,10 @@ class SkewPoly:
         return format_skew(self)
 
 
-_RING_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def skew_ring(coeff_field, q):
     """Shared SkewPolyRing instance for a given coefficient field."""
-    key = (id(coeff_field), q)
-    if key not in _RING_CACHE:
-        _RING_CACHE[key] = SkewPolyRing(coeff_field, q)
-    return _RING_CACHE[key]
+    return SkewPolyRing(coeff_field, q)
 
 
 class SkewPolyRing:
@@ -210,16 +207,6 @@ class SkewPolyRing:
 
     def constant(self, c):
         return self((c,))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SkewPolyRing)
-            and self.coeff_field == other.coeff_field
-            and self.q == other.q
-        )
-
-    def __hash__(self):
-        return hash(("SkewPolyRing", id(self.coeff_field), self.q))
 
     def __repr__(self):
         return f"{self.coeff_field!r}{{tau}}"

@@ -258,6 +258,24 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["heights", "isogeny", "lattice", "modpoly"])
+def test_seed_is_harness_only(capsys, command):
+    # only the harness draws random modules; elsewhere --seed is a usage error
+    argv = {
+        "heights": ["heights", "--module", '{"q":2,"r":2,"g":["t","1"]}'],
+        "isogeny": [
+            "isogeny", "dual", "--module", '{"q":2,"r":2,"g":["t+1","1"]}',
+            "--f", "1*T^0 + T^1",
+        ],
+        "lattice": ["lattice", "covolume", "--matrix", '[["t","0"],["0","1"]]'],
+        "modpoly": ["modpoly", "table"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_bad_input_exit_code(capsys):
     code = main(["heights", "--module", "{not json"])
     assert code == 1

@@ -124,3 +124,13 @@ def test_irreducibility_uncertain():
     f = x**4 + Ax.constant(t**2) * x + Ax.constant(t**2 + A.one)
     with pytest.raises(IrreducibilityUncertain):
         irreducible_over_F(f)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_to_A_x_lands_in_the_shared_ring(q):
+    F = rational_function_field(q)
+    Fx = x_ring_over_F(q)
+    Ax = x_ring_over_A(q)
+    f = to_A_x(Fx.gen() ** 2 + Fx.constant(F.t))
+    assert f.ring is Ax
+    assert f == Ax.gen() ** 2 + Ax.constant(Ax.base.gen())

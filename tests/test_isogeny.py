@@ -1,5 +1,6 @@
 """Isogenies: verification, pushforward, duals, the rank 3 closed forms."""
 
+import gc
 import random
 
 import pytest
@@ -111,6 +112,22 @@ def test_rank2_t_isogenies_generic_empty():
     phi = _mod(2, 2, ["t^2+t+1", "t"])
     # the y-polynomial t*y^3 + (t^2+t+1)y + t has no rational roots here
     assert rank2_t_isogenies(phi) == []
+
+
+def test_rank2_t_isogenies_leaves_no_cycles():
+    """The y-polynomial ring is the shared F[y]: no call may leave a
+    throwaway ring for the cyclic collector."""
+    phi = _mod(2, 2, ["t+1", "1"])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            isos = rank2_t_isogenies(phi)
+        leaked = gc.collect()
+    finally:
+        gc.enable()
+    assert len(isos) == 1
+    assert leaked == 0
 
 
 @pytest.mark.parametrize("q,r", [(2, 2), (2, 3), (3, 2), (3, 3)])

@@ -1,6 +1,7 @@
 """Modular polynomial machinery: psi/kappa, the two Phi_t routes,
 interpolation sets, and the height bound evaluators."""
 
+import gc
 import os
 import random
 import subprocess
@@ -135,6 +136,22 @@ def test_tk_bounds_q2_n1():
     assert rep["coeff_ok"]
     assert rep["coeff_log_max"] <= 3
     assert rep["spacing_ok"]
+
+
+def test_tk_bounds_leaves_no_cycles():
+    """The Lagrange basis works in the shared A[Z]: no call may leave a
+    throwaway ring for the cyclic collector."""
+    points = list(build_Sn(2, 1))[:5]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            rep = tk_bounds(2, 1, points)
+        leaked = gc.collect()
+    finally:
+        gc.enable()
+    assert rep["coeff_ok"] and rep["spacing_ok"]
+    assert leaked == 0
 
 
 def test_tk_bounds_guards():

@@ -6,8 +6,11 @@ import random
 
 import pytest
 
-from drinfeld import GF, poly_ring_A
+from drinfeld import GF, poly_ring_A, rational_function_field
+from drinfeld.ff import GaloisField
 from drinfeld.poly import _ARRAY_TYPECODE, PolyRing, content, poly_gcd, poly_xgcd, primitive_part, resultant
+from drinfeld.ratfunc import FractionField
+from drinfeld.skew import SkewPolyRing
 
 
 def _schoolbook_mul(ring, a, b):
@@ -256,3 +259,23 @@ def test_pseudo_divmod_fraction_free():
         quo, rem = a.pseudo_divmod(b)
         k = int(a.degree) - int(b.degree) + 1
         assert a.scale(b.lead**k) == quo * b + rem
+
+
+def test_poly_ring_is_one_object_per_base_and_variable():
+    A = poly_ring_A(3)
+    F = rational_function_field(2)
+    assert PolyRing(GF(3), "t") is A
+    for base in (GF(4), A, F, PolyRing(A, "s"), PolyRing(F, "X")):
+        for var in ("X", "y"):
+            R = PolyRing(base, var)
+            assert PolyRing(base, var) is R
+            assert PolyRing(base, var).gen() == R.gen()
+    assert PolyRing(F, "X") is not PolyRing(F, "Y")
+    assert PolyRing(F, "X").gen() != PolyRing(F, "Y").gen()
+
+
+@pytest.mark.parametrize("parent", [GaloisField, PolyRing, FractionField, SkewPolyRing])
+def test_parents_compare_by_identity(parent):
+    # each parent has one constructor that returns its one object
+    assert "__eq__" not in vars(parent)
+    assert "__hash__" not in vars(parent)
