@@ -346,9 +346,29 @@ def build_parser():
     return parser
 
 
+# options an action reads that argparse cannot require, as other actions
+# of the same command run without them
+_ACTION_NEEDS = {
+    ("isogeny", "verify"): ("f", "target"),
+    ("isogeny", "pushforward"): ("f",),
+    ("isogeny", "dual"): ("f",),
+    ("isogeny", "minimal-N"): ("f",),
+    ("isogeny", "remark3"): ("f0",),
+    ("lattice", "reduce"): ("matrix",),
+    ("lattice", "covolume"): ("matrix",),
+    ("lattice", "index"): ("sub", "sup"),
+    ("lattice", "analytic-check"): ("sub", "sup"),
+}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    action = getattr(args, "action", None)
+    needs = _ACTION_NEEDS.get((args.command, action), ())
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        parser.error(f"{args.command} {action} needs {' and '.join(missing)}")
     try:
         return args.func(args)
     except (DrinfeldError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -57,7 +57,8 @@ def squarefree_decomposition(f):
 
 
 def _lex_key(f):
-    return tuple(c.code for c in f.coeffs)
+    # from a list: tuple() of a generator or map resizes and swells free lists
+    return tuple([c.code for c in f.coeffs])
 
 
 def distinct_degree_split(f):

@@ -10,6 +10,8 @@ Multiplication and inversion tables are precomputed, so the fields are
 meant for small q (desk scale).  Polynomials over F_q multiply and divide
 as lists of codes through these tables (``_poly_mul``, ``_poly_divmod``);
 the tables of F_q with e > 1 are built on the same kernels over F_p.
+Each field builds its q elements once and every operation returns one of
+them, so elements compare by identity.
 """
 
 from functools import lru_cache
@@ -123,7 +125,7 @@ def _poly_divmod(a, b, F):
 
 
 class FFElem:
-    """Element of a small finite field; immutable."""
+    """Element of a small finite field; immutable, one object per element."""
 
     __slots__ = ("field", "code")
 
@@ -138,37 +140,45 @@ class FFElem:
     def __bool__(self):
         return self.code != 0
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FFElem)
-            and self.field is other.field
-            and self.code == other.code
-        )
-
     def __hash__(self):
-        return hash((id(self.field), self.code))
+        return hash((self.field.q, self.code))
 
+    # an operand without a code (a polynomial or rational function) is from
+    # a higher level of the tower: NotImplemented hands it its reflected op
     def __add__(self, other):
         f = self.field
-        return FFElem(f, f.add_table[self.code][other.code])
+        try:
+            return f._elems[f.add_table[self.code][other.code]]
+        except AttributeError:
+            return NotImplemented
 
     def __neg__(self):
         f = self.field
-        return FFElem(f, f.neg_table[self.code])
+        return f._elems[f.neg_table[self.code]]
 
     def __sub__(self, other):
         f = self.field
-        return FFElem(f, f.add_table[self.code][f.neg_table[other.code]])
+        try:
+            return f._elems[f.add_table[self.code][f.neg_table[other.code]]]
+        except AttributeError:
+            return NotImplemented
 
     def __mul__(self, other):
         f = self.field
-        return FFElem(f, f.mul_table[self.code][other.code])
+        try:
+            return f._elems[f.mul_table[self.code][other.code]]
+        except AttributeError:
+            return NotImplemented
 
     def __truediv__(self, other):
         f = self.field
-        if other.code == 0:
+        try:
+            code = other.code
+        except AttributeError:
+            return NotImplemented
+        if code == 0:
             raise ZeroDivisionError("division by zero in F_q")
-        return FFElem(f, f.mul_table[self.code][f.inv_table[other.code]])
+        return f._elems[f.mul_table[self.code][f.inv_table[code]]]
 
     def exact_div(self, other):
         return self / other
@@ -177,7 +187,7 @@ class FFElem:
         f = self.field
         if self.code == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return FFElem(f, f.inv_table[self.code])
+        return f._elems[f.inv_table[self.code]]
 
     def __pow__(self, n):
         f = self.field
@@ -226,8 +236,8 @@ class GaloisField:
         self.modulus = _smallest_irreducible(self.p, self.e)
         self.characteristic = self.p
         self._build_tables()
-        self.zero = FFElem(self, 0)
-        self.one = FFElem(self, 1)
+        self._elems = [FFElem(self, c) for c in range(q)]
+        self.zero, self.one = self._elems[0], self._elems[1]
 
     def _decode(self, code):
         c, out = code, []
@@ -272,30 +282,33 @@ class GaloisField:
         self.inv_table = [0] + [self.mul_table[a].index(1) for a in range(1, q)]
 
     def __call__(self, value):
-        """Coerce an integer (reduced mod p) or an element of this field."""
+        """Coerce an integer (reduced mod p) or an element of this field;
+        anything else is a TypeError."""
         if isinstance(value, FFElem):
             if value.field is not self:
                 raise ValueError("element of a different field")
             return value
-        return FFElem(self, value % self.p)
+        if not isinstance(value, int):
+            raise TypeError(f"cannot coerce {type(value).__name__} into {self!r}")
+        return self._elems[value % self.p]
 
     def element_from_code(self, code):
         if not 0 <= code < self.q:
             raise ValueError(f"code {code} out of range for F_{self.q}")
-        return FFElem(self, code)
+        return self._elems[code]
 
     def elements(self):
-        return [FFElem(self, c) for c in range(self.q)]
+        return list(self._elems)
 
     def random_element(self, rng, nonzero=False):
         lo = 1 if nonzero else 0
-        return FFElem(self, rng.randrange(lo, self.q))
+        return self._elems[rng.randrange(lo, self.q)]
 
     def generator_u(self):
         """The class of u (power-basis generator); only for e > 1."""
         if self.e == 1:
             raise ValueError("prime field has no extension generator")
-        return FFElem(self, self.p)
+        return self._elems[self.p]
 
     def __repr__(self):
         return f"GF({self.q})"

@@ -24,7 +24,8 @@ class LatticeBasis:
         for col in columns:
             if len(col) != self.r:
                 raise ValueError("basis matrix must be square")
-            cols.append(tuple(field(x) for x in col))
+            # from a list: tuple() of a generator or map resizes and swells free lists
+            cols.append(tuple([field(x) for x in col]))
         self.columns = tuple(cols)
         self.det = det(field, self.columns)
         if self.det.is_zero:

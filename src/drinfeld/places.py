@@ -8,17 +8,15 @@ attached to a monic irreducible P, |x| = q^(-deg(P) v_P(x)).
 numerator and denominator, multiplicities included; `valuation` and
 `log_abs` divide by one given P and serve as the reference.
 
-Over F itself all local degrees n_v are 1; the e_v/f_v bookkeeping of
-general extensions never enters because heights of algebraic elements
-are computed through minimal polynomials instead.
+Only places of F itself occur, so every local degree n_v is 1 and the
+e_v/f_v bookkeeping of finite extensions never enters.
 """
 
 from fractions import Fraction
 from functools import reduce
 
-from .extfield import irreducible_over_F
 from .factor import factor, is_irreducible
-from .poly import content, poly_gcd
+from .poly import poly_gcd
 
 
 class Place:
@@ -115,18 +113,3 @@ def weil_height(coords):
     polys, _ = nonzero[0].field.clear_denominators(nonzero)
     g = reduce(poly_gcd, polys)
     return Fraction(max(int(a.degree) for a in polys) - int(g.degree))
-
-
-def algebraic_height(minpoly_in_Ax):
-    """Weil height of any root of a primitive irreducible polynomial over
-    A: equals max_i deg_t(a_i) / deg, since all places of F are
-    ultrametric and the Gauss norm is multiplicative."""
-    f = minpoly_in_Ax
-    if f.degree < 1:
-        raise ValueError("minimal polynomial must be nonconstant")
-    if content(f).degree != 0:
-        raise ValueError("minimal polynomial must be primitive (content 1)")
-    if not irreducible_over_F(f):
-        raise ValueError("minimal polynomial must be irreducible over F")
-    top = max(int(c.degree) for c in f.coeffs if not c.is_zero)
-    return Fraction(top, int(f.degree))

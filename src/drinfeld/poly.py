@@ -26,7 +26,7 @@ Division helpers:
 import array
 import sys
 
-from .ff import FFElem, GaloisField, _poly_divmod, _poly_mul
+from .ff import GaloisField, _poly_divmod, _poly_mul
 
 NEG_INF = float("-inf")
 
@@ -115,8 +115,13 @@ class Poly:
     def __hash__(self):
         return hash((id(self.ring), self.coeffs))
 
+    # an operand the ring cannot coerce (a rational function, say) is from
+    # a higher level of the tower: NotImplemented hands it its reflected op
     def __add__(self, other):
-        other = self.ring(other)
+        try:
+            other = self.ring(other)
+        except TypeError:
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -128,10 +133,14 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, tuple(-c for c in self.coeffs))
+        # from a list: tuple() of a generator or map resizes and swells free lists
+        return Poly(self.ring, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
-        other = self.ring(other)
+        try:
+            other = self.ring(other)
+        except TypeError:
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         out = list(a) + [-c for c in b[len(a):]]
         for i, c in enumerate(b[: len(a)]):
@@ -142,7 +151,10 @@ class Poly:
         return self.ring(other) - self
 
     def __mul__(self, other):
-        other = self.ring(other)
+        try:
+            other = self.ring(other)
+        except TypeError:
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return self.ring.zero
@@ -164,8 +176,8 @@ class Poly:
 
     def _from_codes(self, codes):
         """The polynomial of this ring over F_q with trimmed code list codes."""
-        base = self.ring.base
-        return Poly(self.ring, tuple([FFElem(base, v) for v in codes]))
+        elems = self.ring.base._elems
+        return Poly(self.ring, tuple([elems[v] for v in codes]))
 
     def __pow__(self, n):
         if n < 0:
@@ -264,7 +276,8 @@ class Poly:
         """Multiply by a base-ring element."""
         if c.is_zero:
             return self.ring.zero
-        return Poly(self.ring, tuple(a * c for a in self.coeffs))
+        # from a list: tuple() of a generator or map resizes and swells free lists
+        return Poly(self.ring, tuple([a * c for a in self.coeffs]))
 
     def shift(self, k):
         """Multiply by var^k."""
@@ -392,9 +405,7 @@ class PolyRing:
     def __call__(self, value):
         if isinstance(value, Poly) and value.ring is self:
             return value
-        if isinstance(value, int):
-            return self.constant(self.base(value))
-        # base-ring element
+        # an integer or a base-ring element; TypeError for anything else
         return self.constant(self.base(value))
 
     def random_element(self, rng, max_degree, nonzero=False, monic=False):

@@ -69,7 +69,8 @@ class SkewPoly:
         return self.ring(out)
 
     def __neg__(self):
-        return SkewPoly(self.ring, tuple(-c for c in self.coeffs))
+        # from a list: tuple() of a generator or map resizes and swells free lists
+        return SkewPoly(self.ring, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
         return self + (-other)

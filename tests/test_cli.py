@@ -258,6 +258,27 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["isogeny", "dual"], "--f"),
+        (["isogeny", "pushforward"], "--f"),
+        (["isogeny", "verify"], "--f and --target"),
+        (["isogeny", "minimal-N"], "--f"),
+        (["isogeny", "remark3"], "--f0"),
+        (["lattice", "covolume"], "--matrix"),
+        (["lattice", "index"], "--sub and --sup"),
+    ],
+)
+def test_missing_action_option_is_usage_error(capsys, argv, missing):
+    if argv[0] == "isogeny":
+        argv = argv + ["--module", '{"q":2,"r":2,"g":["t+1","1"]}']
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(f"needs {missing}\n")
+
+
 @pytest.mark.parametrize("command", ["heights", "isogeny", "lattice", "modpoly"])
 def test_seed_is_harness_only(capsys, command):
     # only the harness draws random modules; elsewhere --seed is a usage error

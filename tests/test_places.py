@@ -13,8 +13,8 @@ from drinfeld import (
     valuation,
     weil_height,
 )
-from drinfeld.places import algebraic_height, valuations
-from drinfeld.base import poly_ring_A, x_ring_over_A
+from drinfeld.places import valuations
+from drinfeld.base import poly_ring_A
 from drinfeld.factor import factor
 
 
@@ -137,15 +137,3 @@ def test_weil_height_matches_place_sum(q):
         assert weil_height(coords) == _place_sum_height(coords)
     with pytest.raises(ValueError):
         weil_height([F.zero, F.zero])
-
-
-def test_algebraic_height():
-    Ax = x_ring_over_A(2)
-    A = Ax.base
-    t = A.gen()
-    x = Ax.gen()
-    assert algebraic_height(x - Ax.constant(t)) == 1
-    assert algebraic_height(x**2 - Ax.constant(t)) == Fraction(1, 2)
-    assert algebraic_height(Ax.monomial(t, 1) - Ax.one) == 1
-    with pytest.raises(ValueError):
-        algebraic_height(Ax.constant(t))

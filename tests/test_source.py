@@ -1,0 +1,47 @@
+"""Source-level guards over ``src/drinfeld``.
+
+``tuple(<generator>)`` and ``tuple(map(...))`` build a tuple of a
+guessed size and resize it; CPython then frees it onto the free list of
+its final size, so sizes fill toward the 2,000-tuple cap while the list
+of the guessed size drains, and resident memory grows.  Tuples are built
+from lists instead.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "drinfeld"
+
+
+def _resized_tuple_calls(tree):
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and len(node.args) == 1
+            and not node.keywords
+        ):
+            arg = node.args[0]
+            if isinstance(arg, ast.GeneratorExp) or (
+                isinstance(arg, ast.Call)
+                and isinstance(arg.func, ast.Name)
+                and arg.func.id == "map"
+            ):
+                yield node.lineno
+
+
+def test_no_tuple_from_generator_or_map():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _resized_tuple_calls(ast.parse(path.read_text(), str(path)))
+    ]
+    assert SRC.is_dir() and not found, found
+
+
+def test_guard_sees_both_forms():
+    tree = ast.parse(
+        "a = tuple(x for x in y)\nb = tuple(map(f, y))\nc = tuple([x for x in y])"
+    )
+    assert list(_resized_tuple_calls(tree)) == [1, 2]
