@@ -53,12 +53,7 @@ def squarefree_decomposition(f):
         # leftover factors have multiplicity divisible by p, so w is a
         # p-th power (or 1); the next pass takes the root and scales by p
         g = w
-    return sorted(out.items(), key=lambda kv: (int(kv[0].degree), _lex_key(kv[0])))
-
-
-def _lex_key(f):
-    # from a list: tuple() of a generator or map resizes and swells free lists
-    return tuple([c.code for c in f.coeffs])
+    return sorted(out.items(), key=lambda kv: (int(kv[0].degree), kv[0].codes))
 
 
 def distinct_degree_split(f):
@@ -139,23 +134,22 @@ def factor(f):
         for block, d in distinct_degree_split(sqf):
             for irr in equal_degree_split(block, d, rng):
                 out[irr] = out.get(irr, 0) + mult
-    return unit, sorted(out.items(), key=lambda kv: (int(kv[0].degree), _lex_key(kv[0])))
+    return unit, sorted(out.items(), key=lambda kv: (int(kv[0].degree), kv[0].codes))
 
 
 def monic_polys_of_degree(ring, d):
     """All monic degree-d polynomials in a fixed lexicographic order
     (low-degree coefficient codes vary fastest)."""
-    base = ring.base
-    q = base.q
+    q = ring.base.q
     out = []
     for code in range(q**d):
-        coeffs = []
+        codes = []
         c = code
         for _ in range(d):
-            coeffs.append(base.element_from_code(c % q))
+            codes.append(c % q)
             c //= q
-        coeffs.append(base.one)
-        out.append(ring.from_coeffs(coeffs))
+        codes.append(1)
+        out.append(ring.from_codes(codes))
     return out
 
 

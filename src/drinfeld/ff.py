@@ -7,11 +7,14 @@ F_p.  The modulus is the one whose non-leading coefficient vector, read as
 a base-p integer, is smallest; this makes field construction deterministic.
 
 Multiplication and inversion tables are precomputed, so the fields are
-meant for small q (desk scale).  Polynomials over F_q multiply and divide
-as lists of codes through these tables (``_poly_mul``, ``_poly_divmod``);
-the tables of F_q with e > 1 are built on the same kernels over F_p.
-Each field builds its q elements once and every operation returns one of
-them, so elements compare by identity.
+meant for small q (desk scale).  Each field builds its q elements once and
+every operation returns one of them, so elements compare by identity.
+
+A polynomial over F_q is a list of codes, lowest degree first, with no
+trailing zero.  The kernels below add, subtract, multiply, divide and take
+gcds of such lists through the tables: ``poly.FqPoly``, the elements of
+A = F_q[t], runs every operation on them, and so do the tables of F_q
+with e > 1, over F_p.
 """
 
 from functools import lru_cache
@@ -84,26 +87,55 @@ def _is_irreducible_mod_p(m, p):
     return True
 
 
+def _poly_add(a, b, F):
+    """Sum of code lists a and b over the field F."""
+    add = F.add_table
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = add[out[i]][c]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _poly_sub(a, b, F):
+    """Difference a - b of code lists over the field F."""
+    sub = F.sub_table
+    out = list(a)
+    if len(b) > len(a):
+        out += [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = sub[out[i]][c]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _poly_mul(a, b, F):
-    """Product of code lists a and b over the field F, lowest degree
-    first; either may be empty (the zero polynomial)."""
+    """Product of trimmed code lists a and b over the field F, lowest
+    degree first; either may be empty (the zero polynomial).  The product
+    of the leading codes is nonzero, so the result is trimmed too."""
     add, mul = F.add_table, F.mul_table
     if len(a) > len(b):
         a, b = b, a
+    if not a:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             row = mul[ai]
             for k, c in enumerate(b, i):
                 out[k] = add[out[k]][row[c]]
-    while out and not out[-1]:
-        out.pop()
     return out
 
 
 def _poly_divmod(a, b, F):
-    """(quotient, remainder) code lists of a by nonzero b over the field
-    F, both lowest degree first; b need not be monic."""
+    """(quotient, remainder) code lists of a by b over the field F, both
+    lowest degree first; b need not be monic."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     add, mul = F.add_table, F.mul_table
     rem = list(a)
     dv = len(b) - 1
@@ -122,6 +154,39 @@ def _poly_divmod(a, b, F):
         while rem and not rem[-1]:
             rem.pop()
     return quot, rem
+
+
+def _poly_rem(a, b, F):
+    """Remainder code list of a by b over the field F: the loop of
+    ``_poly_divmod`` without the quotient."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    add, mul = F.add_table, F.mul_table
+    rem = list(a)
+    dv = len(b) - 1
+    inv = F.inv_table[b[-1]]
+    neg_b = [F.neg_table[c] for c in b[:-1]]
+    while len(rem) > dv:
+        row = mul[mul[rem.pop()][inv]]
+        for k, nc in enumerate(neg_b, len(rem) - dv):
+            rem[k] = add[rem[k]][row[nc]]
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
+def _poly_monic(a, F):
+    """The code list a scaled to leading code 1; a must be nonzero."""
+    row = F.mul_table[F.inv_table[a[-1]]]
+    return [row[c] for c in a]
+
+
+def _poly_gcd(a, b, F):
+    """Monic gcd of code lists a and b over the field F; empty when both
+    are."""
+    while b:
+        a, b = b, _poly_rem(a, b, F)
+    return _poly_monic(a, F) if a else []
 
 
 class FFElem:
@@ -267,6 +332,7 @@ class GaloisField:
             for x in digits
         ]
         self.neg_table = [self._encode([-a for a in x]) for x in digits]
+        self.sub_table = [[row[n] for n in self.neg_table] for row in self.add_table]
         if self.e == 1:
             self.mul_table = [[a * b % p for b in range(q)] for a in range(q)]
         else:

@@ -176,11 +176,6 @@ def _rings(q):
     return A, F, As, Asy, AsX, Ay, AX, FX
 
 
-def _size_guard(q):
-    if q not in (2, 3):
-        raise ValueError("Phi_t is computed only for q in (2, 3) (resultants grow fast)")
-
-
 def _pushforward_coeffs(yring, s_elem, t_elem, q):
     """(p, g1') in yring, with g1' already reduced mod p; g2' = 1."""
     y = yring.gen()
@@ -203,7 +198,6 @@ def _phi_slice(up, p, g1p, q):
 
 def compute_phi_t(q):
     """Phi_t(X, Y) by the generic resultant route."""
-    _size_guard(q)
     A, _, As, Asy, AsX, _, _, _ = _rings(q)
     t = A.gen()
     s = As.gen()
@@ -245,7 +239,6 @@ def phi_t_slices(q, ks):
 def compute_phi_t_interpolated(q):
     """Phi_t(X, Y) by per-specialization resultants at s = t^k for
     k = 0..q+1, then Lagrange interpolation in Y = j."""
-    _size_guard(q)
     pairs = phi_t_slices(q, range(q + 2))
     return lagrange_reconstruct(pairs, q + 1)
 
@@ -259,18 +252,16 @@ def build_Sn(q, n):
         raise ValueError("n must be >= 0")
     F = rational_function_field(q)
     A = F.ring
-    k = F.base_field
     width = 2 * n + 1
     den = A.gen() ** n
     points = []
-    elems = list(k.elements())
     for code in range(q**width):
         digits = []
         c = code
         for _ in range(width):
-            digits.append(elems[c % q])
+            digits.append(c % q)
             c //= q
-        num = A.from_coeffs(digits)
+        num = A.from_codes(digits)
         points.append(F.make(num, den))
     if len(set(points)) != q**width:
         raise InvariantViolation("S_n has repeated points")
@@ -419,7 +410,11 @@ def asymptotic_bound(q, m, eps, dps=DEFAULT_DPS):
 
 def bounds_row(q, m, phi_height=None, eps=0.01):
     """One row of the height table: m, psi, kappa, h(Phi_m) when known,
-    and the three bounds."""
+    and the three bounds.
+
+    The asymptotic bound ((q^2+4)/2 + eps) psi(m) deg m holds only as
+    deg m grows: h(Phi_t) = q^2 (q+1) lies above it at every q >= 3, so
+    the column is informational and never a verdict."""
     return {
         "m": repr(m),
         "psi": psi(q, m),

@@ -182,8 +182,8 @@ def format_poly(poly):
     var = poly.ring.var
     one = poly.ring.base.one
     terms = []
-    for k in range(len(poly.coeffs) - 1, -1, -1):
-        c = poly.coeffs[k]
+    for k in range(int(poly.degree), -1, -1):
+        c = poly.coeff(k)
         if c.is_zero:
             continue
         cs = repr(c)

@@ -1,16 +1,13 @@
 """Dense univariate polynomials over an arbitrary coefficient ring.
 
-The same class serves F_q[t], F_q[t][s], F[x] and every other tower that
-shows up: a PolyRing wraps any base ring whose elements implement the
-arithmetic dunders plus ``exact_div`` and ``is_zero``.  Nesting PolyRings
-gives multivariate polynomial rings in recursive (dense) representation.
-
-Over a GaloisField base, for every q and every size, products and
-divisions unwrap the coefficients to integer codes and run the code-list
-kernels ``ff._poly_mul`` and ``ff._poly_divmod`` on the field tables; over
-a prime field, products large enough to pay for it pack into big integers
-instead (Kronecker substitution).  The per-coefficient loops below serve
-the nested towers only.
+``PolyRing(base, var)`` is the one constructor.  Over a ``GaloisField``
+(A = F_q[t]) its elements are ``FqPoly``s: each holds the tuple of its
+coefficient codes, every operation runs on them through the code-list
+kernels of ``ff``, and ``coeffs`` is a read-only view as field elements.
+Over any other base (A[x], F[Y], A[s][y], ...) the elements are generic
+``Poly``s over a base whose elements implement the arithmetic dunders
+plus ``exact_div`` and ``is_zero``: nesting PolyRings gives multivariate
+rings in recursive (dense) representation.
 
 Division helpers:
 
@@ -26,7 +23,8 @@ Division helpers:
 import array
 import sys
 
-from .ff import GaloisField, _poly_divmod, _poly_mul
+from .ff import GaloisField, _poly_add, _poly_divmod, _poly_gcd, _poly_monic
+from .ff import _poly_mul, _poly_rem, _poly_sub
 
 NEG_INF = float("-inf")
 
@@ -94,7 +92,7 @@ class Poly:
 
     @property
     def constant(self):
-        return self.coeffs[0] if self.coeffs else self.ring.base.zero
+        return self.coeff(0)
 
     def coeff(self, i):
         if 0 <= i < len(self.coeffs):
@@ -115,13 +113,26 @@ class Poly:
     def __hash__(self):
         return hash((id(self.ring), self.coeffs))
 
-    # an operand the ring cannot coerce (a rational function, say) is from
-    # a higher level of the tower: NotImplemented hands it its reflected op
+    def _lift(self, other):
+        """This polynomial in the ring of other, when other is a polynomial
+        from a higher level of the tower whose ring coerces it; else None."""
+        ring = getattr(other, "ring", None)
+        if isinstance(ring, PolyRing):
+            try:
+                return ring(self)
+            except TypeError:
+                pass
+        return None
+
+    # an operand that neither this ring coerces nor whose polynomial ring
+    # coerces this one (a rational function, say) is from a higher level
+    # of the tower: NotImplemented hands it its reflected op
     def __add__(self, other):
         try:
             other = self.ring(other)
         except TypeError:
-            return NotImplemented
+            lifted = self._lift(other)
+            return NotImplemented if lifted is None else lifted + other
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -140,7 +151,8 @@ class Poly:
         try:
             other = self.ring(other)
         except TypeError:
-            return NotImplemented
+            lifted = self._lift(other)
+            return NotImplemented if lifted is None else lifted - other
         a, b = self.coeffs, other.coeffs
         out = list(a) + [-c for c in b[len(a):]]
         for i, c in enumerate(b[: len(a)]):
@@ -154,17 +166,12 @@ class Poly:
         try:
             other = self.ring(other)
         except TypeError:
-            return NotImplemented
+            lifted = self._lift(other)
+            return NotImplemented if lifted is None else lifted * other
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return self.ring.zero
         base = self.ring.base
-        if isinstance(base, GaloisField):
-            a, b = [c.code for c in a], [c.code for c in b]
-            size = len(a) + len(b)
-            if base.e == 1 and len(a) * len(b) > _KRONECKER_PAIRS_PER_COEFF * size:
-                return self._from_codes(_mul_kronecker(a, b, base.p))
-            return self._from_codes(_poly_mul(a, b, base))
         out = [base.zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai.is_zero:
@@ -174,24 +181,13 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def _from_codes(self, codes):
-        """The polynomial of this ring over F_q with trimmed code list codes."""
-        elems = self.ring.base._elems
-        return Poly(self.ring, tuple([elems[v] for v in codes]))
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if n == 1:
             return self
-        if n > 1 and self.coeffs and _is_power_of(n, self.ring.characteristic):
-            # the n-th power map is additive in characteristic p, so
-            # (sum c_i x^i)^n = sum c_i^n x^(i n): no products needed
-            out = [self.ring.base.zero] * ((len(self.coeffs) - 1) * n + 1)
-            for i, c in enumerate(self.coeffs):
-                if not c.is_zero:
-                    out[i * n] = c**n
-            return self.ring.from_coeffs(out)
+        if n > 1 and self and _is_power_of(n, self.ring.characteristic):
+            return self._frobenius(n)
         result, base = self.ring.one, self
         while n:
             if n & 1:
@@ -200,17 +196,21 @@ class Poly:
             n >>= 1
         return result
 
+    def _frobenius(self, n):
+        # n > 1 is a power of p, and the n-th power map is additive in
+        # characteristic p: (sum c_i x^i)^n = sum c_i^n x^(i n)
+        out = [self.ring.base.zero] * ((len(self.coeffs) - 1) * n + 1)
+        for i, c in enumerate(self.coeffs):
+            if not c.is_zero:
+                out[i * n] = c**n
+        return self.ring.from_coeffs(out)
+
     def __divmod__(self, other):
         """Division where each step divides leading coefficients with
         exact_div; raises if a step is not exact in the base ring."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         ring = self.ring
-        if isinstance(ring.base, GaloisField):
-            quot, rem = _poly_divmod(
-                [c.code for c in self.coeffs], [c.code for c in other.coeffs], ring.base
-            )
-            return self._from_codes(quot), self._from_codes(rem)
         rem = list(self.coeffs)
         dv = other.degree
         lead = other.lead
@@ -279,27 +279,6 @@ class Poly:
         # from a list: tuple() of a generator or map resizes and swells free lists
         return Poly(self.ring, tuple([a * c for a in self.coeffs]))
 
-    def shift(self, k):
-        """Multiply by var^k."""
-        if not self.coeffs:
-            return self
-        return Poly(self.ring, (self.ring.base.zero,) * k + self.coeffs)
-
-    def monic(self):
-        if self.is_zero:
-            raise ValueError("zero polynomial cannot be made monic")
-        if self.is_monic:
-            return self
-        inv = self.ring.base.one.exact_div(self.lead)
-        return self.scale(inv)
-
-    def derivative(self):
-        # i * c = (i mod p) * c in characteristic p
-        base = self.ring.base
-        return self.ring.from_coeffs(
-            [base(i) * c for i, c in enumerate(self.coeffs[1:], 1)]
-        )
-
     def __call__(self, x):
         """Evaluate; x may live in any ring containing the coefficients
         (coefficients must be coercible via x's arithmetic)."""
@@ -321,43 +300,149 @@ class Poly:
     def map_coeffs(self, func, ring):
         return ring.from_coeffs([func(c) for c in self.coeffs])
 
-    def qth_root(self, q):
-        """Return g with g^q == self, or None if there is none.
-
-        Uses the additive Frobenius: g^q has support only on exponents
-        divisible by q and coefficients the q-th powers.
-        """
-        if self.is_zero:
-            return self
-        # q is a power of the characteristic; invert the q-power Frobenius
-        # on coefficients by iterating the p-th root
-        p = self.ring.characteristic
-        steps = 0
-        qq = q
-        while qq > 1:
-            qq //= p
-            steps += 1
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if i % q == 0:
-                root = c
-                if not c.is_zero:
-                    for _ in range(steps):
-                        root = root.pth_root()
-                if root is None:
-                    return None
-                out.append(root)
-            elif not c.is_zero:
-                return None
-        cand = self.ring.from_coeffs(out)
-        if cand**q == self:
-            return cand
-        return None
-
     def __repr__(self):
         from .parsing import format_poly
 
         return format_poly(self)
+
+
+def _mul_codes(a, b, F):
+    """Product of code lists over F, packed into big integers when that pays."""
+    if F.e == 1 and len(a) * len(b) > _KRONECKER_PAIRS_PER_COEFF * (len(a) + len(b)):
+        return _mul_kronecker(a, b, F.p)
+    return _poly_mul(a, b, F)
+
+
+def _on_codes(kernel):
+    """The FqPoly operation kernel(a, b, F) on the codes of both operands.
+    An operand the ring cannot coerce is from a higher level of the tower:
+    NotImplemented hands it its reflected op."""
+
+    def op(self, other):
+        ring = self.ring
+        if other.__class__ is not FqPoly or other.ring is not ring:
+            try:
+                other = ring(other)
+            except TypeError:
+                return NotImplemented
+        return FqPoly(ring, tuple(kernel(self.codes, other.codes, ring.base)))
+
+    return op
+
+
+class FqPoly(Poly):
+    """Element of F_q[var]: the tuple ``codes`` of its coefficient codes in
+    F_q = ring.base, lowest degree first, with no trailing zero.  Every
+    operation runs on the codes through the field tables; ``coeffs`` is
+    a read-only view as field elements."""
+
+    __slots__ = ("codes",)
+
+    def __init__(self, ring, codes):
+        self.ring = ring
+        self.codes = codes
+
+    @property
+    def coeffs(self):
+        elems = self.ring.base._elems
+        return tuple([elems[c] for c in self.codes])
+
+    @property
+    def degree(self):
+        return len(self.codes) - 1 if self.codes else NEG_INF
+
+    @property
+    def is_zero(self):
+        return not self.codes
+
+    def __bool__(self):
+        return bool(self.codes)
+
+    @property
+    def lead(self):
+        if not self.codes:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.ring.base._elems[self.codes[-1]]
+
+    def coeff(self, i):
+        codes = self.codes
+        return self.ring.base._elems[codes[i] if 0 <= i < len(codes) else 0]
+
+    @property
+    def is_monic(self):
+        return bool(self.codes) and self.codes[-1] == 1
+
+    def __eq__(self, other):
+        return other.__class__ is FqPoly and self.ring is other.ring and self.codes == other.codes
+
+    def __hash__(self):
+        return hash((id(self.ring), self.codes))
+
+    __add__ = __radd__ = _on_codes(_poly_add)
+    __sub__ = _on_codes(_poly_sub)
+    __rsub__ = _on_codes(lambda a, b, F: _poly_sub(b, a, F))
+    __mul__ = __rmul__ = _on_codes(_mul_codes)
+
+    def __neg__(self):
+        neg = self.ring.base.neg_table
+        return FqPoly(self.ring, tuple([neg[c] for c in self.codes]))
+
+    def _frobenius(self, n):
+        F, codes = self.ring.base, self.codes
+        # n is a power of p, so c^n = c on F_p: only e > 1 maps the codes
+        if F.e > 1:
+            codes = [(F._elems[c] ** n).code for c in codes]
+        out = [0] * ((len(codes) - 1) * n + 1)
+        out[::n] = codes
+        return FqPoly(self.ring, tuple(out))
+
+    def __divmod__(self, other):
+        ring = self.ring
+        quot, rem = _poly_divmod(self.codes, other.codes, ring.base)
+        return FqPoly(ring, tuple(quot)), FqPoly(ring, tuple(rem))
+
+    def __mod__(self, other):
+        return FqPoly(self.ring, tuple(_poly_rem(self.codes, other.codes, self.ring.base)))
+
+    def exact_div(self, other):
+        quot, rem = _poly_divmod(self.codes, other.codes, self.ring.base)
+        if rem:
+            raise ValueError("exact_div: division is not exact")
+        return FqPoly(self.ring, tuple(quot))
+
+    def scale(self, c):
+        """Multiply by a field element."""
+        if not c.code:
+            return self.ring.zero
+        row = self.ring.base.mul_table[c.code]
+        return FqPoly(self.ring, tuple([row[a] for a in self.codes]))
+
+    def monic(self):
+        if not self.codes:
+            raise ValueError("zero polynomial cannot be made monic")
+        if self.codes[-1] == 1:
+            return self
+        return FqPoly(self.ring, tuple(_poly_monic(self.codes, self.ring.base)))
+
+    def derivative(self):
+        # i * c = (i mod p) * c in characteristic p, and i mod p has code i % p
+        mul, p = self.ring.base.mul_table, self.ring.characteristic
+        return self.ring.from_codes([mul[i % p][c] for i, c in enumerate(self.codes[1:], 1)])
+
+    def qth_root(self, q):
+        """Return g with g^q == self, or None if there is none; q is a power
+        of the characteristic p.  g^q has support only on exponents
+        divisible by q, with q-th power coefficients, so g takes the q-th
+        root of every q-th coefficient, the p-th root k times for q = p^k."""
+        codes = self.codes
+        if any(c for i, c in enumerate(codes) if i % q):
+            return None
+        elems, p = self.ring.base._elems, self.ring.characteristic
+        roots = codes[::q]
+        while q > 1:
+            roots = [elems[c].pth_root().code for c in roots]
+            q //= p
+        return FqPoly(self.ring, tuple(roots))
 
 
 class PolyRing:
@@ -376,17 +461,17 @@ class PolyRing:
         key = (id(base), var)
         ring = cls._registry.get(key)
         if ring is None:
-            ring = super().__new__(cls)
+            ring = object.__new__(FqPolyRing if isinstance(base, GaloisField) else PolyRing)
             ring.base = base
             ring.var = var
-            ring.zero = Poly(ring, ())
-            ring.one = Poly(ring, (base.one,))
             ring.characteristic = base.characteristic
+            ring.zero = ring.from_coeffs([])
+            ring.one = ring.from_coeffs([base.one])
             cls._registry[key] = ring
         return ring
 
     def gen(self):
-        return Poly(self, (self.base.zero, self.base.one))
+        return self.from_coeffs([self.base.zero, self.base.one])
 
     def from_coeffs(self, coeffs):
         coeffs = list(coeffs)
@@ -395,9 +480,7 @@ class PolyRing:
         return Poly(self, tuple(coeffs))
 
     def monomial(self, c, k):
-        if c.is_zero:
-            return self.zero
-        return Poly(self, (self.base.zero,) * k + (c,))
+        return self.from_coeffs([self.base.zero] * k + [c])
 
     def constant(self, c):
         return self.from_coeffs([c])
@@ -422,13 +505,23 @@ class PolyRing:
         return f"{self.base!r}[{self.var}]"
 
 
+class FqPolyRing(PolyRing):
+    """F_q[var] for F_q = base, a GaloisField: its elements are FqPolys."""
+
+    def from_codes(self, codes):
+        """The polynomial with coefficient codes codes, lowest degree first."""
+        codes = list(codes)
+        while codes and not codes[-1]:
+            codes.pop()
+        return FqPoly(self, tuple(codes))
+
+    def from_coeffs(self, coeffs):
+        return self.from_codes([c.code for c in coeffs])
+
+
 def poly_gcd(a, b):
-    """Monic gcd over a field base."""
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
+    """Monic gcd of a and b in F_q[var], on their codes."""
+    return FqPoly(a.ring, tuple(_poly_gcd(a.codes, b.codes, a.ring.base)))
 
 
 def poly_xgcd(a, b):

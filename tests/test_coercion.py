@@ -1,9 +1,11 @@
-"""Mixed-level arithmetic on the tower F_q -> A = F_q[t] -> F = F_q(t).
+"""Mixed-level arithmetic on the tower F_q -> A = F_q[t] -> F = F_q(t),
+and on the nested polynomial rings A -> A[x] -> A[x][y].
 
 A binary operation on a lower level returns NotImplemented for an
 operand from a higher level, so the higher level's reflected method
 runs: every level pair, in both orders, gives the result computed
-after lifting both operands to the higher level.
+after lifting both operands to the higher level.  The elements of A are
+``FqPoly``s, the ``Poly`` subclass of every ring over a finite field.
 """
 
 import operator
@@ -11,9 +13,9 @@ import operator
 import pytest
 
 from drinfeld import GF
-from drinfeld.base import poly_ring_A, rational_function_field
+from drinfeld.base import poly_ring_A, rational_function_field, x_ring_over_A
 from drinfeld.ff import FFElem
-from drinfeld.poly import Poly
+from drinfeld.poly import FqPoly, PolyRing
 from drinfeld.ratfunc import RatFunc
 
 QS = (2, 3, 4, 9)
@@ -29,7 +31,7 @@ def _elements(q):
     t = A.gen()
     return {
         "F_q": (c, FFElem, lambda v: v),
-        "A": (t * t + A(c), Poly, A),
+        "A": (t * t + A(c), FqPoly, A),
         "F": (F.make(t + A.one, t * t + A(c)), RatFunc, F),
     }
 
@@ -46,3 +48,50 @@ def test_mixed_level_operands(q, op, left, right):
     result = op(a, b)
     assert type(result) is top_type
     assert result == op(lift(a), lift(b))
+
+
+def _nested(q):
+    """(t, A), (P, A[x]) and (Y, A[x][y]): each element with its ring."""
+    A = poly_ring_A(q)
+    Ax = x_ring_over_A(q)
+    Axy = PolyRing(Ax, "y")
+    t = A.gen()
+    c = A.base.elements()[-1]
+    P = Ax.gen() * Ax.gen() + Ax(t + A(c))
+    Y = Axy.gen() + Axy(P)
+    return [(t, A), (P, Ax), (Y, Axy)]
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize(
+    "pair",
+    [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)],
+    ids=lambda p: "-".join(["A", "Ax", "Axy"][i] for i in p),
+)
+def test_mixed_nested_operands(q, op, pair):
+    """A polynomial and one from a polynomial ring over its ring, in either
+    order: the result is computed in the higher ring."""
+    levels = _nested(q)
+    (a, _), (b, _) = levels[pair[0]], levels[pair[1]]
+    top = levels[max(pair)][1]
+    result = op(a, b)
+    assert result.ring is top
+    assert result == op(top(a), top(b))
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
+def test_unrelated_polynomial_rings_raise(q, op):
+    A = poly_ring_A(q)
+    other = poly_ring_A(2 if q != 2 else 3)
+    Ax, Ay = x_ring_over_A(q), PolyRing(A, "y")
+    for a, b in (
+        (A.gen(), other.gen()),
+        (Ax.gen(), Ay.gen()),
+        (Ax.gen(), PolyRing(other, "x").gen()),
+        (A.gen(), PolyRing(other, "x").gen()),
+    ):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TypeError):
+                op(x, y)

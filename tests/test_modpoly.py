@@ -77,10 +77,18 @@ def test_phi_t_routes_agree(q):
     assert compute_phi_t(q) == compute_phi_t_interpolated(q)
 
 
-@pytest.mark.parametrize("route", [compute_phi_t, compute_phi_t_interpolated])
-def test_phi_t_guard_rejects_large_q(route):
-    with pytest.raises(ValueError):
-        route(4)
+@pytest.mark.parametrize("q", [4, 5])
+def test_phi_t_beyond_q3(q):
+    """Phi_t is computed at every q: at q = 4 and 5 it is symmetric, monic
+    of degree q+1 in both variables, the two routes agree, and its height
+    q^2 (q+1) lies within Prop. 6.5, compared exactly."""
+    phi_t = compute_phi_t(q)
+    assert phi_t.deg_x == phi_t.deg_y == q + 1
+    assert phi_t.is_monic_in_x() and phi_t.is_monic_in_y()
+    assert phi_t.is_symmetric()
+    assert compute_phi_t_interpolated(q) == phi_t
+    assert phi_t.height() == q * q * (q + 1)
+    assert phi_t.height() <= Fraction(prop65_bound(q, poly_ring_A(q).gen()))
 
 
 @pytest.mark.parametrize("q", [2, 3])

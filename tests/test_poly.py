@@ -14,12 +14,14 @@ from drinfeld.skew import SkewPolyRing
 
 
 def _schoolbook_mul(ring, a, b):
-    if not a.coeffs or not b.coeffs:
+    # coeffs of an A element is a view built on each read: read it once
+    a, b = a.coeffs, b.coeffs
+    if not a or not b:
         return ring.zero
     zero = ring.base.zero
-    out = [zero] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ai in enumerate(a.coeffs):
-        for j, bj in enumerate(b.coeffs):
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
             out[i + j] = out[i + j] + ai * bj
     return ring.from_coeffs(out)
 
@@ -27,12 +29,13 @@ def _schoolbook_mul(ring, a, b):
 def _schoolbook_divmod(ring, a, b):
     """Long division on FFElem coefficients, the reference for the kernel."""
     rem = list(a.coeffs)
-    quot = [ring.base.zero] * max(len(rem) - len(b.coeffs) + 1, 0)
-    while rem and len(rem) >= len(b.coeffs):
-        c = rem[-1] / b.lead
-        shift = len(rem) - len(b.coeffs)
+    b = b.coeffs
+    quot = [ring.base.zero] * max(len(rem) - len(b) + 1, 0)
+    while rem and len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
         quot[shift] = c
-        for j, bc in enumerate(b.coeffs):
+        for j, bc in enumerate(b):
             rem[shift + j] = rem[shift + j] - c * bc
         while rem and rem[-1].is_zero:
             rem.pop()

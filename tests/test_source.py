@@ -5,6 +5,10 @@ guessed size and resize it; CPython then frees it onto the free list of
 its final size, so sizes fill toward the 2,000-tuple cap while the list
 of the guessed size drains, and resident memory grows.  Tuples are built
 from lists instead.
+
+A = F_q[t] has one representation, ``FqPoly`` on integer codes; the
+generic ``Poly`` serves the nested rings only, so it must not grow a
+second F_q path that unwraps or rewraps codes.
 """
 
 import ast
@@ -45,3 +49,29 @@ def test_guard_sees_both_forms():
         "a = tuple(x for x in y)\nb = tuple(map(f, y))\nc = tuple([x for x in y])"
     )
     assert list(_resized_tuple_calls(tree)) == [1, 2]
+
+
+def _fq_mentions(cls):
+    """Names in a class body that belong to the F_q code representation."""
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Name) and node.id == "GaloisField":
+            yield node.id
+        elif isinstance(node, ast.Attribute) and node.attr in ("code", "codes", "_from_codes"):
+            yield node.attr
+        elif isinstance(node, ast.FunctionDef) and node.name == "_from_codes":
+            yield node.name
+
+
+def test_generic_poly_has_no_fq_path():
+    tree = ast.parse((SRC / "poly.py").read_text())
+    (poly,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Poly"]
+    assert not list(_fq_mentions(poly))
+
+
+def test_fq_guard_sees_each_mention():
+    tree = ast.parse(
+        "class Poly:\n"
+        "    def _from_codes(self, codes):\n"
+        "        return isinstance(self.ring.base, GaloisField), codes[0].code\n"
+    )
+    assert sorted(_fq_mentions(tree.body[0])) == ["GaloisField", "_from_codes", "code"]
