@@ -54,6 +54,8 @@ def _skew_from_text(phi, text):
 def _basis_from_json(q, text):
     F = rational_function_field(q)
     rows = json.loads(text)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("matrix must be a JSON list of rows")
     parsed = [[parse_element(entry, F) for entry in row] for row in rows]
     return lattice_mod.LatticeBasis.from_rows(F, parsed)
 
@@ -226,7 +228,7 @@ def cmd_lattice(args):
         report["log_covolume"] = str(red.log_covolume)
         report["is_reduced"] = red.is_reduced
         if args.action == "reduce":
-            cols = red.basis.columns
+            cols = red.columns
             report["basis"] = [
                 [repr(cols[j][i]) for j in range(len(cols))]
                 for i in range(len(cols))

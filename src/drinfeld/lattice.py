@@ -1,12 +1,14 @@
 """A-lattices in the sup-normed model F_infinity^r, with entries in F.
 
-Every matrix computation runs over A after clearing denominators.
+Each basis clears its denominators and is eliminated once, when it is
+built: it keeps its integral form (the columns over A and their common
+denominator) and log|det|, and every matrix computation reads that form.
 Column reduction (weak Popov form) produces a successive-minimum basis;
-the covolume is the sum of the minima in log form and always equals the
-degree of the determinant.  Determinants, and the change of basis from a
-lattice to a sublattice, come from one fraction-free (Bareiss)
-elimination over A whose divisions are exact and need no gcd; indices
-are cross-checked against the Smith normal form over A.
+the covolume is the sum of the minima in log form and always equals
+log|det|.  Determinants, and the change of basis from a lattice to a
+sublattice, come from fraction-free (Bareiss) elimination over A whose
+divisions are exact and need no gcd; indices are cross-checked against
+the Smith normal form over A.
 """
 
 from fractions import Fraction
@@ -15,11 +17,16 @@ from .errors import InvariantViolation
 
 
 class LatticeBasis:
-    """Columns spanning an A-lattice; matrix must be nonsingular."""
+    """Columns spanning an A-lattice; matrix must be nonempty and
+    nonsingular.  integral/den is the same matrix over A with its monic
+    common denominator, and log_det = log|det| = deg p - r deg den, p the
+    last Bareiss pivot of integral."""
 
     def __init__(self, field, columns):
         self.field = field
         self.r = len(columns)
+        if not self.r:
+            raise ValueError("basis matrix is empty")
         cols = []
         for col in columns:
             if len(col) != self.r:
@@ -27,14 +34,17 @@ class LatticeBasis:
             # from a list: tuple() of a generator or map resizes and swells free lists
             cols.append(tuple([field(x) for x in col]))
         self.columns = tuple(cols)
-        self.det = det(field, self.columns)
-        if self.det.is_zero:
+        self.integral, self.den = _integral(field, self.columns)
+        p = _bareiss(self.integral)[0]
+        if p.is_zero:
             raise ValueError("basis matrix is singular")
+        self.log_det = int(p.degree) - self.r * int(self.den.degree)
 
     @classmethod
     def from_rows(cls, field, rows):
-        cols = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows))]
-        return cls(field, cols)
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("basis matrix must be square")
+        return cls(field, [[row[j] for row in rows] for j in range(len(rows))])
 
     def scaled(self, c):
         c = self.field(c)
@@ -47,8 +57,8 @@ class LatticeBasis:
 
 
 class ReducedBasis:
-    def __init__(self, basis, minima_logs):
-        self.basis = basis
+    def __init__(self, columns, minima_logs):
+        self.columns = columns  # over F, by descending minimum
         self.minima_logs = minima_logs  # descending
 
     @property
@@ -160,19 +170,19 @@ def weak_popov(cols):
 
 
 def reduce(L):
-    """Successive-minimum basis via weak Popov column reduction."""
-    F = L.field
-    cols, den = _integral(F, L.columns)
-    weak_popov(cols)
+    """Successive-minimum basis via weak Popov column reduction of L's
+    integral form; the moves are unimodular, so the minima sum to log|det L|."""
+    F, den = L.field, L.den
+    cols = weak_popov(list(L.integral))
     shift = int(den.degree)
     pairs = sorted(
         ((Fraction(_col_degree(col) - shift), col) for col in cols),
         key=lambda p: -p[0],
     )
-    minima = [p[0] for p in pairs]
-    basis = LatticeBasis(F, [[F.make(p, den) for p in col] for _, col in pairs])
-    red = ReducedBasis(basis, minima)
-    if red.log_covolume != Fraction(basis.det.deg_infinity()):
+    red = ReducedBasis(
+        [[F.make(p, den) for p in col] for _, col in pairs], [m for m, _ in pairs]
+    )
+    if red.log_covolume != L.log_det:
         raise InvariantViolation("covolume differs from the degree of det")
     return red
 
@@ -195,10 +205,12 @@ def _index(sub, sup):
     Smith form.  sub = sup * M, so deg det M = deg det sub - deg det sup.
 
     One Bareiss elimination of [S | T] over A, S = ds * sup and
-    T = dt * sub, and fraction-free back substitution give y = p S^-1 T
-    with p the last pivot; M = y ds / (p dt) must be integral."""
-    S, ds = _integral(sub.field, sup.columns)
-    T, dt = _integral(sub.field, sub.columns)
+    T = dt * sub the integral forms, and fraction-free back substitution
+    give y = p S^-1 T with p the last pivot; M = y ds / (p dt) must be
+    integral."""
+    if sub.r != sup.r:
+        raise ValueError("sub and sup must have the same rank")
+    S, ds, T, dt = sup.integral, sup.den, sub.integral, sub.den
     n = len(S)
     p, rows = _bareiss(S, T)
     scale = p * dt
@@ -214,7 +226,7 @@ def _index(sub, sup):
         if any(not rem.is_zero for _, rem in col):
             raise ValueError("not contained: change of basis is not integral")
         M_A.append([quo for quo, _ in col])
-    value = Fraction(sub.det.deg_infinity() - sup.det.deg_infinity())
+    value = Fraction(sub.log_det - sup.log_det)
     inv_factors = smith_invariant_factors(M_A)
     if value != sum(Fraction(int(f.degree)) for f in inv_factors):
         raise InvariantViolation("index differs from the Smith form degree")
@@ -229,61 +241,42 @@ def log_index(sub, sup):
 
 def smith_invariant_factors(cols):
     """Invariant factors (monic, ascending divisibility) of a nonsingular
-    matrix over A given as columns."""
+    matrix over A given as columns.
+
+    Step k pivots on a least-degree entry of the trailing block, clears
+    row and column k by division, and repivots while a remainder is left;
+    if the pivot does not divide the rest of the block, a row of it is
+    added to row k, which leaves a remainder."""
     n = len(cols)
     m = [[cols[j][i] for j in range(n)] for i in range(n)]  # rows
     factors = []
-
-    def nonzero_min(sub_m, size):
-        best = None
-        for i in range(size):
-            for j in range(size):
-                p = sub_m[i][j]
-                if not p.is_zero and (best is None or p.degree < sub_m[best[0]][best[1]].degree):
-                    best = (i, j)
-        return best
-
-    size = n
-    while size > 0:
+    for k in range(n):
+        block, rest = range(k, n), range(k + 1, n)
         while True:
-            pos = nonzero_min(m, size)
-            i0, j0 = pos
-            m[0], m[i0] = m[i0], m[0]
-            for row in m:
-                row[0], row[j0] = row[j0], row[0]
-            pivot = m[0][0]
-            done = True
-            for i in range(1, size):
-                if not m[i][0].is_zero:
-                    q, _ = divmod(m[i][0], pivot)
-                    m[i] = [a - q * b for a, b in zip(m[i], m[0])]
-                    if not m[i][0].is_zero:
-                        done = False
-            for j in range(1, size):
-                if not m[0][j].is_zero:
-                    q, _ = divmod(m[0][j], pivot)
-                    for i in range(size):
-                        m[i][j] = m[i][j] - q * m[i][0]
-                    if not m[0][j].is_zero:
-                        done = False
-            if done and all(m[i][0].is_zero for i in range(1, size)) and all(
-                m[0][j].is_zero for j in range(1, size)
-            ):
-                # pivot must divide every remaining entry
-                fixed = False
-                for i in range(1, size):
-                    for j in range(1, size):
-                        if not divmod(m[i][j], pivot)[1].is_zero:
-                            m[0] = [a + b for a, b in zip(m[0], m[i])]
-                            fixed = True
-                            break
-                    if fixed:
-                        break
-                if not fixed:
-                    break
-        factors.append(m[0][0].monic())
-        m = [row[1:] for row in m[1:]]
-        size -= 1
+            _, i0, j0 = min(
+                (m[i][j].degree, i, j) for i in block for j in block if m[i][j]
+            )
+            m[k], m[i0] = m[i0], m[k]
+            for row in m[k:]:
+                row[k], row[j0] = row[j0], row[k]
+            pivot, top = m[k][k], m[k]
+            for i in rest:
+                if not m[i][k].is_zero:
+                    c = m[i][k] // pivot
+                    m[i] = [a - c * b for a, b in zip(m[i], top)]
+            for j in rest:
+                if not top[j].is_zero:
+                    c = top[j] // pivot
+                    for row in m[k:]:
+                        row[j] = row[j] - c * row[k]
+            if any(not (m[i][k].is_zero and top[i].is_zero) for i in rest):
+                continue  # a remainder is left: repivot on it
+            bad = (i for i in rest for j in rest if not (m[i][j] % pivot).is_zero)
+            i = next(bad, None)
+            if i is None:
+                break
+            m[k] = [a + b for a, b in zip(top, m[i])]
+        factors.append(m[k][k].monic())
     return factors
 
 
@@ -369,20 +362,20 @@ def random_containment_instance(F, r, rng, max_degree=2):
     """(Lam, Lam2, alpha) with both reduced and alpha*Lam inside Lam2."""
     A = F.ring
     Lam2 = random_reduced_lattice(F, r, rng, max_degree)
-    cols = []
     while True:
-        C = [
-            [A.random_element(rng, max_degree) for _ in range(r)] for _ in range(r)
-        ]
-        if not det(F, [[F.from_poly(p) for p in col] for col in C]).is_zero:
+        C = [[A.random_element(rng, max_degree) for _ in range(r)] for _ in range(r)]
+        cols = []
+        for ccol in C:
+            vec = [F.zero] * r
+            for j, coeff in enumerate(ccol):
+                for i in range(r):
+                    vec[i] = vec[i] + Lam2.columns[j][i] * F.from_poly(coeff)
+            cols.append(vec)
+        try:  # Lam2 is nonsingular, so Lam2 * C is singular exactly when C is
+            product = LatticeBasis(F, cols)  # = Lam2 * C, contained in Lam2
             break
-    for ccol in C:
-        vec = [F.zero] * r
-        for j, coeff in enumerate(ccol):
-            for i in range(r):
-                vec[i] = vec[i] + Lam2.columns[j][i] * F.from_poly(coeff)
-        cols.append(vec)
-    product = LatticeBasis(F, cols)  # = Lam2 * C, contained in Lam2
+        except ValueError:
+            continue
     m = min(reduce(product).minima_logs)
     if m < 0:
         raise InvariantViolation("sublattice of a reduced lattice has minimum < 0")

@@ -16,6 +16,8 @@ class ParseError(ValueError):
 
 
 def tokenize(text):
+    if not isinstance(text, str):
+        raise ParseError(f"expected a string, got {text!r}")
     pos, out = 0, []
     while pos < len(text):
         m = TOKEN.match(text, pos)
@@ -64,6 +66,8 @@ class _Parser:
             rhs = self.factor()
             if op == "*":
                 value = value * rhs
+            elif rhs.is_zero:
+                raise ParseError("division by zero")
             else:
                 value = value / rhs
         return value

@@ -300,3 +300,36 @@ def test_seed_is_harness_only(capsys, command):
 def test_bad_input_exit_code(capsys):
     code = main(["heights", "--module", "{not json"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lattice", "reduce", "--matrix", "[]"], "empty"),
+        (["lattice", "reduce", "--matrix", '[["1","0"],["0"]]'], "square"),
+        (["lattice", "reduce", "--matrix", '[["1"],["0","1"]]'], "square"),
+        (["lattice", "covolume", "--matrix", '["1"]'], "list of rows"),
+        (["lattice", "reduce", "--matrix", '[["1/0"]]'], "division by zero"),
+        (["lattice", "reduce", "--matrix", "[[1]]"], "expected a string"),
+        (
+            ["lattice", "index", "--sub", '[["t"]]', "--sup", '[["1","0"],["0","1"]]'],
+            "same rank",
+        ),
+        (
+            [
+                "lattice", "analytic-check", "--sub", '[["1"]]',
+                "--sup", '[["1","0"],["0","1"]]', "--alpha", "t",
+            ],
+            "same rank",
+        ),
+        (["heights", "--module", '{"q":2,"r":2,"g":["1/0","1"]}'], "division by zero"),
+        (["heights", "--module", '{"q":2,"r":2,"g":[1,1]}'], "expected a string"),
+    ],
+)
+def test_bad_literal_or_matrix_exits_one(capsys, argv, message):
+    # bad input is reported on stderr with exit 1, not raised as a traceback
+    if argv[0] == "lattice":
+        argv = argv + ["--q", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("drinfeld: error: ") and message in err

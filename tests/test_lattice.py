@@ -3,6 +3,7 @@ the containment sandwich, and the rank 2 j-size model."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,11 +13,12 @@ from drinfeld import (
     covolume,
     gekeler_j_log,
     is_reduced,
+    lattice,
     log_index,
     parse_element,
     reduce,
 )
-from drinfeld.base import rational_function_field
+from drinfeld.base import poly_ring_A, rational_function_field
 from drinfeld.lattice import (
     _index,
     det,
@@ -25,6 +27,8 @@ from drinfeld.lattice import (
     random_reduced_lattice,
     smith_invariant_factors,
 )
+from drinfeld.poly import poly_gcd
+from drinfeld.ratfunc import FractionField
 
 
 def _basis(q, rows):
@@ -325,3 +329,138 @@ def test_elimination_over_A_matches_F_oracle(q, r):
         C[-1][0] = C[-1][0] + F.one / (F.t + F.one)
         with pytest.raises(ValueError, match="not contained"):
             log_index(LatticeBasis(F, _times(F, sup.columns, C)), sup)
+
+
+# -- one integral form per basis ----------------------------------------------
+
+
+def _count_eliminations_and_clears(monkeypatch):
+    counts = {"eliminations": 0, "clears": 0}
+    bareiss, clear = lattice._bareiss, FractionField.clear_denominators
+
+    def counted_bareiss(*args):
+        counts["eliminations"] += 1
+        return bareiss(*args)
+
+    def counted_clear(self, xs):
+        counts["clears"] += 1
+        return clear(self, xs)
+
+    monkeypatch.setattr(lattice, "_bareiss", counted_bareiss)
+    monkeypatch.setattr(FractionField, "clear_denominators", counted_clear)
+    return counts
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("with_den", [False, True])
+def test_each_basis_is_cleared_and_eliminated_once(monkeypatch, q, with_den):
+    F = rational_function_field(q)
+    rng = random.Random(2000 + q)
+    cols = _nonsingular(F, 3, rng, with_den, False)
+    C = _nonsingular(F, 3, rng, False, False)
+    counts = _count_eliminations_and_clears(monkeypatch)
+
+    def cost(fn, *args):
+        counts.update(eliminations=0, clears=0)
+        value = fn(*args)
+        return value, (counts["eliminations"], counts["clears"])
+
+    sup, built = cost(LatticeBasis, F, cols)
+    assert built == (1, 1)
+    assert not hasattr(sup, "det")
+    den = F.from_poly(sup.den)
+    assert sup.den.is_monic and (den == F.one) != with_den
+    assert [[F.from_poly(a) for a in col] for col in sup.integral] == [
+        [x * den for x in col] for col in sup.columns
+    ]
+    sub = LatticeBasis(F, _times(F, sup.columns, C))
+    red, reduced = cost(reduce, sup)
+    assert reduced == (0, 0)
+    assert red.log_covolume == sup.log_det
+    value, indexed = cost(log_index, sub, sup)
+    assert indexed == (1, 0)
+    assert value == sub.log_det - sup.log_det
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_log_det_is_degree_of_det(q, r):
+    F = rational_function_field(q)
+    rng = random.Random(3000 + 10 * q + r)
+    for with_den in (False, True):
+        for _ in range(3):
+            L = LatticeBasis(F, _nonsingular(F, r, rng, with_den, False))
+            assert L.log_det == det(F, L.columns).deg_infinity()
+            assert covolume(L).log_value == L.log_det
+
+
+def test_malformed_bases_rejected():
+    F = rational_function_field(2)
+    with pytest.raises(ValueError, match="empty"):
+        LatticeBasis(F, [])
+    with pytest.raises(ValueError, match="empty"):
+        LatticeBasis.from_rows(F, [])
+    for ragged in ([[F.one, F.zero], [F.zero]], [[F.one], [F.zero, F.one]]):
+        with pytest.raises(ValueError, match="square"):
+            LatticeBasis.from_rows(F, ragged)
+    one = LatticeBasis(F, [[F.t]])
+    two = LatticeBasis(F, [[F.one, F.zero], [F.zero, F.one]])
+    for sub, sup in ((one, two), (two, one)):
+        with pytest.raises(ValueError, match="same rank"):
+            log_index(sub, sup)
+
+
+# -- differential test of the Smith form against the minors oracle ------------
+#
+# d_k = D_k / D_(k-1), D_k the monic gcd of all k x k minors: the textbook
+# definition of the invariant factors, independent of any pivoting.
+
+
+def _laplace_det(rows, A):
+    if len(rows) == 1:
+        return rows[0][0]
+    total = A.zero
+    for j, a in enumerate(rows[0]):
+        if a:
+            term = a * _laplace_det([row[:j] + row[j + 1 :] for row in rows[1:]], A)
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def _smith_by_minors(cols, A):
+    n = len(cols)
+    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
+    factors, prev = [], A.one
+    for k in range(1, n + 1):
+        D = A.zero
+        for I in combinations(range(n), k):
+            for J in combinations(range(n), k):
+                D = poly_gcd(D, _laplace_det([[rows[i][j] for j in J] for i in I], A))
+        factors.append(D.exact_div(prev))
+        prev = D
+    return factors
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_smith_matches_minors_oracle(q, r):
+    A = poly_ring_A(q)
+    rng = random.Random(4000 + 10 * q + r)
+    seen = 0
+    while seen < 6:
+        cols = [[A.random_element(rng, 2) for _ in range(r)] for _ in range(r)]
+        if _laplace_det(cols, A).is_zero:
+            continue
+        seen += 1
+        assert smith_invariant_factors(cols) == _smith_by_minors(cols, A)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_smith_adds_a_row_when_the_pivot_does_not_divide(q):
+    # diag(t, t+1): t is the least-degree pivot and clears nothing, but it
+    # does not divide t+1, so only the row-add step reaches [1, t^2+t]
+    A = poly_ring_A(q)
+    t = A.gen()
+    cols = [[t, A.zero], [A.zero, t + A.one]]
+    assert smith_invariant_factors(cols) == [A.one, t * t + t]
+    assert _smith_by_minors(cols, A) == [A.one, t * t + t]

@@ -39,6 +39,16 @@ def test_parse_errors():
         parse_element("t^(2)", A)
 
 
+@pytest.mark.parametrize(
+    "ring", [GF(2), GF(4), poly_ring_A(2), rational_function_field(3)]
+)
+@pytest.mark.parametrize("text", ["1/0", "1/(1-1)", 1, None, ["1"]])
+def test_unparseable_literal_is_parse_error(ring, text):
+    # a zero divisor or a non-string is bad input, not an arithmetic error
+    with pytest.raises(ParseError):
+        parse_element(text, ring)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_ratfunc_roundtrip(q):
     F = rational_function_field(q)
