@@ -41,15 +41,24 @@ class DrinfeldModule:
 
     @classmethod
     def from_literal(cls, literal):
-        """Build from {"q": 2, "r": 2, "g": ["t+1", "1"]}."""
+        """Build from {"q": 2, "r": 2, "g": ["t+1", "1"]}; a literal of
+        any other shape is a ValueError that names the problem."""
         from .base import rational_function_field
         from .parsing import parse_element
 
-        q = int(literal["q"])
-        r = int(literal["r"])
+        if not isinstance(literal, dict):
+            raise ValueError('module literal must be a JSON object {"q": .., "r": .., "g": [..]}')
+        missing = [key for key in ("q", "r", "g") if key not in literal]
+        if missing:
+            raise ValueError(f"module literal lacks {', '.join(missing)}")
+        q, r, g = literal["q"], literal["r"], literal["g"]
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in (q, r)):
+            raise ValueError("module literal's q and r must be integers")
+        # the parser rejects an entry of g that is not a string
+        if not isinstance(g, list):
+            raise ValueError("module literal's g must be a list of strings")
         F = rational_function_field(q)
-        g = [parse_element(s, F) for s in literal["g"]]
-        return cls(F, q, r, g)
+        return cls(F, q, r, [parse_element(s, F) for s in g])
 
     def to_literal(self):
         return {

@@ -5,9 +5,11 @@ Polynomials over A = F_q[t] in the variable x are represented in the
 nested ring A[x] = PolyRing(PolyRing(F_q, 't'), 'x').
 """
 
-from .errors import IrreducibilityUncertain, RootExtractionFailure
+from .errors import InvariantViolation, IrreducibilityUncertain, RootExtractionFailure
 from .factor import factor
+from .ff import power
 from .poly import Poly, PolyRing, content, poly_gcd, poly_xgcd, primitive_part
+from .ratfunc import RatFunc
 
 
 class ExtElem:
@@ -62,7 +64,7 @@ class ExtElem:
             raise ZeroDivisionError("zero has no inverse")
         g, u, _ = poly_xgcd(self.poly, self.field.modulus)
         if g.degree != 0:
-            raise ArithmeticError("modulus is not irreducible")  # cannot happen
+            raise InvariantViolation("modulus is not irreducible")
         return ExtElem(self.field, u % self.field.modulus)
 
     def __truediv__(self, other):
@@ -77,13 +79,7 @@ class ExtElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result, base = self.field.one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, self.field.one)
 
     def qth_root(self):
         # Root extraction in F[x]/(m) is Frobenius-semilinear algebra we
@@ -189,9 +185,12 @@ def _monic_divisors(a):
 
 def rational_roots(f_in_Ax, F):
     """All roots in F of a nonzero polynomial in A[x], found by the
-    rational root test (divisors of the constant and leading terms).
-    The test holds for any nonzero f in A[x], primitive or not, so the
-    content is not taken here: to_A_x already returns a primitive f."""
+    rational root test: a root u a / b in lowest terms, with a and b monic
+    and u a unit, has a | f(0) and b | lead(f).  Each candidate is decided
+    in A: f(u a / b) = 0 iff sum_i u^i c_i a^i b^(d-i) = 0 for
+    f = sum_i c_i x^i of degree d.  The test holds for any nonzero f in
+    A[x], primitive or not, so the content is not taken here: to_A_x
+    already returns a primitive f."""
     f = f_in_Ax
     roots = []
     if f.constant.is_zero:
@@ -200,21 +199,34 @@ def rational_roots(f_in_Ax, F):
             f = f.ring.from_coeffs(f.coeffs[1:])
         if f.degree == 0:
             return roots
-    lead = f.lead
-    const = f.constant
+    A, d = f.ring.base, int(f.degree)
     units = [u for u in F.base_field.elements() if not u.is_zero]
-    seen = set()
-    for a in _monic_divisors(const):
-        for b in _monic_divisors(lead):
+    # u^(q-1) = 1, so the sum folds by i mod (q-1) before u is chosen
+    period = len(units)
+    b_pows = [(b, _powers(b, d)) for b in _monic_divisors(f.lead)]
+    for a in _monic_divisors(f.constant):
+        a_pows = _powers(a, d)
+        for b, bp in b_pows:
+            # a pair with a common factor g gives the values of
+            # (a/g, b/g), which _monic_divisors lists first
+            if a.degree > 0 and b.degree > 0 and poly_gcd(a, b).degree > 0:
+                continue
+            folded = [A.zero] * period
+            for i, c in enumerate(f.coeffs):
+                folded[i % period] += c * a_pows[i] * bp[d - i]
             for u in units:
-                cand = F.make(a.scale(u), b)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                val = f.eval_with(lambda c: F.from_poly(c), cand)
-                if val.is_zero:
-                    roots.append(cand)
+                if not sum([s.scale(u**r) for r, s in enumerate(folded)], A.zero):
+                    # b is monic and coprime to a: already canonical
+                    roots.append(RatFunc(F, a.scale(u), b))
     return roots
+
+
+def _powers(x, d):
+    """[1, x, ..., x^d]."""
+    out = [x.ring.one]
+    for _ in range(d):
+        out.append(out[-1] * x)
+    return out
 
 
 def irreducible_over_F(f_in_Ax):

@@ -9,6 +9,7 @@ a result.  Irreducibility is Ben-Or's test on the same Frobenius step.
 
 import random
 
+from .ff import digits
 from .poly import poly_gcd
 
 
@@ -141,16 +142,7 @@ def monic_polys_of_degree(ring, d):
     """All monic degree-d polynomials in a fixed lexicographic order
     (low-degree coefficient codes vary fastest)."""
     q = ring.base.q
-    out = []
-    for code in range(q**d):
-        codes = []
-        c = code
-        for _ in range(d):
-            codes.append(c % q)
-            c //= q
-        codes.append(1)
-        out.append(ring.from_codes(codes))
-    return out
+    return [ring.from_codes(digits(code, q, d) + [1]) for code in range(q**d)]
 
 
 def is_irreducible(f):

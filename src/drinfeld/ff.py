@@ -51,16 +51,33 @@ def factor_prime_power(q):
     raise ValueError(f"{q} is not a prime power")
 
 
+def digits(n, base, width):
+    """The width lowest digits of n >= 0 in base, least significant first."""
+    out = []
+    for _ in range(width):
+        n, d = divmod(n, base)
+        out.append(d)
+    return out
+
+
+def power(x, n, one):
+    """x^n for an integer n >= 0 by square-and-multiply, one being the
+    identity of x's ring; squares only while bits of n remain."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
 def _smallest_irreducible(p, e):
     """Monic irreducible of degree e over F_p with the smallest
     non-leading coefficient vector (as a base-p integer)."""
     for code in range(p**e):
-        coeffs = []
-        c = code
-        for _ in range(e):
-            coeffs.append(c % p)
-            c //= p
-        m = coeffs + [1]
+        m = digits(code, p, e) + [1]
         if _is_irreducible_mod_p(m, p):
             return m
     raise InvariantViolation(f"no monic irreducible of degree {e} over F_{p}")
@@ -72,18 +89,12 @@ def _is_irreducible_mod_p(m, p):
         return True
     if m[0] == 0:
         return False
-    # Trial division by every monic polynomial of degree <= e/2; the
+    # Trial division by every monic polynomial of degree 1..e/2; the
     # degrees in play here are tiny, so this is fast enough.
-    for dcode in range(p, p ** ((e // 2) + 1)):
-        div = []
-        c = dcode
-        while c:
-            div.append(c % p)
-            c //= p
-        if div[-1] != 1 or len(div) < 2:
-            continue
-        if not _poly_divmod(m, div, GF(p))[1]:
-            return False
+    for deg in range(1, e // 2 + 1):
+        for code in range(p**deg):
+            if not _poly_rem(m, digits(code, p, deg) + [1], GF(p)):
+                return False
     return True
 
 
@@ -261,14 +272,7 @@ class FFElem:
         if self.code == 0:
             return f.one if n == 0 else f.zero
         # the multiplicative group has order q - 1
-        n %= f.q - 1
-        result, base = f.one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n % (f.q - 1), f.one)
 
     def pth_root(self):
         """Unique p-th root (Frobenius is bijective on F_q)."""
@@ -280,11 +284,7 @@ class FFElem:
 
     def coords(self):
         """Coordinates over the prime field, low degree first."""
-        c, out = self.code, []
-        for _ in range(self.field.e):
-            out.append(c % self.field.p)
-            c //= self.field.p
-        return out
+        return digits(self.code, self.field.p, self.field.e)
 
     def __repr__(self):
         from .parsing import format_ff
@@ -305,10 +305,7 @@ class GaloisField:
         self.zero, self.one = self._elems[0], self._elems[1]
 
     def _decode(self, code):
-        c, out = code, []
-        for _ in range(self.e):
-            out.append(c % self.p)
-            c //= self.p
+        out = digits(code, self.p, self.e)
         while out and out[-1] == 0:
             out.pop()
         return out

@@ -30,20 +30,9 @@ class Isogeny:
         self.f = f
         self.source = source
         self.target = target
-        self.deg_log = int(f.tau_degree)
 
     def __repr__(self):
         return f"Isogeny({self.f!r})"
-
-    def to_payload(self):
-        data = dual(self.source, self.target, self.f)
-        return {
-            "f": repr(self.f),
-            "source": self.source.to_literal(),
-            "target": self.target.to_literal(),
-            "N": repr(data.N),
-            "fhat": repr(data.fhat),
-        }
 
 
 class DualData:

@@ -10,7 +10,10 @@ Phi_t is computed two independent ways:
   y-resultant of p against X - g1'^(q+1).
 * interpolation route: specialize s = t^k, take univariate resultants,
   and Lagrange-interpolate in Y = j, over A in Z = D Y with D the lcm
-  of the point denominators.
+  of the point denominators.  The slices P_k over the basis
+  denominators c_k share one common denominator E, so reconstruction
+  sums in A[Z] and divides each coefficient by E once; it builds no
+  element of F.
 
 Coefficient heights are log base q of the sup norm at infinity, i.e.
 t-degrees.
@@ -26,7 +29,9 @@ from .bounds import (
 )
 from .errors import InvariantViolation
 from .factor import factor
+from .ff import digits
 from .poly import PolyRing, resultant
+from .ratfunc import RatFunc
 
 
 class BivarPoly:
@@ -256,13 +261,7 @@ def build_Sn(q, n):
     den = A.gen() ** n
     points = []
     for code in range(q**width):
-        digits = []
-        c = code
-        for _ in range(width):
-            digits.append(c % q)
-            c //= q
-        num = A.from_codes(digits)
-        points.append(F.make(num, den))
+        points.append(F.make(A.from_codes(digits(code, q, width)), den))
     if len(set(points)) != q**width:
         raise InvariantViolation("S_n has repeated points")
     return tuple(points)
@@ -335,25 +334,30 @@ def lagrange_reconstruct(pairs, d, n=None):
     pairs = list(pairs)
     if len(pairs) != d + 1:
         raise ValueError("need exactly d+1 evaluation points")
-    FX = pairs[0][1].ring
-    F = FX.base
-    # the basis has constant coefficients in X: total[j] is the Z^j
-    # coefficient of P, accumulated in F[X]
+    F = pairs[0][1].ring.base
+    # P = sum_k P_k(X) b_k(Z) / c_k with Z = D Y.  Over one common
+    # denominator E every P_k,i / c_k is N_k,i / E, so the X^i Z^j
+    # coefficient of P is sum_k N_k,i b_k,j / E: summed in A[Z], divided once
     D, basis = _lagrange_basis([y for y, _ in pairs])
-    total = [FX.zero] * (d + 1)
-    for (bk, ck), (_, pk) in zip(basis, pairs):
-        pk = pk.scale(F.from_poly(ck).inverse())
-        for j, c in enumerate(bk.coeffs):
-            total[j] = total[j] + pk.scale(F.from_poly(c))
+    fracs = []
+    for (_, ck), (_, pk) in zip(basis, pairs):
+        # clear_denominators takes unreduced fractions with monic denominators
+        unit, mk = ck.lead.inverse(), ck.monic()
+        fracs += [RatFunc(F, c.num.scale(unit), c.den * mk) for c in pk.coeffs]
+    nums, E = F.clear_denominators(fracs)
+    nums = iter(nums)
+    sums = {}
+    for (bk, _), (_, pk) in zip(basis, pairs):
+        for i in range(len(pk.coeffs)):
+            sums[i] = sums.get(i, bk.ring.zero) + bk.scale(next(nums))
     coeffs = {}
-    for j, cz in enumerate(total):
-        # Z = D Y: the Y^j coefficient is D^j times the Z^j one
-        for i, cf in enumerate(cz.scale(F.from_poly(D) ** j).coeffs):
-            if cf.is_zero:
-                continue
-            if not cf.is_polynomial:
+    for i, s in sums.items():
+        for j, c in enumerate(s.coeffs):
+            # Z = D Y: the Y^j coefficient is D^j times the Z^j one
+            quot, rem = divmod(c * D**j, E)
+            if rem:
                 raise ValueError("reconstruction has non-polynomial coefficients")
-            coeffs[(i, j)] = cf.num
+            coeffs[(i, j)] = quot
     out = BivarPoly(F.ring, coeffs)
     if n is not None and not out.is_zero:
         logs = [

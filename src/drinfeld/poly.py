@@ -23,7 +23,7 @@ Division helpers:
 import array
 import sys
 
-from .ff import GaloisField, _poly_add, _poly_divmod, _poly_gcd, _poly_monic
+from .ff import GaloisField, _poly_add, _poly_divmod, _poly_gcd, _poly_monic, power
 from .ff import _poly_mul, _poly_rem, _poly_sub
 
 NEG_INF = float("-inf")
@@ -188,13 +188,7 @@ class Poly:
             return self
         if n > 1 and self and _is_power_of(n, self.ring.characteristic):
             return self._frobenius(n)
-        result, base = self.ring.one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one)
 
     def _frobenius(self, n):
         # n > 1 is a power of p, and the n-th power map is additive in
@@ -287,14 +281,6 @@ class Poly:
         result = None
         for c in reversed(self.coeffs):
             result = c if result is None else result * x + c
-        return result
-
-    def eval_with(self, embed, x):
-        """Evaluate at x, mapping each coefficient through embed first."""
-        result = None
-        for c in reversed(self.coeffs):
-            ec = embed(c)
-            result = ec if result is None else result * x + ec
         return result
 
     def map_coeffs(self, func, ring):

@@ -169,7 +169,8 @@ class FractionField:
 
     def clear_denominators(self, xs):
         """(polys, den): den the monic lcm of the denominators of xs and
-        polys[i] = xs[i] * den, exactly, as elements of the ring."""
+        polys[i] = xs[i] * den, exactly, as elements of the ring.  Only
+        monic denominators are needed: xs may be unreduced fractions."""
         den = self.ring.one
         for x in xs:
             if x.den.degree > 0:
@@ -182,9 +183,7 @@ class FractionField:
             return value
         if isinstance(value, Poly) and value.ring is self.ring:
             return RatFunc(self, value, self.ring.one)
-        if isinstance(value, int):
-            return RatFunc(self, self.ring(value), self.ring.one)
-        # base field element
+        # an integer or a base-field element
         return RatFunc(self, self.ring(value), self.ring.one)
 
     def from_poly(self, p):

@@ -10,6 +10,7 @@ roots and reports failure when one does not exist.
 from functools import lru_cache
 
 from .errors import RootExtractionFailure
+from .ff import power
 
 
 class SkewPoly:
@@ -94,13 +95,7 @@ class SkewPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a skew polynomial")
-        result, base = self.ring.one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one)
 
     def right_divmod(self, b):
         """(quot, rem) with self = quot * b + rem, tau-deg rem < tau-deg b.

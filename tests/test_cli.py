@@ -324,6 +324,19 @@ def test_bad_input_exit_code(capsys):
         ),
         (["heights", "--module", '{"q":2,"r":2,"g":["1/0","1"]}'], "division by zero"),
         (["heights", "--module", '{"q":2,"r":2,"g":[1,1]}'], "expected a string"),
+        (["heights", "--module", "[1]"], "JSON object"),
+        (["heights", "--module", '{"q":2,"r":2}'], "lacks g"),
+        (["heights", "--module", '{"g":["t","1"]}'], "lacks q, r"),
+        (["heights", "--module", '{"q":2,"r":2,"g":"t1"}'], "list of strings"),
+        (["heights", "--module", '{"q":[2],"r":2,"g":["t","1"]}'], "integers"),
+        (["isogeny", "minimal-N", "--module", '"t"', "--f", "1*T^0 + T^1"], "JSON object"),
+        (
+            [
+                "isogeny", "verify", "--module", '{"q":2,"r":2,"g":["t+1","1"]}',
+                "--f", "1*T^0 + T^1", "--target", '{"q":2,"g":["t","1"]}',
+            ],
+            "lacks r",
+        ),
     ],
 )
 def test_bad_literal_or_matrix_exits_one(capsys, argv, message):

@@ -7,7 +7,8 @@ import pytest
 from drinfeld import QuotientField
 from drinfeld.base import rational_function_field, x_ring_over_A, x_ring_over_F
 from drinfeld.errors import IrreducibilityUncertain, RootExtractionFailure
-from drinfeld.extfield import irreducible_over_F, rational_roots, to_A_x
+from drinfeld.extfield import _monic_divisors, irreducible_over_F, rational_roots, to_A_x
+from drinfeld.isogeny import random_isogenous_pair
 from drinfeld.poly import content
 
 
@@ -134,3 +135,123 @@ def test_to_A_x_lands_in_the_shared_ring(q):
     f = to_A_x(Fx.gen() ** 2 + Fx.constant(F.t))
     assert f.ring is Ax
     assert f == Ax.gen() ** 2 + Ax.constant(Ax.base.gen())
+
+
+def _rational_roots_oracle(f, F):
+    """The F-level rational root test: every candidate u a / b made
+    canonical in F, kept on its first occurrence, and evaluated in F."""
+    roots = []
+    if f.constant.is_zero:
+        roots.append(F.zero)
+        while f.constant.is_zero:
+            f = f.ring.from_coeffs(f.coeffs[1:])
+        if f.degree == 0:
+            return roots
+    units = [u for u in F.base_field.elements() if not u.is_zero]
+    seen = set()
+    for a in _monic_divisors(f.constant):
+        for b in _monic_divisors(f.lead):
+            for u in units:
+                cand = F.make(a.scale(u), b)
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                val = F.zero
+                for c in reversed(f.coeffs):
+                    val = val * cand + F.from_poly(c)
+                if val.is_zero:
+                    roots.append(cand)
+    return roots
+
+
+def _oracle_inputs(q, rng):
+    """Polynomials in A[x] with known shapes: rank-2 y-polynomials
+    g_2 y^(q+1) + g_1 y + t, cleared products of linear factors (with the
+    root 0, repeated roots and a non-primitive scaling), and
+    polynomials in x^p."""
+    F = rational_function_field(q)
+    A = F.ring
+    Fx = x_ring_over_F(q)
+    Ax = x_ring_over_A(q)
+    t = A.gen()
+    p = F.characteristic
+    out = []
+    for _ in range(3):
+        phi, _, _, _ = random_isogenous_pair(q, 2, rng, size_bound=1)
+        g1, g2 = phi.coeffs
+        out.append(to_A_x(Fx.monomial(g2, q + 1) + Fx.monomial(g1, 1) + Fx.constant(F.t)))
+    for _ in range(3):
+        roots = [F.random_element(rng, 1) for _ in range(rng.randint(1, 3))]
+        roots += [roots[0], F.zero]  # a repeated root and the root 0
+        f = Fx.one
+        for y in roots:
+            f = f * (Fx.gen() - Fx.constant(y))
+        g = to_A_x(f)
+        out.append(g)
+        out.append(g.scale(t * (t + A.one)))  # content t(t + 1), shared by f(0) and lead
+    for _ in range(2):
+        # h(x^p), and (b x - a)^p = b^p x^p - a^p with the root a / b
+        h = [A.random_element(rng, 1) for _ in range(2)] + [t + A.one]
+        out.append(Ax.from_coeffs([h[i // p] if i % p == 0 else A.zero for i in range(2 * p + 1)]))
+        a, b = A.random_element(rng, 2), A.random_element(rng, 1, nonzero=True)
+        out.append((Ax.monomial(b, 1) - Ax.constant(a)) ** p)
+    return [f for f in out if not f.is_zero and f.degree >= 1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_rational_roots_match_the_F_level_oracle(q):
+    """The A-level decision gives the oracle's roots, in its order: the
+    rank-2 isogenies are listed in root order."""
+    F = rational_function_field(q)
+    rng = random.Random(160 + q)
+    inputs = _oracle_inputs(q, rng)
+    assert any(len(rational_roots(f, F)) > 1 for f in inputs)
+    for f in inputs:
+        assert rational_roots(f, F) == _rational_roots_oracle(f, F), f
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_rational_roots_and_reconstruction_stay_in_A(q, monkeypatch):
+    """Neither loop builds an element of F: FractionField.make and
+    RatFunc.__add__ run 0 times inside them."""
+    from drinfeld.modpoly import BivarPoly, build_Sn, lagrange_reconstruct
+    from drinfeld.poly import PolyRing
+    from drinfeld.ratfunc import FractionField, RatFunc
+
+    F = rational_function_field(q)
+    A = F.ring
+    rng = random.Random(170 + q)
+    inputs = _oracle_inputs(q, rng)
+    target = BivarPoly(A, {(i, j): A.random_element(rng, 2) for i in range(3) for j in range(3)})
+    FX = PolyRing(F, "X")
+    pairs = [(y, target.eval_y(FX, y)) for y in build_Sn(q, 1)[: target.deg_y + 1]]
+    expected = [_rational_roots_oracle(f, F) for f in inputs]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(FractionField, "make", counted("make", FractionField.make))
+    add = counted("add", RatFunc.__add__)
+    monkeypatch.setattr(RatFunc, "__add__", add)
+    monkeypatch.setattr(RatFunc, "__radd__", add)
+    assert [rational_roots(f, F) for f in inputs] == expected
+    assert lagrange_reconstruct(pairs, target.deg_y) == target
+    assert calls == []
+
+
+def test_inverse_reports_a_reducible_modulus_as_invariant_violation(monkeypatch):
+    """The gcd with an irreducible modulus is a unit; a nonconstant one is
+    an internal failure, reported as a DrinfeldError, not ArithmeticError."""
+    from drinfeld import extfield
+    from drinfeld.errors import InvariantViolation
+
+    F, L = _L(2, lambda F, Fx: Fx.gen() ** 2 + Fx.gen() + Fx.constant(F.t))
+    x = L.gen()
+    monkeypatch.setattr(extfield, "poly_xgcd", lambda a, m: (m, a, a))
+    with pytest.raises(InvariantViolation, match="not irreducible"):
+        x.inverse()

@@ -167,7 +167,7 @@ def test_resultant_direct_evaluation():
     for c in (A.zero, A.one, t, t + A.one, t**2):
         g = y.gen() + y.constant(c)
         # g has the single root -c = c in char 2; res(g, f) = f(c)
-        val = f.eval_with(lambda x: x, c)
+        val = f(c)
         assert resultant(g, f) == val
         assert resultant(f, g) == c**3 + c + t
 
@@ -188,7 +188,7 @@ def test_resultant_root_product_oracle(q):
             continue
         expected = A.one
         for a in roots:
-            expected = expected * g.eval_with(lambda x: x, a)
+            expected = expected * g(a)
         assert resultant(f, g) == expected
 
 

@@ -9,6 +9,10 @@ from lists instead.
 A = F_q[t] has one representation, ``FqPoly`` on integer codes; the
 generic ``Poly`` serves the nested rings only, so it must not grow a
 second F_q path that unwraps or rewraps codes.
+
+Invariant checks raise ``InvariantViolation`` (a ``DrinfeldError``):
+``python -O`` strips an ``assert``, and a bare ``AssertionError`` or
+``ArithmeticError`` escapes the CLI's error handling.
 """
 
 import ast
@@ -75,3 +79,37 @@ def test_fq_guard_sees_each_mention():
         "        return isinstance(self.ring.base, GaloisField), codes[0].code\n"
     )
     assert sorted(_fq_mentions(tree.body[0])) == ["GaloisField", "_from_codes", "code"]
+
+
+def _bare_checks(tree):
+    """Lines of assert statements and of raises of AssertionError or
+    ArithmeticError, called or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("AssertionError", "ArithmeticError"):
+                yield node.lineno
+
+
+def test_no_assert_or_bare_check_errors():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _bare_checks(ast.parse(path.read_text(), str(path)))
+    ]
+    assert SRC.is_dir() and not found, found
+
+
+def test_bare_check_guard_sees_each_form():
+    tree = ast.parse(
+        "assert x\n"
+        "raise AssertionError('a')\n"
+        "raise AssertionError\n"
+        "raise ArithmeticError('b')\n"
+        "raise ArithmeticError\n"
+        "raise ValueError('c')\n"
+        "raise\n"
+    )
+    assert list(_bare_checks(tree)) == [1, 2, 3, 4, 5]
