@@ -228,9 +228,9 @@ def cmd_lattice(args):
         report["log_covolume"] = str(red.log_covolume)
         report["is_reduced"] = red.is_reduced
         if args.action == "reduce":
-            cols = red.columns
+            cols, make = red.integral, L.field.make
             report["basis"] = [
-                [repr(cols[j][i]) for j in range(len(cols))]
+                [repr(make(cols[j][i], red.den)) for j in range(len(cols))]
                 for i in range(len(cols))
             ]
     elif args.action == "index":

@@ -57,8 +57,11 @@ class LatticeBasis:
 
 
 class ReducedBasis:
-    def __init__(self, columns, minima_logs):
-        self.columns = columns  # over F, by descending minimum
+    def __init__(self, integral, den, minima_logs):
+        # the reduced columns over A by descending minimum, and their
+        # common denominator: the basis over F is integral / den
+        self.integral = integral
+        self.den = den
         self.minima_logs = minima_logs  # descending
 
     @property
@@ -172,16 +175,13 @@ def weak_popov(cols):
 def reduce(L):
     """Successive-minimum basis via weak Popov column reduction of L's
     integral form; the moves are unimodular, so the minima sum to log|det L|."""
-    F, den = L.field, L.den
     cols = weak_popov(list(L.integral))
-    shift = int(den.degree)
+    shift = int(L.den.degree)
     pairs = sorted(
         ((Fraction(_col_degree(col) - shift), col) for col in cols),
         key=lambda p: -p[0],
     )
-    red = ReducedBasis(
-        [[F.make(p, den) for p in col] for _, col in pairs], [m for m, _ in pairs]
-    )
+    red = ReducedBasis([col for _, col in pairs], L.den, [m for m, _ in pairs])
     if red.log_covolume != L.log_det:
         raise InvariantViolation("covolume differs from the degree of det")
     return red

@@ -15,8 +15,8 @@ Division helpers:
   coefficient via ``exact_div`` at each step; over a field this is
   classical polynomial division, over a domain it succeeds exactly when
   each step is exact.
-* ``pseudo_divmod`` is fraction-free pseudo-division.
-* ``resultant`` runs the subresultant polynomial remainder sequence, so
+* ``resultant`` runs the subresultant polynomial remainder sequence on
+  coefficient lists, taking fraction-free pseudo-remainders only, so
   resultants over nested polynomial rings never leave the ring.
 """
 
@@ -241,30 +241,6 @@ class Poly:
         if not r.is_zero:
             raise ValueError("exact_div: division is not exact")
         return q
-
-    def pseudo_divmod(self, other):
-        """Fraction-free division: lc(other)^(deg a - deg b + 1) * a = q*b + r."""
-        if other.is_zero:
-            raise ZeroDivisionError("pseudo-division by zero")
-        ring = self.ring
-        if self.degree < other.degree:
-            return ring.zero, self
-        d = other.lead
-        rem = self
-        quot = ring.zero
-        steps = int(self.degree - other.degree) + 1
-        while not rem.is_zero and rem.degree >= other.degree:
-            shift = int(rem.degree - other.degree)
-            term = ring.monomial(rem.lead, shift)
-            quot = quot * ring(d) + term
-            rem = rem * ring(d) - term * other
-            steps -= 1
-        k = steps
-        if k > 0:
-            dk = ring(d**k)
-            quot = quot * dk
-            rem = rem * dk
-        return quot, rem
 
     def scale(self, c):
         """Multiply by a base-ring element."""
@@ -545,6 +521,28 @@ def primitive_part(f):
     return f.map_coeffs(lambda a: a.exact_div(c), f.ring)
 
 
+def _pseudo_rem(a, b):
+    """lc(b)^(len(a) - len(b) + 1) * a mod b on coefficient lists, lowest
+    degree first, len(a) >= len(b) > 1: each step pops the top coefficient
+    c and sets rem = d*rem - c*b for d = lc(b); one d^k at the end stands
+    for the k steps skipped over a zero top coefficient."""
+    d, low = b[-1], b[:-1]
+    n = len(low)
+    rem = list(a)
+    k = len(a) - n
+    while len(rem) > n:
+        c = rem.pop()
+        shift = len(rem) - n
+        rem = [x * d for x in rem[:shift]] + [x * d - c * y for x, y in zip(rem[shift:], low)]
+        k -= 1
+        while rem and rem[-1].is_zero:
+            rem.pop()
+    if k and rem:
+        dk = d**k
+        rem = [c * dk for c in rem]
+    return rem
+
+
 def resultant(f, g):
     """Resultant via the subresultant PRS; valid over any integral domain
     whose elements support exact_div.
@@ -553,42 +551,29 @@ def resultant(f, g):
     roots alpha of f (in a splitting extension), so that
     res(f, g) = (-1)^(deg f * deg g) res(g, f).
     """
-    ring = f.ring
-    base = ring.base
     if f.is_zero and g.is_zero:
         raise ValueError("resultant of two zero polynomials")
-    if f.is_zero or g.is_zero:
-        if (f if g.is_zero else g).degree == 0:
-            return base.one
-        return base.zero
-    if f.degree == 0:
-        return f.constant ** int(g.degree)
-    if g.degree == 0:
-        return g.constant ** int(f.degree)
-    sign = 1
-    if f.degree < g.degree:
-        if (int(f.degree) * int(g.degree)) % 2 == 1:
-            sign = -sign
-        f, g = g, f
-    h = base.one
-    s = base.one
-    while True:
-        delta = int(f.degree - g.degree)
-        if (int(f.degree) % 2 == 1) and (int(g.degree) % 2 == 1):
-            sign = -sign
-        _, r = f.pseudo_divmod(g)
-        if r.is_zero:
-            return base.zero
-        # divide remainder by s * h^delta
+    base = f.ring.base
+    f, g = f.coeffs, g.coeffs
+    # m = deg f >= n = deg g from here on, n = -1 for g = 0
+    m, n = len(f) - 1, len(g) - 1
+    negate = m < n and m * n % 2 == 1
+    if m < n:
+        f, g, m, n = g, f, n, m
+    h = s = base.one
+    while n > 0:
+        delta = m - n
+        negate ^= m * n % 2 == 1
         divisor = s * h**delta
-        r = r.map_coeffs(lambda c: c.exact_div(divisor), ring)
-        f, g = g, r
-        s = f.lead
-        if delta > 0:
+        r = [c.exact_div(divisor) for c in _pseudo_rem(f, g)]
+        f, g, m, n = g, r, n, len(r) - 1
+        s = f[-1]
+        if delta:
             h = (s**delta).exact_div(h ** (delta - 1))
-        if g.degree == 0:
-            delta = int(f.degree)
-            res = (g.constant**delta).exact_div(h ** (delta - 1)) if delta > 0 else h
-            if sign < 0:
-                res = -res
-            return res
+    # deg g <= 0: res = g^m / h^(m-1), which is h for m = 0 and zero for g = 0
+    if not m:
+        return h
+    if not g:
+        return base.zero
+    res = (g[0] ** m).exact_div(h ** (m - 1))
+    return -res if negate else res

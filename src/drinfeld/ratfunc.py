@@ -173,7 +173,8 @@ class FractionField:
         monic denominators are needed: xs may be unreduced fractions."""
         den = self.ring.one
         for x in xs:
-            if x.den.degree > 0:
+            # a repeated denominator leaves the lcm as it is
+            if x.den.degree > 0 and x.den != den:
                 den = den * x.den.exact_div(poly_gcd(den, x.den))
         polys = [x.num if x.den == den else x.num * den.exact_div(x.den) for x in xs]
         return polys, den

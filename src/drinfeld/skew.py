@@ -128,7 +128,7 @@ class SkewPoly:
         """
         if b.is_zero:
             raise ZeroDivisionError("skew division by zero")
-        ring = self.ring
+        ring, q = self.ring, self.ring.q
         rem = list(self.coeffs)
         db = len(b.coeffs) - 1
         quot = [self.coeff_field.zero] * max(len(rem) - db, 0)
@@ -144,13 +144,17 @@ class SkewPoly:
                     )
                 c = root
             # here c^(q^db) == target must hold; verify (roots may not exist)
-            if c ** (ring.q**db) != target:
+            if c ** (q**db) != target:
                 raise RootExtractionFailure(
                     "coefficient has no q^m-th root in the coefficient field"
                 )
             quot[k] = c
-            piece = b * ring.monomial(c, k)
-            rem = list((ring(rem) - piece).coeffs)
+            # b * c tau^k = sum_j b_j c^(q^j) tau^(k+j): its top term cancels rem[-1]
+            rem.pop()
+            for j, bj in enumerate(b.coeffs[:-1]):
+                rem[k + j] = rem[k + j] - bj * c ** (q**j)
+            while rem and rem[-1].is_zero:
+                rem.pop()
         return ring(quot), ring(rem)
 
     def evaluate(self, x):
@@ -177,9 +181,12 @@ def skew_ring(coeff_field, q):
 
 
 class SkewPolyRing:
-    """R{tau} over a coefficient field R containing F_q."""
+    """R{tau} over a coefficient field R of the same q, so that tau c = c^q tau
+    is additive."""
 
     def __init__(self, coeff_field, q):
+        if q != coeff_field.q:
+            raise ValueError(f"q = {q} is not the q = {coeff_field.q} of the coefficient field")
         self.coeff_field = coeff_field
         self.q = q
         self.zero = SkewPoly(self, ())

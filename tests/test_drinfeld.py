@@ -27,6 +27,12 @@ def test_constructor_guards():
         DrinfeldModule(F, 2, 2, [F.one, F.zero])
     with pytest.raises(ValueError):
         DrinfeldModule(F, 2, 2, [F.one])
+    # q must be the field's q: at q = 3 over F_2(t), tau is not additive
+    with pytest.raises(ValueError, match="q"):
+        DrinfeldModule(F, 3, 2, [F.one, F.one])
+    F4 = rational_function_field(4)
+    with pytest.raises(ValueError, match="q"):
+        DrinfeldModule(F4, 2, 2, [F4.one, F4.one])
 
 
 def test_phi_of_is_homomorphism():

@@ -383,6 +383,25 @@ def test_each_basis_is_cleared_and_eliminated_once(monkeypatch, q, with_den):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_reduce_keeps_the_basis_integral(monkeypatch, q):
+    F = rational_function_field(q)
+    rng = random.Random(2500 + q)
+    L = LatticeBasis(F, _nonsingular(F, 3, rng, True, False))
+    make, calls = FractionField.make, []
+    monkeypatch.setattr(FractionField, "make", lambda *a: calls.append(1) or make(*a))
+    red = reduce(L)
+    assert calls == []
+    monkeypatch.undo()
+    # integral / den is a reduced basis of L: its column degrees are the minima
+    assert red.den == L.den
+    degrees = [max(int(a.degree) for a in col if a) for col in red.integral]
+    assert [Fraction(d - int(red.den.degree)) for d in degrees] == red.minima_logs
+    basis = LatticeBasis(F, [[F.make(a, red.den) for a in col] for col in red.integral])
+    assert basis.log_det == L.log_det
+    assert reduce(basis).minima_logs == red.minima_logs
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_log_det_is_degree_of_det(q, r):
     F = rational_function_field(q)

@@ -8,7 +8,8 @@ import pytest
 
 from drinfeld import GF, poly_ring_A, rational_function_field
 from drinfeld.ff import GaloisField
-from drinfeld.poly import _ARRAY_TYPECODE, PolyRing, content, poly_gcd, poly_xgcd, primitive_part, resultant
+from drinfeld.poly import _ARRAY_TYPECODE, PolyRing, _pseudo_rem, content, poly_gcd, poly_xgcd
+from drinfeld.poly import primitive_part, resultant
 from drinfeld.ratfunc import FractionField
 from drinfeld.skew import SkewPolyRing
 
@@ -259,9 +260,141 @@ def test_pseudo_divmod_fraction_free():
         b = x.from_coeffs([A.random_element(rng, 2) for _ in range(3)])
         if a.is_zero or b.is_zero or b.degree < 1 or a.degree < b.degree:
             continue
-        quo, rem = a.pseudo_divmod(b)
+        rem = x.from_coeffs(_pseudo_rem(list(a.coeffs), list(b.coeffs)))
         k = int(a.degree) - int(b.degree) + 1
+        # lc(b)^k a = quo b + rem, with a quotient over A and deg rem < deg b
+        quo = (a.scale(b.lead**k) - rem).exact_div(b)
         assert a.scale(b.lead**k) == quo * b + rem
+        assert rem.degree < b.degree
+
+
+# The fraction-free pseudo-division and the subresultant PRS over Poly
+# objects that resultant replaced, kept as the oracle for it.
+
+
+def _oracle_pseudo_divmod(self, other):
+    """Fraction-free division: lc(other)^(deg a - deg b + 1) * a = q*b + r."""
+    if other.is_zero:
+        raise ZeroDivisionError("pseudo-division by zero")
+    ring = self.ring
+    if self.degree < other.degree:
+        return ring.zero, self
+    d = other.lead
+    rem = self
+    quot = ring.zero
+    steps = int(self.degree - other.degree) + 1
+    while not rem.is_zero and rem.degree >= other.degree:
+        shift = int(rem.degree - other.degree)
+        term = ring.monomial(rem.lead, shift)
+        quot = quot * ring(d) + term
+        rem = rem * ring(d) - term * other
+        steps -= 1
+    k = steps
+    if k > 0:
+        dk = ring(d**k)
+        quot = quot * dk
+        rem = rem * dk
+    return quot, rem
+
+
+def _oracle_resultant(f, g):
+    ring = f.ring
+    base = ring.base
+    if f.is_zero and g.is_zero:
+        raise ValueError("resultant of two zero polynomials")
+    if f.is_zero or g.is_zero:
+        if (f if g.is_zero else g).degree == 0:
+            return base.one
+        return base.zero
+    if f.degree == 0:
+        return f.constant ** int(g.degree)
+    if g.degree == 0:
+        return g.constant ** int(f.degree)
+    sign = 1
+    if f.degree < g.degree:
+        if (int(f.degree) * int(g.degree)) % 2 == 1:
+            sign = -sign
+        f, g = g, f
+    h = base.one
+    s = base.one
+    while True:
+        delta = int(f.degree - g.degree)
+        if (int(f.degree) % 2 == 1) and (int(g.degree) % 2 == 1):
+            sign = -sign
+        _, r = _oracle_pseudo_divmod(f, g)
+        if r.is_zero:
+            return base.zero
+        # divide remainder by s * h^delta
+        divisor = s * h**delta
+        r = r.map_coeffs(lambda c: c.exact_div(divisor), ring)
+        f, g = g, r
+        s = f.lead
+        if delta > 0:
+            h = (s**delta).exact_div(h ** (delta - 1))
+        if g.degree == 0:
+            delta = int(f.degree)
+            res = (g.constant**delta).exact_div(h ** (delta - 1)) if delta > 0 else h
+            if sign < 0:
+                res = -res
+            return res
+
+
+def _random_y_poly(y, rng, degree, coeff):
+    """A polynomial of y-degree exactly degree (zero for degree -1)."""
+    if degree < 0:
+        return y.zero
+    coeffs = [coeff(rng) for _ in range(degree)] + [coeff(rng)]
+    while coeffs[-1].is_zero:
+        coeffs[-1] = coeff(rng)
+    return y.from_coeffs(coeffs)
+
+
+# (deg f, deg g): both zero-operand orders, degree 0 against every degree,
+# deg f < deg g with deg f * deg g odd, and equal degrees
+_RESULTANT_DEGREES = [(-1, 0), (0, -1), (-1, 2), (3, -1), (0, 0), (0, 3), (2, 0),
+                      (1, 3), (3, 1), (1, 1), (2, 2), (2, 3), (3, 3), (4, 2), (2, 4)]
+
+
+def _check_against_oracle(y, rng, coeff, degrees):
+    with pytest.raises(ValueError):
+        resultant(y.zero, y.zero)
+    nonzero = 0
+    for m, n in degrees:
+        f, g = _random_y_poly(y, rng, m, coeff), _random_y_poly(y, rng, n, coeff)
+        res = resultant(f, g)
+        assert res == _oracle_resultant(f, g)
+        nonzero += not res.is_zero
+        # a common factor makes both resultants zero
+        if 1 <= m <= 2 and 1 <= n <= 2:
+            h = y.gen() + y.constant(coeff(rng))
+            assert resultant(f * h, g * h) == _oracle_resultant(f * h, g * h) == y.base.zero
+    assert nonzero >= len(degrees) // 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_resultant_matches_prs_oracle_over_A(q):
+    A = poly_ring_A(q)
+    rng = random.Random(1500 + q)
+    coeff = lambda rng: A.random_element(rng, 2, nonzero=rng.random() < 0.7)
+    degrees = _RESULTANT_DEGREES + [(rng.randint(-1, 4), rng.randint(0, 4)) for _ in range(10)]
+    _check_against_oracle(PolyRing(A, "y"), rng, coeff, degrees)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_resultant_matches_prs_oracle_over_A_s_X(q):
+    A = poly_ring_A(q)
+    As = PolyRing(A, "s")
+    AsX = PolyRing(As, "X")
+    rng = random.Random(1600 + q)
+
+    def coeff(rng):
+        return AsX.from_coeffs(
+            [As.from_coeffs([A.random_element(rng, 1) for _ in range(2)]) for _ in range(2)]
+        )
+
+    # nested coefficients grow fast: y-degrees up to 3 keep this quick
+    degrees = [(m, n) for m, n in _RESULTANT_DEGREES if max(m, n) <= 3]
+    _check_against_oracle(PolyRing(AsX, "y"), rng, coeff, degrees)
 
 
 def test_poly_ring_is_one_object_per_base_and_variable():

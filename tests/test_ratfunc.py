@@ -107,3 +107,18 @@ def test_clear_denominators_matches_multiplication(q):
         for x in xs:
             lcm = (lcm * x.den).exact_div(poly_gcd(lcm, x.den))
         assert den == lcm
+
+
+def test_clear_denominators_skips_gcd_on_repeated_denominator(monkeypatch):
+    import drinfeld.ratfunc as ratfunc
+
+    F = rational_function_field(3)
+    t = F.t
+    d = t**2 + F.one
+    xs = [F.one / d, t / d, (t + F.one) / d]
+    calls = []
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda a, b: calls.append(1) or poly_gcd(a, b))
+    polys, den = F.clear_denominators(xs)
+    # one gcd for the first denominator; the repeats leave the lcm as it is
+    assert len(calls) == 1
+    assert den == d.num and polys == [x.num for x in xs]
