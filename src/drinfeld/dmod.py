@@ -2,12 +2,12 @@
 
 A module is determined by phi_t = t + g_1 tau + ... + g_r tau^r with
 g_r != 0; the constant term is structurally t (generic characteristic is
-not a runtime option).  Heights are exact rationals, read off one
-per-module table of local log-values log_q |g_i|_v: the place at
-infinity and every prime of a numerator or denominator, with v_P(g_i)
-taken from one factorization of each (`places.valuations`).  h_J is
-evaluated place by place from that table, so the J-invariant tuple
-never has to be expanded for large lcm exponents.
+not a runtime option).  Heights are exact rationals.  h_G and h_J read
+one per-module table over the coprime base of the numerators and
+denominators of the g_i (`places.valuation_base`, gcds only), with
+weight 1 at infinity and deg b at a base element b, so they factor
+nothing and never expand the J-invariant tuple.  The per-place view
+reads `places.valuations`, which factors each base element once.
 """
 
 from fractions import Fraction
@@ -15,7 +15,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import StableReductionRequired
-from .places import Place, valuations, weil_height
+from .places import Place, valuation_base, valuations, weil_height
 from .ratfunc import FractionField
 from .skew import skew_ring
 
@@ -124,6 +124,19 @@ class DrinfeldModule:
             raise ValueError("heights with local parts need coefficients in F")
 
     @cached_property
+    def _weighted_logs(self):
+        """[(weight, [(i, a_i) for the nonzero g_i])], h_G being the sum of
+        weight * max_i a_i / (q^i - 1): infinity with weight 1 and a_i =
+        log_q |g_i|_inf, then each coprime-base element b with weight deg b
+        and a_i = -v_b(g_i), as log_q |g_i|_P = deg P v_P(b) a_i at P | b."""
+        self._require_over_F()
+        nonzero = [(i, g) for i, g in enumerate(self.coeffs, start=1) if not g.is_zero]
+        rows = [(1, [(i, g.deg_infinity()) for i, g in nonzero])]
+        for b, vals in valuation_base([g for _, g in nonzero]):
+            rows.append((b.degree, [(i, -n) for (i, _), n in zip(nonzero, vals)]))
+        return rows
+
+    @cached_property
     def _local_logs(self):
         """{place: [(i, log_q |g_i|_v) for the nonzero g_i]} at infinity
         and at every prime of a numerator or denominator of the g_i."""
@@ -142,8 +155,10 @@ class DrinfeldModule:
         return max(Fraction(a, self.q**i - 1) for i, a in logs)
 
     def height_G(self):
-        fin, inf, _ = self.height_G_split()
-        return fin + inf
+        total = Fraction(0)
+        for w, logs in self._weighted_logs:
+            total += w * max(Fraction(a, self.q**i - 1) for i, a in logs)
+        return total
 
     def height_G_split(self):
         """(finite part, infinite part, per-place table)."""
@@ -156,9 +171,9 @@ class DrinfeldModule:
         J-tuple from coefficient valuations (no power expansion)."""
         d = self.d
         total = Fraction(0)
-        for logs in self._local_logs.values():
+        for w, logs in self._weighted_logs:
             base = (d // (self.q**self.r - 1)) * logs[-1][1]  # g_r != 0 comes last
-            total += max((d // (self.q**i - 1)) * a - base for i, a in logs)
+            total += w * max((d // (self.q**i - 1)) * a - base for i, a in logs)
         return total
 
     def naive_height(self):

@@ -4,9 +4,10 @@ All values are log base q of the absolute value, stored as exact
 Fractions.  At the infinite place |x| = q^deg(x); at the finite place
 attached to a monic irreducible P, |x| = q^(-deg(P) v_P(x)).
 
-`valuations` reads every v_P(x) of a list off one factorization of each
-numerator and denominator, multiplicities included; `valuation` and
-`log_abs` divide by one given P and serve as the reference.
+`coprime_base` splits numerators and denominators into pairwise coprime
+b by gcds and exact divisions; heights read b with weight deg b, and
+`valuations` factors each b once.  `valuation` and `log_abs` divide by
+one given P and serve as the reference.
 
 Only places of F itself occur, so every local degree n_v is 1 and the
 e_v/f_v bookkeeping of finite extensions never enters.
@@ -82,21 +83,48 @@ def log_abs(x, place):
     return Fraction(-place.degree * valuation(x, place.prime))
 
 
-def valuations(xs):
-    """{Place(P): [v_P(x) for x in xs]} over the primes P of every
-    numerator and denominator, for nonzero xs: one `factor` call per
-    nonconstant num or den, v_P = mult in num - mult in den."""
+def coprime_base(pieces):
+    """Pairwise coprime, monic, nonconstant b with vectors v such that
+    prod b^v = prod f^e up to a unit, for pairs (f, e) of nonzero f in A
+    and integer vectors e, by factor refinement (Bach, Driscoll and
+    Shallit 1993): a pair sharing g = gcd(a, b) becomes (a/g, e_a),
+    (g, e_a + e_b), (b/g, e_b) until none does.  That is the natural coprime
+    base in any input order; b with a zero vector are dropped only last."""
+    work = [(f.monic(), list(e)) for f, e in pieces if f.degree > 0]
+    base = []
+    while work:
+        a, ea = work.pop()
+        for k, (b, eb) in enumerate(base):
+            g = poly_gcd(a, b)
+            if g.degree > 0:
+                del base[k]
+                split = ((a.exact_div(g), ea), (g, [x + y for x, y in zip(ea, eb)]),
+                         (b.exact_div(g), eb))
+                work += [(h, e) for h, e in split if h.degree > 0]
+                break
+        else:
+            base.append((a, ea))
+    return sorted(((b, e) for b, e in base if any(e)), key=lambda be: (be[0].degree, be[0].codes))
+
+
+def valuation_base(xs):
+    """[(b, [v_b(x) for x in xs])] over the coprime base of the numerators
+    and denominators of nonzero xs: v_P(x) = v_P(b) v_b(x) at P | b."""
     xs = list(xs)
-    table = {}
+    pieces = []
     for i, x in enumerate(xs):
         if x.is_zero:
             raise ValueError("zero has no valuation")
-        for f, sign in ((x.num, 1), (x.den, -1)):
-            if f.degree < 1:
-                continue
-            for p, mult in factor(f)[1]:
-                table.setdefault(p, [0] * len(xs))[i] += sign * mult
-    return {Place(p): vals for p, vals in table.items()}
+        unit = [int(k == i) for k in range(len(xs))]
+        pieces += [(x.num, unit), (x.den, [-n for n in unit])]
+    return coprime_base(pieces)
+
+
+def valuations(xs):
+    """{Place(P): [v_P(x) for x in xs]} over the primes P of every
+    numerator and denominator, for nonzero xs: one `factor` call per
+    coprime-base element."""
+    return {Place(p): [m * n for n in v] for b, v in valuation_base(xs) for p, m in factor(b)[1]}
 
 
 def weil_height(coords):

@@ -23,10 +23,6 @@ class RatFunc:
     def __bool__(self):
         return not self.num.is_zero
 
-    @property
-    def is_polynomial(self):
-        return self.den.degree == 0
-
     def __eq__(self, other):
         return (
             isinstance(other, RatFunc)

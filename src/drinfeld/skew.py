@@ -2,14 +2,12 @@
 
 A skew polynomial sum a_i tau^i acts as the additive polynomial
 sum a_i X^(q^i); multiplication is composition.  Right division works
-over any coefficient field (only inversion and Frobenius powers of
-coefficients are needed); left division additionally requires q^m-th
-roots and reports failure when one does not exist.
+over any coefficient field: only inversion and Frobenius powers of
+coefficients are needed.
 """
 
 from functools import lru_cache
 
-from .errors import RootExtractionFailure
 from .ff import power
 
 
@@ -115,44 +113,6 @@ class SkewPoly:
             quot[k] = c
             for j, bj in enumerate(b.coeffs):
                 rem[k + j] = rem[k + j] - c * bj ** (ring.q**k)
-            while rem and rem[-1].is_zero:
-                rem.pop()
-        return ring(quot), ring(rem)
-
-    def left_divmod(self, b):
-        """(quot, rem) with self = b * quot + rem.
-
-        Each step needs a q^m-th root of a coefficient quotient; raises
-        RootExtractionFailure when the root does not exist in the
-        coefficient field.
-        """
-        if b.is_zero:
-            raise ZeroDivisionError("skew division by zero")
-        ring, q = self.ring, self.ring.q
-        rem = list(self.coeffs)
-        db = len(b.coeffs) - 1
-        quot = [self.coeff_field.zero] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            k = len(rem) - 1 - db
-            target = rem[-1].exact_div(b.lead)
-            c = target
-            for _ in range(db):
-                root = c.qth_root()
-                if root is None:
-                    raise RootExtractionFailure(
-                        "coefficient has no q-th root in the coefficient field"
-                    )
-                c = root
-            # here c^(q^db) == target must hold; verify (roots may not exist)
-            if c ** (q**db) != target:
-                raise RootExtractionFailure(
-                    "coefficient has no q^m-th root in the coefficient field"
-                )
-            quot[k] = c
-            # b * c tau^k = sum_j b_j c^(q^j) tau^(k+j): its top term cancels rem[-1]
-            rem.pop()
-            for j, bj in enumerate(b.coeffs[:-1]):
-                rem[k + j] = rem[k + j] - bj * c ** (q**j)
             while rem and rem[-1].is_zero:
                 rem.pop()
         return ring(quot), ring(rem)

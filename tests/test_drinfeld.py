@@ -193,11 +193,31 @@ def _random_modules(q, r, rng, count):
     return out
 
 
+def _shared_factor_modules(q, r, rng, count):
+    """Modules whose coefficients share factors: each numerator and
+    denominator is a product of a few common atoms, among them a p-th
+    power, so one coefficient's numerator cancels another's denominator
+    and the coprime base has to split and merge."""
+    F = rational_function_field(q)
+    A = F.ring
+    out = []
+    for _ in range(count):
+        a, b = (A.random_element(rng, 2, nonzero=True) for _ in range(2))
+        atoms = [a, b, a * b, a**2, (A.gen() * a + A.one) ** A.characteristic]
+        gs = []
+        for _ in range(r):
+            num = rng.choice(atoms) * rng.choice(atoms)
+            gs.append(F.make(num, rng.choice(atoms)))
+        out.append(DrinfeldModule(F, q, r, gs))
+    return out
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_heights_match_place_sum_oracle(q, r):
     rng = random.Random(64 + 10 * q + r)
-    for phi in _random_modules(q, r, rng, 6):
+    modules = _random_modules(q, r, rng, 6) + _shared_factor_modules(q, r, rng, 4)
+    for phi in modules:
         hG, hJ, fin, inf, table, tag = _oracle_heights(phi)
         assert phi.height_G() == hG
         assert phi.height_J() == hJ
@@ -223,6 +243,23 @@ def test_heights_do_not_recertify_primes(monkeypatch):
     assert phi.height_G() == Fraction(30, 7)
     assert phi.height_J() == 90
     assert phi.height_G_split()[:2] == (Fraction(9, 7), 3)
+
+
+def test_heights_factor_nothing(monkeypatch):
+    """h_G and h_J read the coprime base, built with gcds only."""
+
+    def refuse(f):
+        raise AssertionError("factor called on a height path")
+
+    for name in ("drinfeld.places", "drinfeld.factor"):
+        monkeypatch.setattr(importlib.import_module(name), "factor", refuse)
+    phi = _mod(2, 3, ["(t^2+t+1)^2/t", "0", "(t+1)^3/(t^2+t+1)"])
+    assert phi.height_G() == Fraction(30, 7)
+    assert phi.height_J() == 90
+    rng = random.Random(65)
+    for q, r in ((3, 2), (4, 3), (9, 2)):
+        for phi in _shared_factor_modules(q, r, rng, 3):
+            assert phi.d * phi.height_G() == phi.height_J()
 
 
 def test_literal_roundtrip():

@@ -5,6 +5,8 @@ import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld import factor, is_irreducible, poly_ring_A
 from drinfeld.factor import monic_polys_of_degree, squarefree_decomposition
@@ -145,6 +147,42 @@ def test_factor_roundtrip(q):
             assert p.is_monic and is_irreducible(p)
             prod = prod * p**mult
         assert prod == f
+
+
+@st.composite
+def _products(draw):
+    """(q, f): a unit times powers of up to three random polynomials, one
+    of them possibly raised to the p-th power (so in A[t^p]); the total
+    degree stays small enough for the trial-division oracle at q = 9."""
+    q = draw(st.sampled_from((2, 3, 4, 9)))
+    A = poly_ring_A(q)
+    top = 3 if q == 9 else 4
+    f = A.constant(A.base.element_from_code(draw(st.integers(1, q - 1))))
+    for _ in range(draw(st.integers(1, 3))):
+        g = A.from_codes(draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=top)))
+        if g.degree < 1:
+            continue
+        if draw(st.booleans()) and g.degree * A.characteristic <= 2 * top:
+            g = g**A.characteristic
+        for _ in range(draw(st.integers(1, 2))):
+            f = f * g
+    return q, f
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(_products())
+def test_factor_roundtrip_property(case):
+    """unit * prod p^m == f, and every p is monic and irreducible under
+    Ben-Or and under trial division."""
+    q, f = case
+    A = poly_ring_A(q)
+    unit, facs = factor(f)
+    prod = A.constant(unit)
+    for p, mult in facs:
+        assert p.is_monic and mult >= 1
+        assert is_irreducible(p) and trial_is_irreducible(p)
+        prod = prod * p**mult
+    assert prod == f
 
 
 def test_factor_deterministic():

@@ -1,9 +1,12 @@
-"""Places of F_q(t): valuations, the product formula, Weil heights."""
+"""Places of F_q(t): coprime bases, valuations, the product formula,
+Weil heights."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeld import (
     Place,
@@ -13,9 +16,14 @@ from drinfeld import (
     valuation,
     weil_height,
 )
-from drinfeld.places import valuations
+from drinfeld.places import coprime_base, valuation_base, valuations
 from drinfeld.base import poly_ring_A
 from drinfeld.factor import factor
+from drinfeld.poly import poly_gcd
+
+QS = (2, 3, 4, 9)
+
+PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
 def test_log_abs_examples():
@@ -75,6 +83,89 @@ def test_valuations_match_valuation(q):
     assert valuations([]) == {}
     with pytest.raises(ValueError):
         valuations([F.one, F.zero])
+
+
+@st.composite
+def _refinement_inputs(draw):
+    """(A, pieces, the same pieces reordered): each f is a unit times a
+    product of powers of a few shared atoms, one atom a p-th power (so
+    in A[t^p]); an exponent of 0 everywhere gives a unit, and the first
+    f may come twice with another vector."""
+    q = draw(st.sampled_from(QS))
+    A = poly_ring_A(q)
+    atom_codes = st.lists(st.integers(0, q - 1), min_size=1, max_size=4)
+    atoms = [A.from_codes(cs) or A.one for cs in draw(st.lists(atom_codes, min_size=1, max_size=3))]
+    atoms.append(atoms[-1] ** A.characteristic)
+    n = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    pieces = []
+    for _ in range(draw(st.integers(1, 5))):
+        f = A.constant(A.base.element_from_code(draw(st.integers(1, q - 1))))
+        for atom in atoms:
+            for _ in range(draw(st.integers(0, 2))):
+                f = f * atom
+        pieces.append((f, draw(vector)))
+    if draw(st.booleans()):
+        pieces.append((pieces[0][0], draw(vector)))
+    order = draw(st.permutations(range(len(pieces))))
+    return A, pieces, [pieces[k] for k in order]
+
+
+def _power_products(A, pairs, j):
+    """(prod of f^e_j over e_j > 0, prod of f^-e_j over e_j < 0), monic."""
+    num = den = A.one
+    for f, e in pairs:
+        for _ in range(abs(e[j])):
+            if e[j] > 0:
+                num = num * f
+            else:
+                den = den * f
+    return num.monic(), den.monic()
+
+
+@settings(PROPERTY)
+@given(_refinement_inputs())
+def test_coprime_base_refines(inputs):
+    A, pieces, reordered = inputs
+    base = coprime_base(pieces)
+    for k, (b, v) in enumerate(base):
+        assert b.is_monic and b.degree > 0 and any(v)
+        assert all(poly_gcd(b, c).degree == 0 for c, _ in base[k + 1:])
+    for j in range(len(pieces[0][1])):
+        num, den = _power_products(A, pieces, j)
+        bnum, bden = _power_products(A, base, j)
+        assert num * bden == bnum * den
+    assert coprime_base(reordered) == base
+
+
+def test_coprime_base_examples():
+    A = poly_ring_A(2)
+    t, one = A.gen(), A.one
+    P, Q, R = t, t + one, t**2 + t + one
+    # refinement merges a shared factor and keeps the vectors summed
+    assert coprime_base([(P**2 * Q, [1]), (P, [1])]) == [(P, [3]), (Q, [1])]
+    # a factor whose vector sums to zero still splits its neighbours, so
+    # the result does not depend on the order in which it meets them
+    pieces = [(P * Q, [1, 0]), (P, [-1, 0]), (P * R, [0, 1])]
+    want = [(P, [0, 1]), (Q, [1, 0]), (R, [0, 1])]
+    assert coprime_base(pieces) == want
+    assert coprime_base(pieces[::-1]) == want
+    # units and equal inputs; a square in A[t^2] stays whole
+    assert coprime_base([(one, [5]), (Q**2, [1]), (Q**2, [2])]) == [(Q**2, [3])]
+    assert coprime_base([]) == []
+
+
+def test_valuation_base_cancels_across_coefficients():
+    """A numerator of one element that is a denominator of another shares
+    its base element, with one exponent per element; (t+1)^3 stays whole,
+    since both elements are powers of it."""
+    F = rational_function_field(3)
+    x = parse_element("t^2/(t+1)^3", F)
+    y = parse_element("(t+1)^6*(t^2+1)/t", F)
+    t, one = F.ring.gen(), F.ring.one
+    cube = (t + one) ** 3
+    assert valuation_base([x, y]) == [(t, [2, -1]), (t**2 + one, [0, 1]), (cube, [-1, 2])]
+    assert valuations([x, y])[Place(t + one)] == [-3, 6]
 
 
 def test_place_keying():
