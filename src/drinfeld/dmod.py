@@ -7,7 +7,8 @@ one per-module table over the coprime base of the numerators and
 denominators of the g_i (`places.valuation_base`, gcds only), with
 weight 1 at infinity and deg b at a base element b, so they factor
 nothing and never expand the J-invariant tuple.  The per-place view
-reads `places.valuations`, which factors each base element once.
+factors each element of that same base once (`places.valuations`), so
+a module refines its coefficients once for all of its heights.
 """
 
 from fractions import Fraction
@@ -124,15 +125,22 @@ class DrinfeldModule:
             raise ValueError("heights with local parts need coefficients in F")
 
     @cached_property
+    def _base(self):
+        """The nonzero (i, g_i) and `valuation_base` of those g_i: one
+        refinement serves h_G, h_J and the per-place view."""
+        self._require_over_F()
+        nonzero = [(i, g) for i, g in enumerate(self.coeffs, start=1) if not g.is_zero]
+        return nonzero, valuation_base([g for _, g in nonzero])
+
+    @cached_property
     def _weighted_logs(self):
         """[(weight, [(i, a_i) for the nonzero g_i])], h_G being the sum of
         weight * max_i a_i / (q^i - 1): infinity with weight 1 and a_i =
         log_q |g_i|_inf, then each coprime-base element b with weight deg b
         and a_i = -v_b(g_i), as log_q |g_i|_P = deg P v_P(b) a_i at P | b."""
-        self._require_over_F()
-        nonzero = [(i, g) for i, g in enumerate(self.coeffs, start=1) if not g.is_zero]
+        nonzero, base = self._base
         rows = [(1, [(i, g.deg_infinity()) for i, g in nonzero])]
-        for b, vals in valuation_base([g for _, g in nonzero]):
+        for b, vals in base:
             rows.append((b.degree, [(i, -n) for (i, _), n in zip(nonzero, vals)]))
         return rows
 
@@ -140,10 +148,9 @@ class DrinfeldModule:
     def _local_logs(self):
         """{place: [(i, log_q |g_i|_v) for the nonzero g_i]} at infinity
         and at every prime of a numerator or denominator of the g_i."""
-        self._require_over_F()
-        nonzero = [(i, g) for i, g in enumerate(self.coeffs, start=1) if not g.is_zero]
+        nonzero, base = self._base
         table = {Place.infinity(): [(i, g.deg_infinity()) for i, g in nonzero]}
-        for v, vals in valuations([g for _, g in nonzero]).items():
+        for v, vals in valuations(base).items():
             table[v] = [(i, -v.degree * n) for (i, _), n in zip(nonzero, vals)]
         return table
 

@@ -62,15 +62,19 @@ def pushforward(phi, f):
     )
 
 
-def minimal_N(phi, f):
+def minimal_N(phi, f, *, divided=False):
     """Smallest-degree monic N in A with ker f inside phi[N]; ties broken
-    lexicographically.  The search is bounded by deg N <= tau-deg f."""
+    lexicographically.  The search is bounded by deg N <= tau-deg f.
+    With divided=True, return (N, phi_N, phi_N / f) from the division that
+    found N, so `dual` divides no second time."""
     A = _A_of(phi)
     bound = int(f.tau_degree)
     for deg in range(bound + 1):
         for N in monic_polys_of_degree(A, deg):
-            if phi.phi_of(N).right_divmod(f)[1].is_zero:
-                return N
+            phi_N = phi.phi_of(N)
+            fhat, rem = phi_N.right_divmod(f)
+            if rem.is_zero:
+                return (N, phi_N, fhat) if divided else N
     raise InvariantViolation("no N up to the degree bound; f is not an isogeny")
 
 
@@ -82,11 +86,7 @@ def _A_of(phi):
 
 def dual(phi, phi2, f):
     """fhat with fhat * f = phi_N and f * fhat = phi2_N."""
-    N = minimal_N(phi, f)
-    phi_N = phi.phi_of(N)
-    fhat, rem = phi_N.right_divmod(f)
-    if not rem.is_zero:
-        raise InvariantViolation("phi_N not right-divisible by f despite minimal N")
+    N, phi_N, fhat = minimal_N(phi, f, divided=True)
     if fhat * f != phi_N or f * fhat != phi2.phi_of(N):
         raise InvariantViolation("dual composition identities failed")
     if int(f.tau_degree + fhat.tau_degree) != phi.r * int(N.degree):

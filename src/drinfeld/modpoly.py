@@ -16,17 +16,15 @@ Phi_t is computed two independent ways:
   element of F.
 
 Coefficient heights are log base q of the sup norm at infinity, i.e.
-t-degrees.
+t-degrees.  The height bounds on Phi_m (Prop. 6.5 and the asymptotic
+bound) supply psi(m) and deg m to `bounds`, where one private interval
+context evaluates each rhs as one expression and rounds it up once.
 """
 
 from fractions import Fraction
 
-from mpmath import iv
-
 from .base import poly_ring_A, rational_function_field
-from .bounds import (
-    _frac_iv, _logq, _resolved_iv, _upper_float, working_dps, DEFAULT_DPS
-)
+from .bounds import asymptotic_from_psi, prop65_from_psi
 from .errors import InvariantViolation
 from .factor import factor
 from .ff import digits
@@ -375,21 +373,12 @@ def lagrange_reconstruct(pairs, d, n=None):
 # -- height bounds on Phi_m ---------------------------------------------------
 
 
-def _a_constant(q, m, psi_m):
-    """Interval value of a = ((q^2-1)/2) deg m + q + (1/2) log psi(m)."""
-    head = Fraction(q * q - 1, 2) * int(m.degree) + q
-    return _frac_iv(head) + _logq(iv.mpf(psi_m), q) / 2
-
-
-def prop65_bound(q, m, dps=DEFAULT_DPS):
+def prop65_bound(q, m):
     """psi(m) max(q^3, a + ((q^2-1)/2) log(1 + (a/q)(1 - (q^2-1)/(2q^2 ln q))^-1))
-    + 2 psi(m) log psi(m), rounded up."""
-    _check_modulus(m)
+    + 2 psi(m) log psi(m), a = ((q^2-1)/2) deg m + q + (1/2) log psi(m);
+    rounded up."""
     psi_m = psi(q, m)
-    with working_dps(dps):
-        hi = max(q**3, _upper_float(_resolved_iv(_a_constant(q, m, psi_m), q)))
-        tail = _upper_float(2 * psi_m * _logq(iv.mpf(psi_m), q))
-        return psi_m * hi + tail
+    return prop65_from_psi(q, int(m.degree), psi_m)
 
 
 def hsia_main_term(q, m):
@@ -398,27 +387,22 @@ def hsia_main_term(q, m):
     return Fraction(q * q - 1, 2) * psi(q, m) * (int(m.degree) - 2 * kappa(q, m))
 
 
-def asymptotic_bound(q, m, eps, dps=DEFAULT_DPS):
+def asymptotic_bound(q, m, eps):
     """((q^2+4)/2 + eps) psi(m) deg m, rounded up."""
-    _check_modulus(m)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    with working_dps(dps):
-        value = (
-            (_frac_iv(Fraction(q * q + 4, 2)) + iv.mpf(eps))
-            * psi(q, m)
-            * int(m.degree)
-        )
-        return _upper_float(value)
+    psi_m = psi(q, m)
+    return asymptotic_from_psi(q, int(m.degree), psi_m, eps)
 
 
-def bounds_row(q, m, phi_height=None, eps=0.01):
+_ROW_EPS = 0.01
+
+
+def bounds_row(q, m, phi_height=None):
     """One row of the height table: m, psi, kappa, h(Phi_m) when known,
     and the three bounds.
 
-    The asymptotic bound ((q^2+4)/2 + eps) psi(m) deg m holds only as
-    deg m grows: h(Phi_t) = q^2 (q+1) lies above it at every q >= 3, so
-    the column is informational and never a verdict."""
+    The asymptotic bound ((q^2+4)/2 + eps) psi(m) deg m, here at eps =
+    0.01, holds only as deg m grows: h(Phi_t) = q^2 (q+1) lies above it
+    at every q >= 3, so the column is informational and never a verdict."""
     return {
         "m": repr(m),
         "psi": psi(q, m),
@@ -426,5 +410,5 @@ def bounds_row(q, m, phi_height=None, eps=0.01):
         "h_phi": None if phi_height is None else str(phi_height),
         "prop65_bound": prop65_bound(q, m),
         "hsia_main_term": str(hsia_main_term(q, m)),
-        "asymptotic_bound": asymptotic_bound(q, m, eps),
+        "asymptotic_bound": asymptotic_bound(q, m, _ROW_EPS),
     }

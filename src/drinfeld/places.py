@@ -120,11 +120,11 @@ def valuation_base(xs):
     return coprime_base(pieces)
 
 
-def valuations(xs):
+def valuations(base):
     """{Place(P): [v_P(x) for x in xs]} over the primes P of every
-    numerator and denominator, for nonzero xs: one `factor` call per
-    coprime-base element."""
-    return {Place(p): [m * n for n in v] for b, v in valuation_base(xs) for p, m in factor(b)[1]}
+    numerator and denominator, from base = valuation_base(xs): one
+    `factor` call per coprime-base element."""
+    return {Place(p): [m * n for n in v] for b, v in base for p, m in factor(b)[1]}
 
 
 def weil_height(coords):

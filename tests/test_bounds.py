@@ -1,19 +1,27 @@
 """Numeric bound evaluators: known values, monotonicity, rounding."""
 
+import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from mpmath.ctx_iv import MPIntervalContext
 
 from drinfeld import (
     dd_corollary_bound,
     lemma54_window,
     lemma64_resolve,
     lemma64_threshold,
+    poly_ring_A,
+    prop65_bound,
+    psi,
     thm1_part1_bound,
     thm1_part2_bound,
 )
-from drinfeld.bounds import thm1_part1_report, thm1_part2_report
+from drinfeld.bounds import thm1_part1_report
+from drinfeld.factor import monic_polys_of_degree
+from drinfeld.modpoly import asymptotic_bound
 
 
 def test_part1_bound_values():
@@ -60,11 +68,77 @@ def test_part2_bound_monotone_in_hjprime():
         prev = v
 
 
-def test_part2_report_doubled_precision_same_verdict():
-    for h_j, h_jp in [(0, 3), (2, 5), (10, 1)]:
-        a = thm1_part2_report(h_j, h_jp, 1, 2, dps=30)
-        b = thm1_part2_report(h_j, h_jp, 1, 2, dps=60)
-        assert a.satisfied == b.satisfied
+# -- rounding direction: an independent evaluation at 80 digits -----------
+
+_REF = MPIntervalContext()
+_REF.dps = 80
+
+
+def _ref(x):
+    x = Fraction(x)
+    return _REF.mpf(x.numerator) / x.denominator
+
+
+def _ref_log(x, q):
+    return _REF.log(x) / _REF.log(q)
+
+
+def _ref_resolved(a, q):
+    half = _ref(Fraction(q * q - 1, 2))
+    return a + half * _ref_log(1 + (a / q) / (1 - half / (q * q * _REF.log(q))), q)
+
+
+def _ref_prop65(q, m):
+    psi_m = psi(q, m)
+    a = _ref(Fraction(q * q - 1, 2) * int(m.degree) + q) + _ref_log(psi_m, q) / 2
+    x = _ref_resolved(a, q)
+    top = _REF.mpf([max(x.a, q**3), max(x.b, q**3)])
+    return psi_m * top + 2 * psi_m * _ref_log(psi_m, q)
+
+
+def _moduli(q, max_degree):
+    A = poly_ring_A(q)
+    return [m for d in range(1, max_degree + 1) for m in monic_polys_of_degree(A, d)]
+
+
+def _evaluations():
+    """(label, float returned, 80-digit reference interval) over a grid."""
+    for q in (2, 3, 4, 5, 7, 9):
+        for deg_f in (1, 2, 3):
+            for h in (0, Fraction(1, 3), 3, Fraction(7, 2), 100):
+                ref = _ref(Fraction(q * q - 1, 2)) * (deg_f + _ref_log(1 + _ref(h) / q, q)) + q
+                yield ("part2", q, deg_f, h), thm1_part2_bound(deg_f, h, q), ref
+        for a in (1, Fraction(5, 3), 4.2925, 17, 100):
+            yield ("lemma64", q, a), lemma64_resolve(a, q), _ref_resolved(_ref(a), q)
+        for m in _moduli(q, 3 if q == 2 else 2):
+            yield ("prop65", q, m), prop65_bound(q, m), _ref_prop65(q, m)
+            ref = (_ref(Fraction(q * q + 4, 2)) + _ref(0.01)) * psi(q, m) * int(m.degree)
+            yield ("asymptotic", q, m), asymptotic_bound(q, m, 0.01), ref
+    for q, r, K, h, c2 in itertools.product((2, 3, 5), (2, 3), (1, 2), (Fraction(1, 3), 1, 5), (1.0, 0.5)):
+        const = Fraction(q, q - 1) - Fraction(q**r, q**r - 1)
+        ref = _ref_log(_ref(c2), q) + 10 * (r + 1) ** 7 * _ref_log(K * (q**r - 1) * _ref(h), q)
+        yield ("dd", q, r, K, h, c2), dd_corollary_bound(K, h, q, r, c2=c2), ref + _ref(const)
+
+
+def test_every_evaluator_rounds_up():
+    """Each returned float is at or above the upper endpoint of an
+    independent 80-digit interval evaluation of the same expression."""
+    low = [label for label, value, ref in _evaluations() if not _REF.mpf(value) >= ref.b]
+    assert not low, low
+
+
+def test_evaluators_ignore_the_global_interval_context():
+    """The evaluators keep their own precision: lowering the global
+    mpmath.iv precision changes no value, and no evaluator resets it."""
+    before = [value for _, value, _ in _evaluations()]
+    old = mpmath.iv.dps
+    mpmath.iv.dps = 5
+    try:
+        after = [value for _, value, _ in _evaluations()]
+        assert mpmath.iv.dps == 5
+    finally:
+        mpmath.iv.dps = old
+    assert after == before
 
 
 def test_lemma54_window():

@@ -52,13 +52,13 @@ GOLDEN = [
         'modpoly-compute',
         ['modpoly', 'compute', '--q', '2'],
         0,
-        'b91ce1d729ec77a28241789eaaecaf697ac3e7e668e189f4f5643d519b39def2',
+        'e914949fc00301960ded5589ac34ed25dcfd90f0c5936d68b143282318ad3005',
     ),
     (
         'modpoly-table',
         ['modpoly', 'table', '--q', '2'],
         0,
-        'f8fc7737558f8e29b5067f7dc286f9ad60b73f9f6424cf1b22ef223ac9243e99',
+        'a38dde77599b5636b93bb42406a004f274f85a69849e28c6d1546ddef2fbc172',
     ),
     (
         'modpoly-cross-check',

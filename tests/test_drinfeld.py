@@ -262,6 +262,23 @@ def test_heights_factor_nothing(monkeypatch):
             assert phi.d * phi.height_G() == phi.height_J()
 
 
+def test_heights_refine_the_coefficients_once(monkeypatch):
+    """h_G, h_J and the per-place view read one coprime base."""
+    places = importlib.import_module("drinfeld.places")
+    real, calls = places.coprime_base, []
+
+    def counted(pieces):
+        calls.append(1)
+        return real(pieces)
+
+    monkeypatch.setattr(places, "coprime_base", counted)
+    phi = _mod(2, 3, ["(t^2+t+1)^2/t", "0", "(t+1)^3/(t^2+t+1)"])
+    assert phi.height_G() == Fraction(30, 7)
+    assert phi.height_J() == 90
+    assert phi.height_G_split()[:2] == (Fraction(9, 7), 3)
+    assert len(calls) == 1
+
+
 def test_literal_roundtrip():
     phi = _mod(2, 2, ["t+1", "1"])
     lit = phi.to_literal()

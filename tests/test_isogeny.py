@@ -69,6 +69,8 @@ def test_minimal_N_cases():
     F = phi.field
     f = phi.skew([F.one, F.one])
     assert minimal_N(phi, f) == t
+    N, phi_N, fhat = minimal_N(phi, f, divided=True)
+    assert (N, phi_N) == (t, phi.phi_t) and fhat * f == phi_N
 
 
 def test_minimal_N_rejects_non_isogeny():
@@ -106,6 +108,40 @@ def test_dual_rank2_t_isogeny():
     assert verify(data.fhat, iso.target, phi)
     assert data.fhat * iso.f == phi.phi_of(data.N)
     assert iso.f * data.fhat == iso.target.phi_of(data.N)
+
+
+def _counting(monkeypatch, cls, name, counts):
+    real = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+def test_dual_reuses_the_division_that_found_N(monkeypatch):
+    """dual divides and evaluates phi_N no more than minimal_N does, plus
+    one phi2_N for the second composition check."""
+    from drinfeld.dmod import DrinfeldModule as Module
+    from drinfeld.skew import SkewPoly
+
+    counts = {"right_divmod": 0, "phi_of": 0}
+    _counting(monkeypatch, SkewPoly, "right_divmod", counts)
+    _counting(monkeypatch, Module, "phi_of", counts)
+    rng = random.Random(17)
+    for trial in range(20):
+        q, r = (2, 3, 4)[trial % 3], (2, 3)[trial % 2]
+        phi, phi2, f, _ = random_isogenous_pair(q, r, rng)
+        counts.update(right_divmod=0, phi_of=0)
+        N = minimal_N(phi, f)
+        search = dict(counts)
+        counts.update(right_divmod=0, phi_of=0)
+        assert dual(phi, phi2, f).N == N
+        assert counts == {
+            "right_divmod": search["right_divmod"],
+            "phi_of": search["phi_of"] + 1,
+        }, (q, r, counts, search)
 
 
 def test_rank2_t_isogenies_generic_empty():

@@ -13,6 +13,9 @@ second F_q path that unwraps or rewraps codes.
 Invariant checks raise ``InvariantViolation`` (a ``DrinfeldError``):
 ``python -O`` strips an ``assert``, and a bare ``AssertionError`` or
 ``ArithmeticError`` escapes the CLI's error handling.
+
+Rounding lives in one module: only ``bounds.py`` imports ``mpmath``, so
+every real bound is evaluated and rounded up in one place.
 """
 
 import ast
@@ -113,3 +116,40 @@ def test_bare_check_guard_sees_each_form():
         "raise\n"
     )
     assert list(_bare_checks(tree)) == [1, 2, 3, 4, 5]
+
+
+def _mpmath_imports(tree):
+    """Lines of imports of mpmath or of any of its submodules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "mpmath" or name.startswith("mpmath.") for name in names):
+            yield node.lineno
+
+
+def test_only_bounds_imports_mpmath():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "bounds.py"
+        for line in _mpmath_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert (SRC / "bounds.py").is_file() and not found, found
+
+
+def test_mpmath_guard_sees_each_form():
+    tree = ast.parse(
+        "import mpmath\n"
+        "from mpmath import iv\n"
+        "from mpmath.ctx_iv import MPIntervalContext\n"
+        "import os, mpmath.libmp as libmp\n"
+        "def f():\n"
+        "    import mpmath\n"
+        "import mpmathx\n"
+        "from .bounds import mpmath\n"
+    )
+    assert list(_mpmath_imports(tree)) == [1, 2, 3, 4, 6]
