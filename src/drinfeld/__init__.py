@@ -23,7 +23,6 @@ from .errors import (
     InvariantViolation,
     IrreducibilityUncertain,
     KernelNotStable,
-    RootExtractionFailure,
     StableReductionRequired,
 )
 from .extfield import QuotientField
@@ -77,7 +76,6 @@ __all__ = [
     "LatticeBasis",
     "Place",
     "QuotientField",
-    "RootExtractionFailure",
     "StableReductionRequired",
     "analytic_isogeny_check",
     "build_Sn",

@@ -5,11 +5,6 @@ class DrinfeldError(Exception):
     """Base class for domain errors."""
 
 
-class RootExtractionFailure(DrinfeldError):
-    """A required q^m-th root does not exist in the coefficient field
-    (or no root-extraction algorithm is available for it)."""
-
-
 class InvariantViolation(DrinfeldError):
     """An internal cross-check failed: a computed object does not satisfy
     the identity that defines it.  Raised instead of ``assert`` so the

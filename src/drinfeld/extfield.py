@@ -5,7 +5,7 @@ Polynomials over A = F_q[t] in the variable x are represented in the
 nested ring A[x] = PolyRing(PolyRing(F_q, 't'), 'x').
 """
 
-from .errors import InvariantViolation, IrreducibilityUncertain, RootExtractionFailure
+from .errors import InvariantViolation, IrreducibilityUncertain
 from .factor import factor
 from .ff import power
 from .poly import Poly, PolyRing, content, poly_gcd, poly_xgcd, primitive_part
@@ -80,13 +80,6 @@ class ExtElem:
         if n < 0:
             return self.inverse() ** (-n)
         return power(self, n, self.field.one)
-
-    def qth_root(self):
-        # Root extraction in F[x]/(m) is Frobenius-semilinear algebra we
-        # never need; callers treat None as "no root available".
-        raise RootExtractionFailure(
-            "q-th roots are not implemented for quotient-field elements"
-        )
 
     def __repr__(self):
         from .parsing import format_poly

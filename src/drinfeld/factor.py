@@ -38,7 +38,7 @@ def squarefree_decomposition(f):
     while g.degree > 0:
         d = g.derivative()
         if d.is_zero:
-            g, mult = g.qth_root(p), mult * p  # g is a polynomial in t^p
+            g, mult = g.pth_root(), mult * p  # g is a polynomial in t^p
             continue
         w = poly_gcd(g, d)
         sqf = g.exact_div(w)

@@ -6,8 +6,8 @@ where u is a root of a fixed monic irreducible modulus of degree e over
 F_p.  The modulus is the one whose non-leading coefficient vector, read as
 a base-p integer, is smallest; this makes field construction deterministic.
 
-Multiplication and inversion tables are precomputed, so the fields are
-meant for small q (desk scale).  Each field builds its q elements once and
+Multiplication and inversion tables are precomputed, so q is capped at
+``MAX_Q`` (desk scale).  Each field builds its q elements once and
 every operation returns one of them, so elements compare by identity.
 
 A polynomial over F_q is a list of codes, lowest degree first, with no
@@ -21,6 +21,8 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import InvariantViolation
+
+MAX_Q = 256
 
 
 def is_prime(n):
@@ -278,10 +280,6 @@ class FFElem:
         """Unique p-th root (Frobenius is bijective on F_q)."""
         return self ** (self.field.p ** (self.field.e - 1))
 
-    def qth_root(self):
-        """q-th root; the q-power Frobenius fixes F_q pointwise."""
-        return self
-
     def coords(self):
         """Coordinates over the prime field, low degree first."""
         return digits(self.code, self.field.p, self.field.e)
@@ -296,6 +294,8 @@ class GaloisField:
     """The field F_q, q = p^e, with precomputed operation tables."""
 
     def __init__(self, q):
+        if q > MAX_Q:
+            raise ValueError(f"q = {q} exceeds MAX_Q = {MAX_Q} (tables have q^2 entries)")
         self.q = q
         self.p, self.e = factor_prime_power(q)
         self.modulus = _smallest_irreducible(self.p, self.e)

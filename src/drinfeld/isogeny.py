@@ -42,7 +42,9 @@ class DualData:
 
 
 def verify(f, phi, phi2):
-    """True iff f * phi_t == phi2_t * f."""
+    """True iff f * phi_t == phi2_t * f; ValueError across fields."""
+    if phi2.field is not phi.field:
+        raise ValueError("the two modules are over different fields")
     return f * phi.phi_t == phi2.phi_t * f
 
 
@@ -64,12 +66,13 @@ def pushforward(phi, f):
 
 def minimal_N(phi, f, *, divided=False):
     """Smallest-degree monic N in A with ker f inside phi[N]; ties broken
-    lexicographically.  The search is bounded by deg N <= tau-deg f.
+    lexicographically.  f divides phi_N, of tau-degree r deg N, only from
+    deg N = ceil(tau-deg f / r) on; the search stops at deg N = tau-deg f.
     With divided=True, return (N, phi_N, phi_N / f) from the division that
     found N, so `dual` divides no second time."""
     A = _A_of(phi)
     bound = int(f.tau_degree)
-    for deg in range(bound + 1):
+    for deg in range(-(-bound // phi.r), bound + 1):
         for N in monic_polys_of_degree(A, deg):
             phi_N = phi.phi_of(N)
             fhat, rem = phi_N.right_divmod(f)

@@ -391,20 +391,15 @@ class FqPoly(Poly):
         mul, p = self.ring.base.mul_table, self.ring.characteristic
         return self.ring.from_codes([mul[i % p][c] for i, c in enumerate(self.codes[1:], 1)])
 
-    def qth_root(self, q):
-        """Return g with g^q == self, or None if there is none; q is a power
-        of the characteristic p.  g^q has support only on exponents
-        divisible by q, with q-th power coefficients, so g takes the q-th
-        root of every q-th coefficient, the p-th root k times for q = p^k."""
-        codes = self.codes
-        if any(c for i, c in enumerate(codes) if i % q):
-            return None
-        elems, p = self.ring.base._elems, self.ring.characteristic
-        roots = codes[::q]
-        while q > 1:
-            roots = [elems[c].pth_root().code for c in roots]
-            q //= p
-        return FqPoly(self.ring, tuple(roots))
+    def pth_root(self):
+        """Return g with g^p == self, p the characteristic: the p-th root of
+        every p-th coefficient.  Raise ValueError if self is not a p-th
+        power, that is, if a coefficient off the exponents p*i is nonzero."""
+        codes, p = self.codes, self.ring.characteristic
+        if any(c for i, c in enumerate(codes) if i % p):
+            raise ValueError("not a p-th power")
+        elems = self.ring.base._elems
+        return FqPoly(self.ring, tuple([elems[c].pth_root().code for c in codes[::p]]))
 
 
 class PolyRing:

@@ -104,15 +104,6 @@ class RatFunc:
         # num and den are coprime, so their powers are too: no gcd needed
         return RatFunc(self.field, self.num**n, self.den**n)
 
-    def qth_root(self):
-        """q-th root in F, or None if the element is not a q-th power."""
-        q = self.field.q
-        rn = self.num.qth_root(q)
-        rd = self.den.qth_root(q)
-        if rn is None or rd is None:
-            return None
-        return self.field.make(rn, rd)
-
     def deg_infinity(self):
         """deg(x) = deg num - deg den; the valuation data at infinity."""
         if self.is_zero:

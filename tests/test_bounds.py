@@ -9,13 +9,17 @@ import pytest
 from mpmath.ctx_iv import MPIntervalContext
 
 from drinfeld import (
+    DrinfeldModule,
     dd_corollary_bound,
+    dual,
     lemma54_window,
     lemma64_resolve,
     lemma64_threshold,
+    parse_skew,
     poly_ring_A,
     prop65_bound,
     psi,
+    pushforward,
     thm1_part1_bound,
     thm1_part2_bound,
 )
@@ -49,6 +53,39 @@ def test_part1_report():
     # boundary case is exact, no float fuzz
     rep = thm1_part1_report(Fraction(5, 3), 1, 2, 2)
     assert rep.satisfied
+
+
+@pytest.mark.parametrize(
+    "module, f, bound",
+    [
+        ({"q": 2, "r": 2, "g": ["1", "t^4+t^2"]}, "(t+1)*T^0 + (t^2+t)*T^1", Fraction(5, 3)),
+        (
+            {"q": 3, "r": 2, "g": ["2*t+1", "2*t^5+2*t^3+2*t^2+2"]},
+            "2*T^0 + (t+1)*T^1",
+            Fraction(11, 8),
+        ),
+        # row 6 of `drinfeld harness --q 4 --r 2 --trials 100 --seed 0`
+        (
+            {"q": 4, "r": 2, "g": ["(u+1)*t^4+(u+1)*t+u", "u*t^4+1"]},
+            "((u+1)*t)*T^0 + (u*t+1)*T^1",
+            Fraction(19, 15),
+        ),
+    ],
+)
+def test_part1_attained_with_zero_slack(module, f, bound):
+    """Theorem 1 part 1 holds with equality at r = 2, deg N = 1: the
+    exact comparison and the upward-rounded payload rhs must both pass."""
+    phi = DrinfeldModule.from_literal(module)
+    f = parse_skew(f, phi.skew)
+    phi2 = pushforward(phi, f)
+    N = dual(phi, phi2, f).N
+    assert N == poly_ring_A(phi.q).gen()
+    assert thm1_part1_bound(1, phi.q, 2) == bound
+    payload = thm1_part1_report(phi2.height_G() - phi.height_G(), 1, phi.q, 2).to_payload()
+    lhs = Fraction(payload["lhs"])
+    assert lhs == bound
+    assert payload["satisfied"] is True
+    assert Fraction(payload["rhs"]) >= lhs
 
 
 def test_part2_bound_values():

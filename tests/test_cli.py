@@ -58,6 +58,19 @@ def test_isogeny_verify(capsys):
     assert json.loads(out)["verified"] is True
 
 
+def test_isogeny_verify_target_of_another_rank(capsys):
+    # same field, other rank: a verdict, not an error
+    code, out = _run(
+        capsys,
+        [
+            "isogeny", "verify", "--module", '{"q":2,"r":2,"g":["t","1"]}',
+            "--f", "T^1", "--target", '{"q":2,"r":3,"g":["t","1","1"]}',
+        ],
+    )
+    assert code == 2
+    assert json.loads(out)["verified"] is False
+
+
 def test_isogeny_dual(capsys):
     module = '{"q":2,"r":2,"g":["t+1","1"]}'
     code, out = _run(
@@ -336,6 +349,15 @@ def test_bad_input_exit_code(capsys):
                 "--f", "1*T^0 + T^1", "--target", '{"q":2,"g":["t","1"]}',
             ],
             "lacks r",
+        ),
+        (["heights", "--module", '{"q":65536,"r":2,"g":["t","1"]}'], "MAX_Q = 256"),
+        (["modpoly", "compute", "--q", "65536"], "MAX_Q = 256"),
+        (
+            [
+                "isogeny", "verify", "--module", '{"q":2,"r":2,"g":["t","1"]}',
+                "--f", "T^1", "--target", '{"q":3,"r":2,"g":["t","1"]}',
+            ],
+            "different fields",
         ),
     ],
 )

@@ -6,7 +6,7 @@ import pytest
 
 from drinfeld import QuotientField
 from drinfeld.base import rational_function_field, x_ring_over_A, x_ring_over_F
-from drinfeld.errors import IrreducibilityUncertain, RootExtractionFailure
+from drinfeld.errors import IrreducibilityUncertain
 from drinfeld.extfield import _monic_divisors, irreducible_over_F, rational_roots, to_A_x
 from drinfeld.isogeny import random_isogenous_pair
 from drinfeld.poly import content
@@ -35,12 +35,6 @@ def test_quotient_field_rejects_reducible():
     Fx = x_ring_over_F(2)
     with pytest.raises(ValueError):
         QuotientField(F, Fx.gen() ** 2 + Fx.constant(F.t**2))
-
-
-def test_quotient_field_qth_root_unsupported():
-    F, L = _L(2, lambda F, Fx: Fx.gen() ** 2 + Fx.gen() + Fx.constant(F.t))
-    with pytest.raises(RootExtractionFailure):
-        L.gen().qth_root()
 
 
 def test_rational_roots():

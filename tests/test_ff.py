@@ -69,6 +69,21 @@ def test_bad_order_rejected():
         GF(6)
 
 
+@pytest.mark.parametrize("q", [2**16, 1000003])
+def test_order_above_cap_rejected_before_any_table(q):
+    # the cap is checked first: neither the q x q tables nor the trial
+    # division of factor_prime_power run
+    with pytest.raises(ValueError, match=f"MAX_Q = {ff.MAX_Q}"):
+        GF(q)
+
+
+def test_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(ff, "MAX_Q", 9)
+    assert ff.GaloisField(9).q == 9
+    with pytest.raises(ValueError, match="MAX_Q = 9"):
+        ff.GaloisField(11)
+
+
 def test_no_irreducible_raises_domain_error(monkeypatch):
     """The "cannot happen" branch of the modulus search raises a
     DrinfeldError, which python -O keeps, not an AssertionError."""

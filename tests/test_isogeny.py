@@ -144,6 +144,23 @@ def test_dual_reuses_the_division_that_found_N(monkeypatch):
         }, (q, r, counts, search)
 
 
+def test_minimal_N_skips_degrees_too_small_to_divide(monkeypatch):
+    """phi_N has tau-degree r deg N < tau-deg f below deg N = ceil(tau-deg
+    f / r), so the search starts there: a random pair has N = t and
+    0 < tau-deg f < r, and one division finds it."""
+    from drinfeld.skew import SkewPoly
+
+    counts = {"right_divmod": 0}
+    _counting(monkeypatch, SkewPoly, "right_divmod", counts)
+    rng = random.Random(29)
+    for trial in range(6):
+        q, r = (2, 3, 4)[trial % 3], (2, 3)[trial % 2]
+        phi, _, f, _ = random_isogenous_pair(q, r, rng)
+        counts["right_divmod"] = 0
+        assert minimal_N(phi, f) == poly_ring_A(q).gen()
+        assert counts["right_divmod"] == 1, (q, r, counts)
+
+
 def test_rank2_t_isogenies_generic_empty():
     phi = _mod(2, 2, ["t^2+t+1", "t"])
     # the y-polynomial t*y^3 + (t^2+t+1)y + t has no rational roots here

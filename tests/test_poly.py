@@ -112,10 +112,16 @@ def test_derivative_and_qth_root():
     t = A.gen()
     f = t**4 + t**2 + A.one
     assert f.derivative().is_zero
-    root = f.qth_root(2)
+    root = f.pth_root()
     assert root == t**2 + t + A.one
     assert root * root == f
-    assert (t**3 + t).qth_root(2) is None
+    with pytest.raises(ValueError):
+        (t**3 + t).pth_root()
+    # over F_4 and F_9 the coefficients of g^p are p-th powers, not copies
+    for q in (4, 9):
+        A = poly_ring_A(q)
+        g = A.random_element(random.Random(q), 5)
+        assert (g ** A.characteristic).pth_root() == g
     # degree > p: i * c is (i mod p) * c, against the definition of i * c
     # as c added i times
     for q in (3, 9):

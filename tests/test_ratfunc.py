@@ -50,15 +50,6 @@ def test_pow_and_structure():
     assert x.deg_infinity() == -1
 
 
-def test_qth_root():
-    F = rational_function_field(2)
-    t = F.t
-    x = (t**2 + 1) / t**4
-    r = x.qth_root()
-    assert r is not None and r * r == x
-    assert t.qth_root() is None
-
-
 def test_zero_division():
     F = rational_function_field(2)
     with pytest.raises(ZeroDivisionError):

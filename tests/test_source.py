@@ -16,10 +16,16 @@ Invariant checks raise ``InvariantViolation`` (a ``DrinfeldError``):
 
 Rounding lives in one module: only ``bounds.py`` imports ``mpmath``, so
 every real bound is evaluated and rounded up in one place.
+
+Every name in ``drinfeld.__all__`` is an attribute of the package, so an
+entry left behind by a deletion cannot break ``from drinfeld import *``.
 """
 
 import ast
+import types
 from pathlib import Path
+
+import drinfeld
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "drinfeld"
 
@@ -153,3 +159,16 @@ def test_mpmath_guard_sees_each_form():
         "from .bounds import mpmath\n"
     )
     assert list(_mpmath_imports(tree)) == [1, 2, 3, 4, 6]
+
+
+def _missing_exports(module):
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+def test_every_export_exists():
+    assert drinfeld.__all__ and not _missing_exports(drinfeld)
+
+
+def test_export_guard_sees_a_stale_entry():
+    module = types.SimpleNamespace(__all__=["present", "gone"], present=1)
+    assert _missing_exports(module) == ["gone"]
