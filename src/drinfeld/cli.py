@@ -6,6 +6,10 @@ codes: 0 when every checked inequality or identity (a boolean under one
 of the ``VERDICT_KEYS``) holds, 2 when any is violated, 1 on usage
 errors.  Other booleans describe the input, e.g. ``is_reduced``, and do
 not affect the exit code.
+
+Each action takes only the options it reads, written after the action
+(``drinfeld lattice index --sub ... --sup ...``); ``_ACTIONS`` is the one
+record of them, and any other option is a usage error.
 """
 
 import argparse
@@ -45,10 +49,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _module_from_json(text):
     return DrinfeldModule.from_literal(json.loads(text))
-
-
-def _skew_from_text(phi, text):
-    return parse_skew(text, phi.skew)
 
 
 def _basis_from_json(q, text):
@@ -153,18 +153,19 @@ def cmd_heights(args):
 def cmd_isogeny(args):
     phi = _module_from_json(args.module)
     report = {"command": f"isogeny-{args.action}", "module": phi.to_literal()}
+    if args.action == "remark3":
+        f0 = parse_element(args.f0, phi.field)
+        report["remark3"] = remark_rank3_check(phi.q, f0)
+        return _emit(report, args)
+    f = parse_skew(args.f, phi.skew)
     if args.action == "verify":
-        f = _skew_from_text(phi, args.f)
         target = _module_from_json(args.target)
         report["verified"] = verify(f, phi, target)
     elif args.action == "pushforward":
-        f = _skew_from_text(phi, args.f)
         report["target"] = pushforward(phi, f).to_literal()
     elif args.action == "minimal-N":
-        f = _skew_from_text(phi, args.f)
-        report["N"] = repr(minimal_N(phi, f))
-    elif args.action == "dual":
-        f = _skew_from_text(phi, args.f)
+        report["N"] = repr(minimal_N(phi, f)[0])
+    else:  # dual
         phi2 = pushforward(phi, f)
         data = dual(phi, phi2, f)
         report["target"] = phi2.to_literal()
@@ -174,9 +175,6 @@ def cmd_isogeny(args):
             int(f.tau_degree + data.fhat.tau_degree)
             == phi.r * int(data.N.degree)
         )
-    else:  # remark3
-        f0 = parse_element(args.f0, phi.field)
-        report["remark3"] = remark_rank3_check(phi.q, f0)
     return _emit(report, args)
 
 
@@ -292,88 +290,78 @@ def cmd_modpoly(args):
     return _emit(report, args)
 
 
-def _add_common(sp):
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+# argparse settings of each option; one without a default is required
+_OPTIONS = {
+    "module": {"help": "module literal JSON"},
+    "f": {"help": "skew polynomial in tau, e.g. 't + T'"},
+    "target": {"help": "target module literal JSON"},
+    "f0": {"help": "rank 3 remark: f0 in F"},
+    "q": {"type": int, "default": 2},
+    "r": {"type": int, "default": 2},
+    "trials": {"type": _positive_int, "default": 100},
+    "seed": {"type": int, "default": 0},
+    "matrix": {"help": "row-major JSON of entries"},
+    "sub": {},
+    "sup": {},
+    "alpha": {"default": "1"},
+    "m": {"default": None},
+    "out": {"default": None},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+}
+
+# the handler of each (command, action) and the options it reads, besides
+# --out and --format; a command without actions has action None
+_ACTIONS = {
+    ("heights", None): (cmd_heights, ("module",)),
+    ("isogeny", "verify"): (cmd_isogeny, ("module", "f", "target")),
+    ("isogeny", "pushforward"): (cmd_isogeny, ("module", "f")),
+    ("isogeny", "dual"): (cmd_isogeny, ("module", "f")),
+    ("isogeny", "minimal-N"): (cmd_isogeny, ("module", "f")),
+    ("isogeny", "remark3"): (cmd_isogeny, ("module", "f0")),
+    ("harness", None): (cmd_harness, ("q", "r", "trials", "seed")),
+    ("lattice", "reduce"): (cmd_lattice, ("q", "matrix")),
+    ("lattice", "covolume"): (cmd_lattice, ("q", "matrix")),
+    ("lattice", "index"): (cmd_lattice, ("q", "sub", "sup")),
+    ("lattice", "analytic-check"): (cmd_lattice, ("q", "sub", "sup", "alpha")),
+    ("modpoly", "compute"): (cmd_modpoly, ("q",)),
+    ("modpoly", "table"): (cmd_modpoly, ("q", "m")),
+    ("modpoly", "cross-check"): (cmd_modpoly, ("q",)),
+}
 
 
 def build_parser():
     parser = _Parser(prog="drinfeld")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("heights")
-    p.add_argument("--module", required=True, help="module literal JSON")
-    _add_common(p)
-    p.set_defaults(func=cmd_heights)
-
-    p = sub.add_parser("isogeny")
-    p.add_argument(
-        "action",
-        choices=("verify", "pushforward", "dual", "minimal-N", "remark3"),
-    )
-    p.add_argument("--module", required=True)
-    p.add_argument("--f", default=None, help="skew polynomial in tau, e.g. 't + T'")
-    p.add_argument("--target", default=None)
-    p.add_argument("--f0", default=None, help="rank 3 remark: f0 in F")
-    _add_common(p)
-    p.set_defaults(func=cmd_isogeny)
-
-    p = sub.add_parser("harness")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_harness)
-
-    p = sub.add_parser("lattice")
-    p.add_argument(
-        "action", choices=("reduce", "covolume", "index", "analytic-check")
-    )
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--matrix", default=None, help="row-major JSON of entries")
-    p.add_argument("--sub", default=None)
-    p.add_argument("--sup", default=None)
-    p.add_argument("--alpha", default="1")
-    _add_common(p)
-    p.set_defaults(func=cmd_lattice)
-
-    p = sub.add_parser("modpoly")
-    p.add_argument("action", choices=("compute", "table", "cross-check"))
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--m", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_modpoly)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    actions = {}
+    for (command, action), (func, names) in _ACTIONS.items():
+        if action is None:
+            p = commands.add_parser(command)
+        else:
+            if command not in actions:
+                actions[command] = commands.add_parser(command).add_subparsers(
+                    dest="action", required=True
+                )
+            p = actions[command].add_parser(action)
+        for name in names + ("out", "format"):
+            settings = _OPTIONS[name]
+            p.add_argument(
+                f"--{name}", required="default" not in settings, **settings
+            )
+        p.set_defaults(func=func)
     return parser
 
 
-# options an action reads that argparse cannot require, as other actions
-# of the same command run without them
-_ACTION_NEEDS = {
-    ("isogeny", "verify"): ("f", "target"),
-    ("isogeny", "pushforward"): ("f",),
-    ("isogeny", "dual"): ("f",),
-    ("isogeny", "minimal-N"): ("f",),
-    ("isogeny", "remark3"): ("f0",),
-    ("lattice", "reduce"): ("matrix",),
-    ("lattice", "covolume"): ("matrix",),
-    ("lattice", "index"): ("sub", "sup"),
-    ("lattice", "analytic-check"): ("sub", "sup"),
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    action = getattr(args, "action", None)
-    needs = _ACTION_NEEDS.get((args.command, action), ())
-    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
-    if missing:
-        parser.error(f"{args.command} {action} needs {' and '.join(missing)}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DrinfeldError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (DrinfeldError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"drinfeld: error: {exc}\n")
         return 1
 

@@ -64,12 +64,12 @@ def pushforward(phi, f):
     )
 
 
-def minimal_N(phi, f, *, divided=False):
-    """Smallest-degree monic N in A with ker f inside phi[N]; ties broken
-    lexicographically.  f divides phi_N, of tau-degree r deg N, only from
-    deg N = ceil(tau-deg f / r) on; the search stops at deg N = tau-deg f.
-    With divided=True, return (N, phi_N, phi_N / f) from the division that
-    found N, so `dual` divides no second time."""
+def minimal_N(phi, f):
+    """(N, phi_N, phi_N / f) for the smallest-degree monic N in A with
+    ker f inside phi[N]; ties broken lexicographically.  f divides phi_N,
+    of tau-degree r deg N, only from deg N = ceil(tau-deg f / r) on; the
+    search stops at deg N = tau-deg f.  The quotient comes from the
+    division that found N, so `dual` divides no second time."""
     A = _A_of(phi)
     bound = int(f.tau_degree)
     for deg in range(-(-bound // phi.r), bound + 1):
@@ -77,7 +77,7 @@ def minimal_N(phi, f, *, divided=False):
             phi_N = phi.phi_of(N)
             fhat, rem = phi_N.right_divmod(f)
             if rem.is_zero:
-                return (N, phi_N, fhat) if divided else N
+                return N, phi_N, fhat
     raise InvariantViolation("no N up to the degree bound; f is not an isogeny")
 
 
@@ -89,7 +89,7 @@ def _A_of(phi):
 
 def dual(phi, phi2, f):
     """fhat with fhat * f = phi_N and f * fhat = phi2_N."""
-    N, phi_N, fhat = minimal_N(phi, f, divided=True)
+    N, phi_N, fhat = minimal_N(phi, f)
     if fhat * f != phi_N or f * fhat != phi2.phi_of(N):
         raise InvariantViolation("dual composition identities failed")
     if int(f.tau_degree + fhat.tau_degree) != phi.r * int(N.degree):

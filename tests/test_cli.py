@@ -289,7 +289,94 @@ def test_missing_action_option_is_usage_error(capsys, argv, missing):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    assert capsys.readouterr().err.endswith(f"needs {missing}\n")
+    missing = missing.replace(" and ", ", ")  # argparse's list
+    assert capsys.readouterr().err.endswith(
+        f"the following arguments are required: {missing}\n"
+    )
+
+
+_MODULE = '{"q":2,"r":2,"g":["t+1","1"]}'
+_IDENTITY = '[["1","0"],["0","1"]]'
+_VALID = {
+    "verify": [
+        "isogeny", "verify", "--module", _MODULE, "--f", "1*T^0", "--target", _MODULE,
+    ],
+    "pushforward": ["isogeny", "pushforward", "--module", _MODULE, "--f", "1*T^0 + T^1"],
+    "dual": ["isogeny", "dual", "--module", _MODULE, "--f", "1*T^0 + T^1"],
+    "minimal-N": ["isogeny", "minimal-N", "--module", _MODULE, "--f", "1*T^0 + T^1"],
+    "remark3": [
+        "isogeny", "remark3", "--module", '{"q":2,"r":3,"g":["t+1","0","1"]}', "--f0", "1",
+    ],
+    "reduce": ["lattice", "reduce", "--matrix", _IDENTITY],
+    "covolume": ["lattice", "covolume", "--matrix", _IDENTITY],
+    "index": ["lattice", "index", "--sub", _IDENTITY, "--sup", _IDENTITY],
+    "analytic-check": [
+        "lattice", "analytic-check", "--sub", _IDENTITY, "--sup", _IDENTITY,
+        "--alpha", "t",
+    ],
+    "compute": ["modpoly", "compute"],
+    "cross-check": ["modpoly", "cross-check"],
+}
+
+
+# one option per (action, option) pair that the action does not read
+_UNREAD = [
+    ("verify", "--f0", "1"),
+    ("pushforward", "--f0", "1"),
+    ("dual", "--f0", "1"),
+    ("minimal-N", "--f0", "1"),
+    ("pushforward", "--target", _MODULE),
+    ("dual", "--target", _MODULE),
+    ("minimal-N", "--target", _MODULE),
+    ("remark3", "--target", _MODULE),
+    ("remark3", "--f", "T^1"),
+    ("index", "--matrix", _IDENTITY),
+    ("analytic-check", "--matrix", _IDENTITY),
+    ("reduce", "--sub", _IDENTITY),
+    ("covolume", "--sub", _IDENTITY),
+    ("reduce", "--sup", _IDENTITY),
+    ("covolume", "--sup", _IDENTITY),
+    ("reduce", "--alpha", "t"),
+    ("covolume", "--alpha", "t"),
+    ("index", "--alpha", "t"),
+    ("compute", "--m", "t+1"),
+    ("cross-check", "--m", "t+1"),
+]
+
+
+@pytest.mark.parametrize(
+    "action, option, value", _UNREAD, ids=[f"{a} {o}" for a, o, _ in _UNREAD]
+)
+def test_option_the_action_does_not_read_is_usage_error(capsys, action, option, value):
+    # each action takes only the options it reads; e.g. modpoly compute
+    # --m t+1 would otherwise report on m = t
+    assert _run(capsys, _VALID[action])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(_VALID[action] + [option, value])
+    assert exc.value.code == 1
+    assert option in capsys.readouterr().err
+
+
+def test_isogeny_minimal_N(capsys):
+    code, out = _run(capsys, _VALID["minimal-N"])
+    assert code == 0
+    assert json.loads(out)["N"] == "t"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_harness_trials_below_one_is_usage_error(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["harness", "--trials", trials])
+    assert exc.value.code == 1
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_one(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    argv = ["heights", "--module", '{"q":2,"r":2,"g":["t","1"]}', "--out", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("drinfeld: error: ")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("command", ["heights", "isogeny", "lattice", "modpoly"])

@@ -280,6 +280,11 @@ def test_heights_refine_the_coefficients_once(monkeypatch):
 
 
 def test_literal_roundtrip():
-    phi = _mod(2, 2, ["t+1", "1"])
-    lit = phi.to_literal()
-    assert DrinfeldModule.from_literal(lit) == phi
+    for q, r, gs in [
+        (2, 2, ["t+1", "1"]),
+        (4, 2, ["(t^2+u)/(t^3+t+1)", "(t^5+u*t+1)/(t^4+u)"]),
+        (9, 3, ["(u*t^3+1)/(t^2+u)", "0", "(t^4+t+u)/(t^5+u*t^2+2)"]),
+    ]:
+        phi = _mod(q, r, gs)
+        lit = phi.to_literal()
+        assert DrinfeldModule.from_literal(lit) == phi

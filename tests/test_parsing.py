@@ -49,7 +49,7 @@ def test_unparseable_literal_is_parse_error(ring, text):
         parse_element(text, ring)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_ratfunc_roundtrip(q):
     F = rational_function_field(q)
     rng = random.Random(41)
@@ -58,7 +58,7 @@ def test_ratfunc_roundtrip(q):
         assert parse_element(repr(x), F) == x
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_skew_roundtrip(q):
     F = rational_function_field(q)
     S = skew_ring(F, q)
