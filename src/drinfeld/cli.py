@@ -93,11 +93,7 @@ def _emit(report, args):
         text = _to_csv(report)
     else:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    (args.out or sys.stdout).write(text)
     verdicts = []
     _collect_verdicts(report, verdicts)
     return 0 if all(verdicts) else 2
@@ -360,7 +356,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.out is None:
+            return args.func(args)
+        # opened before the report is computed: a bad path fails at once
+        with open(args.out, "w") as args.out:
+            return args.func(args)
     except (DrinfeldError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"drinfeld: error: {exc}\n")
         return 1

@@ -333,14 +333,23 @@ class GaloisField:
         if self.e == 1:
             self.mul_table = [[a * b % p for b in range(q)] for a in range(q)]
         else:
-            # multiply and reduce on the code-list kernels of the prime field
+            # a*b = g^(log a + log b) for a primitive element g: the first
+            # code whose powers, multiplied and reduced on the code-list
+            # kernels of the prime field, run through all q - 1 units
             Fp = GF(p)
-            self.mul_table = [
-                [
-                    self._encode(_poly_divmod(_poly_mul(x, y, Fp), self.modulus, Fp)[1])
-                    for y in digits
-                ]
-                for x in digits
+            for g in digits[2:]:
+                exp, x = [1], g
+                while x != [1]:
+                    exp.append(self._encode(x))
+                    x = _poly_rem(_poly_mul(x, g, Fp), self.modulus, Fp)
+                if len(exp) == q - 1:
+                    break
+            log = [0] * q
+            for k, c in enumerate(exp):
+                log[c] = k
+            exp += exp
+            self.mul_table = [[0] * q] + [
+                [0] + [exp[la + lb] for lb in log[1:]] for la in log[1:]
             ]
         self.inv_table = [0] + [self.mul_table[a].index(1) for a in range(1, q)]
 

@@ -8,12 +8,12 @@ Phi_t is computed two independent ways:
   pushforward along tau - y has coefficients (g1', g2') = (s^q - y +
   y^(q^2), 1) mod p, and since g2' = 1, Phi_t(X, s^(q+1)) is the
   y-resultant of p against X - g1'^(q+1).
-* interpolation route: specialize s = t^k, take univariate resultants,
-  and Lagrange-interpolate in Y = j, over A in Z = D Y with D the lcm
-  of the point denominators.  The slices P_k over the basis
-  denominators c_k share one common denominator E, so reconstruction
-  sums in A[Z] and divides each coefficient by E once; it builds no
-  element of F.
+* interpolation route: specialize s to 0, 1 and t + c for c in F_q,
+  take univariate resultants, and Lagrange-interpolate in Y = j over A
+  in Z = D Y, D the lcm of the point denominators (every j = s^(q+1)
+  lies in A here, so D = 1).  The slices P_k over the basis denominators
+  c_k share one common denominator E, so reconstruction sums in A[Z] and
+  divides each coefficient by E once; it builds no element of F.
 
 Coefficient heights are log base q of the sup norm at infinity, i.e.
 t-degrees.  The height bounds on Phi_m (Prop. 6.5 and the asymptotic
@@ -200,7 +200,21 @@ def _phi_slice(up, p, g1p, q):
 
 
 def compute_phi_t(q):
-    """Phi_t(X, Y) by the generic resultant route."""
+    """Phi_t(X, Y) by the generic resultant route.
+
+    Raises InvariantViolation unless every coefficient a_ij(t) is
+    t^r g(t^(q-1)) with r = 2 - i - j mod q - 1 (the weight grading).
+    Why: for zeta in F_q^*, sigma: t -> zeta t is an automorphism of A.
+    If f phi_t = phi'_t f, then sigma(f) is a t-isogeny between the
+    modules psi_t = zeta^-1 sigma(phi)_t and psi'_t = zeta^-1 sigma(phi')_t
+    (zeta commutes with tau), and j(psi) = zeta^-(q+1) zeta sigma(j(phi))
+    = zeta^-1 sigma(j(phi)).  So the q + 1 roots of
+    Phi_t(X, zeta^-1 sigma(j)) are the zeta^-1 sigma(j'), which gives
+    Phi_t(X, zeta^-1 Y) = zeta^-(q+1) (sigma Phi_t)(zeta X, Y); on the
+    X^i Y^j coefficient, a_ij(zeta t) = zeta^(q+1-i-j) a_ij(t) =
+    zeta^(2-i-j) a_ij(t).  A monomial c t^k of a_ij then has
+    c zeta^k = c zeta^(2-i-j) for every zeta, and zeta of order q - 1
+    forces k = 2 - i - j mod q - 1."""
     A, _, As, Asy, AsX, _, _, _ = _rings(q)
     t = A.gen()
     s = As.gen()
@@ -215,7 +229,10 @@ def compute_phi_t(q):
                 continue
             if k % (q + 1) != 0:
                 raise InvariantViolation("resultant is not a polynomial in s^(q+1)")
-            coeffs[(i, k // (q + 1))] = a
+            j = k // (q + 1)
+            if any(c and (e + i + j - 2) % (q - 1) for e, c in enumerate(a.codes)):
+                raise InvariantViolation(f"X^{i} Y^{j} coefficient is off its weight class")
+            coeffs[(i, j)] = a
     out = BivarPoly(A, coeffs)
     if not out.is_symmetric():
         raise InvariantViolation("Phi_t is not symmetric")
@@ -224,26 +241,27 @@ def compute_phi_t(q):
     return out
 
 
-def phi_t_slices(q, ks):
-    """Univariate slices Phi_t(X, j_k) for s = t^k, as (j_k in F, poly in
-    F[X]) pairs."""
+def phi_t_slices(q, svals):
+    """Univariate slices Phi_t(X, j) at j = s^(q+1) for each s in svals,
+    a list of elements of A, as (j in F, poly in F[X]) pairs."""
     A, F, _, _, _, Ay, AX, FX = _rings(q)
     t = A.gen()
     out = []
-    for k in ks:
-        sk = t**k
-        p, g1p = _pushforward_coeffs(Ay, sk, t, q)
+    for s in svals:
+        p, g1p = _pushforward_coeffs(Ay, s, t, q)
         res = _phi_slice(AX, p, g1p, q)
-        jk = F.from_poly(sk ** (q + 1))
-        out.append((jk, res.map_coeffs(F.from_poly, FX)))
+        out.append((F.from_poly(s ** (q + 1)), res.map_coeffs(F.from_poly, FX)))
     return out
 
 
 def compute_phi_t_interpolated(q):
-    """Phi_t(X, Y) by per-specialization resultants at s = t^k for
-    k = 0..q+1, then Lagrange interpolation in Y = j."""
-    pairs = phi_t_slices(q, range(q + 2))
-    return lagrange_reconstruct(pairs, q + 1)
+    """Phi_t(X, Y) by per-specialization resultants at the q + 2 values
+    s in {0, 1} and {t + c : c in F_q}, then Lagrange interpolation in
+    Y = j = s^(q+1).  These j are distinct and lie in A (so D = 1), of
+    degree at most q + 1."""
+    A = poly_ring_A(q)
+    svals = [A.zero, A.one] + [A.gen() + c for c in A.base.elements()]
+    return lagrange_reconstruct(phi_t_slices(q, svals), q + 1)
 
 
 # -- interpolation sets and Lagrange reconstruction ---------------------------

@@ -11,10 +11,12 @@ rings in recursive (dense) representation.
 
 Division helpers:
 
-* ``divmod`` performs ordinary division, dividing by the leading
-  coefficient via ``exact_div`` at each step; over a field this is
-  classical polynomial division, over a domain it succeeds exactly when
-  each step is exact.
+* ``divmod`` is long division, the loop of ``ff._poly_divmod`` on
+  elements: each step pops the top coefficient, divides it by the
+  divisor's lead with ``exact_div`` (not at all for a monic divisor) and
+  subtracts that multiple of the divisor's nonzero terms.  Over a field
+  this is classical polynomial division; over a domain it succeeds
+  exactly when each step is exact, and raises ``ValueError`` otherwise.
 * ``resultant`` runs the subresultant polynomial remainder sequence on
   coefficient lists, taking fraction-free pseudo-remainders only, so
   resultants over nested polynomial rings never leave the ring.
@@ -171,11 +173,11 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return self.ring.zero
-        base = self.ring.base
-        out = [base.zero] * (len(a) + len(b) - 1)
+        out = [self.ring.base.zero] * (len(a) + len(b) - 1)
+        b = [(j, bj) for j, bj in enumerate(b) if not bj.is_zero]
         for i, ai in enumerate(a):
             if not ai.is_zero:
-                for j, bj in enumerate(b):
+                for j, bj in b:
                     out[i + j] = out[i + j] + ai * bj
         return self.ring.from_coeffs(out)
 
@@ -200,20 +202,23 @@ class Poly:
         return self.ring.from_coeffs(out)
 
     def __divmod__(self, other):
-        """Division where each step divides leading coefficients with
-        exact_div; raises if a step is not exact in the base ring."""
+        """Long division: each step pops the top coefficient c and
+        subtracts (c / lead) x^shift times the divisor's nonzero terms; c /
+        lead is c.exact_div(lead), which raises if not exact, or c itself
+        when the divisor is monic."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         ring = self.ring
         rem = list(self.coeffs)
         dv = other.degree
-        lead = other.lead
+        lead = None if other.is_monic else other.lead
+        low = [(j, bc) for j, bc in enumerate(other.coeffs[:-1]) if not bc.is_zero]
         quot = [ring.base.zero] * max(len(rem) - dv, 0)
-        while len(rem) - 1 >= dv and rem:
-            c = rem[-1].exact_div(lead)
-            shift = len(rem) - 1 - dv
+        while len(rem) > dv:
+            c = rem.pop() if lead is None else rem.pop().exact_div(lead)
+            shift = len(rem) - dv
             quot[shift] = c
-            for j, bc in enumerate(other.coeffs):
+            for j, bc in low:
                 rem[shift + j] = rem[shift + j] - c * bc
             while rem and rem[-1].is_zero:
                 rem.pop()

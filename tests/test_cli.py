@@ -1,6 +1,7 @@
 """Command line surface: JSON shape, exit codes, determinism, CSV."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -377,6 +378,23 @@ def test_unwritable_out_exits_one(capsys, tmp_path):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("drinfeld: error: ")
     assert not path.exists()
+
+
+def test_unwritable_out_fails_before_the_report(capsys, tmp_path):
+    """--out is opened before the handler runs: the q = 9 cross-check,
+    which computes Phi_t twice in tens of seconds, exits 1 at once."""
+    path = tmp_path / "missing" / "x.json"
+    start = time.perf_counter()
+    assert main(["modpoly", "cross-check", "--q", "9", "--out", str(path)]) == 1
+    assert time.perf_counter() - start < 5
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_out_holds_the_stdout_report(capsys, tmp_path):
+    path = tmp_path / "x.json"
+    argv = ["modpoly", "compute", "--q", "2"]
+    assert _run(capsys, argv) == (main(argv + ["--out", str(path)]), path.read_text())
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", ["heights", "isogeny", "lattice", "modpoly"])

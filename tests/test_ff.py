@@ -93,7 +93,8 @@ def test_no_irreducible_raises_domain_error(monkeypatch):
 
 
 # sha256 of json.dumps([modulus, add, neg, mul, inv]) for GF(q), recorded
-# before the tables were built on the code-list kernels
+# before the tables were built on the code-list kernels (q <= 27) and
+# before the multiplication table was built from log tables (q >= 64)
 TABLE_DIGESTS = {
     4: "7a3d1d79b497c0ea78febb73e496c92d6e283da190409a3744566a180513381a",
     8: "e41648a5851ddbbdbc231fdb47619707f49b6c61400875945e5c883e301e0086",
@@ -101,6 +102,11 @@ TABLE_DIGESTS = {
     16: "70810df1ab3f51b9d03c08e56388e1c2b8616a5b4e6dcfc0afae89ed271f37e0",
     25: "5412b0e256424a4d7c31dcf3b31b1e74609ef1a6a3bb992d6972fba0559cfc55",
     27: "919239bf1441510000426b6e900e874bad5ce4f253f4fbdbf248864860cec47d",
+    64: "f18ae240c06cba5c3933d01759861dba127e16af4c0bf2e9339178aa2f2736e3",
+    81: "6f0ef8b37a14edf55d63512e387eb73e3146480484f1adbfde19f5b2f1c631bf",
+    128: "6e3113a7d37d642b1d0bb5a7b2ad0484c5b82ce7059360598bd61976cfaedf88",
+    243: "5b8ce3a44b51bbc308a05107f2252658be281eae2c6618f776a04f1cb7ae76a2",
+    256: "452286bc8358afa2a64af4392c8044a99127535c7a4cb6bbb11682ce64225160",
 }
 
 

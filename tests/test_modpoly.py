@@ -24,7 +24,9 @@ from drinfeld import (
     random_module,
     tk_bounds,
 )
+from drinfeld import modpoly
 from drinfeld.base import poly_ring_A, rational_function_field
+from drinfeld.errors import InvariantViolation
 from drinfeld.modpoly import asymptotic_bound, phi_t_slices
 from drinfeld.poly import PolyRing
 
@@ -89,6 +91,25 @@ def test_phi_t_beyond_q3(q):
     assert compute_phi_t_interpolated(q) == phi_t
     assert phi_t.height() == q * q * (q + 1)
     assert phi_t.height() <= Fraction(prop65_bound(q, poly_ring_A(q).gen()))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_phi_t_weight_grading(q, monkeypatch):
+    """Every monomial t^k of the X^i Y^j coefficient of Phi_t has
+    k = 2 - i - j mod q - 1, and compute_phi_t raises once one
+    coefficient is perturbed off its class: t added to a_00, whose
+    class is 2 mod q - 1, which excludes k = 1 for every q >= 3."""
+    for (i, j), a in compute_phi_t(q).coeffs.items():
+        assert all((k + i + j - 2) % (q - 1) == 0 for k, c in enumerate(a.codes) if c)
+    t = poly_ring_A(q).gen()
+    slice_of = modpoly._phi_slice
+    monkeypatch.setattr(
+        modpoly,
+        "_phi_slice",
+        lambda up, *args: slice_of(up, *args) + up.constant(up.base.constant(t)),
+    )
+    with pytest.raises(InvariantViolation, match="X\\^0 Y\\^0 coefficient is off its weight"):
+        compute_phi_t(q)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -388,8 +409,9 @@ def test_lagrange_reconstructs_phi_t():
 def test_phi_t_slices_match_evaluation():
     q = 2
     phi_t = compute_phi_t(q)
+    t = poly_ring_A(q).gen()
     # ring parents compare by identity, so evaluate in the slices' ring
-    for jk, slice_poly in phi_t_slices(q, range(3)):
+    for jk, slice_poly in phi_t_slices(q, [t**k for k in range(3)]):
         assert slice_poly == phi_t.eval_y(slice_poly.ring, jk)
 
 

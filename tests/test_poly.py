@@ -9,7 +9,7 @@ import pytest
 from drinfeld import GF, poly_ring_A, rational_function_field
 from drinfeld.ff import GaloisField
 from drinfeld.poly import _ARRAY_TYPECODE, PolyRing, _pseudo_rem, content, poly_gcd, poly_xgcd
-from drinfeld.poly import primitive_part, resultant
+from drinfeld.poly import FqPoly, Poly, primitive_part, resultant
 from drinfeld.ratfunc import FractionField
 from drinfeld.skew import SkewPolyRing
 
@@ -401,6 +401,131 @@ def test_resultant_matches_prs_oracle_over_A_s_X(q):
     # nested coefficients grow fast: y-degrees up to 3 keep this quick
     degrees = [(m, n) for m, n in _RESULTANT_DEGREES if max(m, n) <= 3]
     _check_against_oracle(PolyRing(AsX, "y"), rng, coeff, degrees)
+
+
+def _ref_mul(a, b):
+    """Product over any tower of nested rings: a schoolbook loop over every
+    pair of coefficients, zeros included, down to A = F_q[t]."""
+    if isinstance(a, FqPoly):
+        return a * b
+    ring = a.ring
+    if a.is_zero or b.is_zero:
+        return ring.zero
+    out = [ring.base.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + _ref_mul(ai, bj)
+    return ring.from_coeffs(out)
+
+
+def _ref_divmod(a, b):
+    """Schoolbook long division over any tower of nested rings: every step
+    reads the top of the remainder, divides it by lead(b) with
+    _ref_exact_div, monic or not, and subtracts the whole multiple of b,
+    zero coefficients included.  Over A it is _schoolbook_divmod."""
+    ring = a.ring
+    if isinstance(a, FqPoly):
+        return _schoolbook_divmod(ring, a, b)
+    rem, b = list(a.coeffs), b.coeffs
+    quot = [ring.base.zero] * max(len(rem) - len(b) + 1, 0)
+    while rem and len(rem) >= len(b):
+        c = _ref_exact_div(rem[-1], b[-1])
+        shift = len(rem) - len(b)
+        quot[shift] = c
+        for j, bc in enumerate(b):
+            rem[shift + j] = rem[shift + j] - _ref_mul(c, bc)
+        while rem and rem[-1].is_zero:
+            rem.pop()
+    return ring.from_coeffs(quot), ring.from_coeffs(rem)
+
+
+def _ref_exact_div(a, b):
+    quot, rem = _ref_divmod(a, b)
+    if not rem.is_zero:
+        raise ValueError("inexact")
+    return quot
+
+
+def _outcome(op, a, b):
+    """op(a, b), or ValueError when a division step is not exact."""
+    try:
+        return op(a, b)
+    except ValueError:
+        return ValueError
+
+
+def _nested_rings(q):
+    """(A[x], A[s][y]) and a random coefficient for each, about a third
+    of them zero so that divisors have interior zeros."""
+    A = poly_ring_A(q)
+    As = PolyRing(A, "s")
+
+    def in_A(rng):
+        return A.random_element(rng, 2) if rng.random() < 0.7 else A.zero
+
+    def in_As(rng):
+        return As.from_coeffs([in_A(rng) for _ in range(rng.randint(1, 3))])
+
+    return [(PolyRing(A, "x"), in_A), (PolyRing(As, "y"), in_As)]
+
+
+def _nested_poly(ring, coeff, rng, degree, lead=None):
+    """A polynomial of degree exactly degree with top coefficient lead (a
+    random nonzero one when lead is None)."""
+    top = lead
+    while top is None or top.is_zero:
+        top = coeff(rng)
+    return ring.from_coeffs([coeff(rng) for _ in range(degree)] + [top])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_nested_divmod_matches_schoolbook(q):
+    """divmod, exact_div and * on A[x] and A[s][y] against the schoolbook
+    references: monic and non-monic divisors (each with interior zeros),
+    a zero dividend, a divisor longer than the dividend, exact quotients
+    under a non-monic lead, and ValueError on an inexact step."""
+    rng = random.Random(1700 + q)
+    for ring, coeff in _nested_rings(q):
+        base = ring.base
+        x = ring.gen()
+        cases = []
+        for _ in range(12):
+            monic = _nested_poly(ring, coeff, rng, rng.randint(1, 3), base.one)
+            other = _nested_poly(ring, coeff, rng, rng.randint(1, 3))
+            quot = _nested_poly(ring, coeff, rng, rng.randint(0, 3))
+            low = ring.from_coeffs([coeff(rng) for _ in range(int(other.degree))])
+            cases += [
+                (_nested_poly(ring, coeff, rng, rng.randint(0, 6)), monic),
+                (_nested_poly(ring, coeff, rng, rng.randint(0, 6)), other),
+                (_ref_mul(quot, other), other),
+                (_ref_mul(quot, other) + low, other),
+            ]
+        sparse = x**4 + x.scale(coeff(rng) or base.one) + ring.constant(coeff(rng))
+        cases += [
+            (ring.zero, sparse),
+            (x**2 + ring.one, sparse),
+            (x**9 + x**3, sparse),
+            (x**2, x.scale(base.gen()) + ring.one),
+        ]
+        raised = exact = 0
+        for a, b in cases:
+            assert a * b == _ref_mul(a, b) == b * a
+            got = _outcome(divmod, a, b)
+            assert got == _outcome(_ref_divmod, a, b)
+            assert _outcome(Poly.exact_div, a, b) == _outcome(_ref_exact_div, a, b)
+            if got is ValueError:
+                raised += 1
+            else:
+                quo, rem = got
+                assert _ref_mul(quo, b) + rem == a
+                assert rem.is_zero or rem.degree < b.degree
+                exact += rem.is_zero
+        assert divmod(ring.zero, sparse) == (ring.zero, ring.zero)
+        assert divmod(x**2 + ring.one, sparse) == (ring.zero, x**2 + ring.one)
+        with pytest.raises(ValueError):
+            divmod(x**2, x.scale(base.gen()) + ring.one)
+        # the random cases hit both outcomes and exact quotients
+        assert raised >= 5 and exact >= 12
 
 
 def test_poly_ring_is_one_object_per_base_and_variable():
