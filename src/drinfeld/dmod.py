@@ -74,14 +74,17 @@ class DrinfeldModule:
 
     def phi_of(self, a):
         """phi_a for a in A, via the F_q-algebra homomorphism a -> phi_a,
-        by Horner's rule in phi_t: deg a skew products."""
-        phit = self.phi_t
-        result = self.skew.zero
-        for c in reversed(a.coeffs):
-            result = result * phit
-            if not c.is_zero:
-                result = result + self.skew.constant(self.field(c))
-        return result
+        by Horner's rule in phi_t from the leading coefficient: deg a - 1
+        skew products for monic a (none for deg a <= 1), one more
+        otherwise."""
+        if a.degree < 1:
+            return self.skew([self.field(c) for c in a.coeffs])
+        phit, const = self.phi_t, self.skew.constant
+        c0, *mid, lead = [self.field(c) for c in a.coeffs]
+        result = phit if lead == self.field.one else const(lead) * phit
+        for c in reversed(mid):
+            result = (result + const(c)) * phit
+        return result + const(c0)
 
     def __eq__(self, other):
         return (

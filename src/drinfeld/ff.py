@@ -18,7 +18,6 @@ with e > 1, over F_p.
 """
 
 from functools import lru_cache
-from itertools import zip_longest
 
 from .errors import InvariantViolation
 
@@ -318,17 +317,18 @@ class GaloisField:
 
     def _build_tables(self):
         p, q = self.p, self.q
-        digits = [self._decode(a) for a in range(q)]
-        # F_q = F_p[u]/(modulus): add and negate coordinatewise (_encode
-        # reduces mod p)
-        self.add_table = [
-            [
-                self._encode([a + b for a, b in zip_longest(x, y, fillvalue=0)])
-                for y in digits
+        # F_q = F_p[u]/(modulus) adds coordinatewise: the table for the k
+        # lowest digits extends to k + 1 by a new lowest digit, code
+        # p * (higher digits) + (lowest digit)
+        add = [[0]]
+        for _ in range(self.e):
+            add = [
+                [(a0 + b0) % p + p * s for s in row for b0 in range(p)]
+                for row in add
+                for a0 in range(p)
             ]
-            for x in digits
-        ]
-        self.neg_table = [self._encode([-a for a in x]) for x in digits]
+        self.add_table = add
+        self.neg_table = [row.index(0) for row in add]
         self.sub_table = [[row[n] for n in self.neg_table] for row in self.add_table]
         if self.e == 1:
             self.mul_table = [[a * b % p for b in range(q)] for a in range(q)]
@@ -337,7 +337,7 @@ class GaloisField:
             # code whose powers, multiplied and reduced on the code-list
             # kernels of the prime field, run through all q - 1 units
             Fp = GF(p)
-            for g in digits[2:]:
+            for g in map(self._decode, range(2, q)):
                 exp, x = [1], g
                 while x != [1]:
                     exp.append(self._encode(x))

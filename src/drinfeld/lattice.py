@@ -111,10 +111,9 @@ def _bareiss(cols, extra=()):
         pk, row = m[k][k], m[k]
         for i in range(k + 1, n):
             mik = m[i][k]
-            m[i] = [A.zero] * (k + 1) + [
-                (pk * a - mik * b).exact_div(prev)
-                for a, b in zip(m[i][k + 1 :], row[k + 1 :])
-            ]
+            new = [pk * a - mik * b for a, b in zip(m[i][k + 1 :], row[k + 1 :])]
+            # p_(-1) = 1: the first step divides by nothing
+            m[i] = [A.zero] * (k + 1) + ([x.exact_div(prev) for x in new] if k else new)
         prev = pk
     return (prev if sign > 0 else -prev), m
 

@@ -65,10 +65,11 @@ class RatFunc:
         # num/den pairs across the factors can share divisors
         a, b = self.num, self.den
         c, d = other.num, other.den
-        # a constant (monic, so unit) denominator shares nothing: skip its gcd
-        if d.degree > 0 and (g1 := poly_gcd(a, d)).degree > 0:
+        # a constant numerator or denominator is a unit and shares nothing:
+        # skip its gcd
+        if a.degree > 0 and d.degree > 0 and (g1 := poly_gcd(a, d)).degree > 0:
             a, d = a.exact_div(g1), d.exact_div(g1)
-        if b.degree > 0 and (g2 := poly_gcd(c, b)).degree > 0:
+        if c.degree > 0 and b.degree > 0 and (g2 := poly_gcd(c, b)).degree > 0:
             c, b = c.exact_div(g2), b.exact_div(g2)
         # b, d and the gcds cancelled from them are monic, so b*d is monic
         return RatFunc(self.field, a * c, b * d)

@@ -1,9 +1,10 @@
 """Twisted polynomial rings R{tau} with tau c = c^q tau.
 
 A skew polynomial sum a_i tau^i acts as the additive polynomial
-sum a_i X^(q^i); multiplication is composition.  Right division works
-over any coefficient field: only inversion and Frobenius powers of
-coefficients are needed.
+sum a_i X^(q^i); multiplication is composition.  Right division (Ore's
+left Euclidean division) works over any coefficient field: each step
+pops the leading coefficient it cancels and needs only an inversion and
+Frobenius powers of coefficients.
 """
 
 from functools import lru_cache
@@ -59,7 +60,7 @@ class SkewPoly:
         return hash((id(self.ring), self.coeffs))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, self.ring(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -76,6 +77,7 @@ class SkewPoly:
 
     def __mul__(self, other):
         """Composition: (ab)_k = sum_{i+j=k} a_i * b_j^(q^i)."""
+        other = self.ring(other)
         if self.is_zero or other.is_zero:
             return self.ring.zero
         ring = self.ring
@@ -85,9 +87,11 @@ class SkewPoly:
             if ai.is_zero:
                 continue
             qi = ring.q**i
-            for j, bj in enumerate(other.coeffs):
+            for k, bj in enumerate(other.coeffs, i):
                 if not bj.is_zero:
-                    out[i + j] = out[i + j] + ai * bj**qi
+                    term = ai * bj**qi if i else ai * bj
+                    # a slot still holding its initial zero takes the term as it is
+                    out[k] = term if out[k] is zero else out[k] + term
         return ring(out)
 
     def __pow__(self, n):
@@ -98,21 +102,26 @@ class SkewPoly:
     def right_divmod(self, b):
         """(quot, rem) with self = quot * b + rem, tau-deg rem < tau-deg b.
 
-        Always succeeds: the elimination step needs only division by a
-        Frobenius power of lc(b), never a root extraction.
+        Ore's left Euclidean division: each step pops the leading
+        coefficient a of the remainder, takes c = a / lc(b)^(q^k) for the
+        shift k and subtracts c b_j^(q^k) tau^(k+j) for the nonzero lower
+        coefficients b_j of b only.  Always succeeds: it divides only by
+        a Frobenius power of lc(b), never extracts a root.
         """
+        b = self.ring(b)
         if b.is_zero:
             raise ZeroDivisionError("skew division by zero")
         ring = self.ring
         rem = list(self.coeffs)
-        db = len(b.coeffs) - 1
+        db, lead = len(b.coeffs) - 1, b.lead
+        low = [(j, bj) for j, bj in enumerate(b.coeffs[:-1]) if not bj.is_zero]
         quot = [self.coeff_field.zero] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
+        while len(rem) > db:
             k = len(rem) - 1 - db
-            c = rem[-1].exact_div(b.lead ** (ring.q**k))
-            quot[k] = c
-            for j, bj in enumerate(b.coeffs):
-                rem[k + j] = rem[k + j] - c * bj ** (ring.q**k)
+            qk = ring.q**k
+            c = quot[k] = rem.pop().exact_div(lead**qk)
+            for j, bj in low:
+                rem[k + j] = rem[k + j] - c * bj**qk
             while rem and rem[-1].is_zero:
                 rem.pop()
         return ring(quot), ring(rem)
@@ -154,6 +163,8 @@ class SkewPolyRing:
 
     def __call__(self, coeffs):
         if isinstance(coeffs, SkewPoly):
+            if coeffs.ring is not self:
+                raise ValueError(f"element of {coeffs.ring!r}, not of {self!r}")
             return coeffs
         coeffs = list(coeffs)
         while coeffs and coeffs[-1].is_zero:

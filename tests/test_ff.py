@@ -115,3 +115,7 @@ def test_tables_pinned(q):
     k = GF(q)
     blob = json.dumps([k.modulus, k.add_table, k.neg_table, k.mul_table, k.inv_table])
     assert hashlib.sha256(blob.encode()).hexdigest() == TABLE_DIGESTS[q]
+    # the subtraction table is not in the digest: a - b = a + (-b)
+    assert all(
+        k.sub_table[a][b] == k.add_table[a][k.neg_table[b]] for a in range(q) for b in range(q)
+    )

@@ -274,7 +274,8 @@ def _times(F, cols, C):
 
 def _nonsingular(F, r, rng, with_den, zero_top):
     """Random nonsingular columns; entries with denominators when with_den,
-    and entry (0, 0) zero when zero_top, so elimination must swap rows."""
+    and entry (0, 0) zero when zero_top and r > 1, so elimination must swap
+    rows."""
     A = F.ring
     while True:
         cols = [
@@ -286,14 +287,14 @@ def _nonsingular(F, r, rng, with_den, zero_top):
             ]
             for _ in range(r)
         ]
-        if zero_top:
+        if zero_top and r > 1:
             cols[0][0] = F.zero
         if not _gauss_det(F, cols).is_zero:
             return cols
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
-@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_elimination_over_A_matches_F_oracle(q, r):
     F = rational_function_field(q)
     A = F.ring

@@ -1,11 +1,14 @@
 """Twisted polynomial rings: commutation, composition, right division."""
 
 import random
+import re
 
 import pytest
 
 from drinfeld import skew_ring
 from drinfeld.base import rational_function_field
+from drinfeld.dmod import random_module
+from drinfeld.skew import SkewPoly
 
 
 def _setup(q):
@@ -98,3 +101,141 @@ def test_zero_division_raises():
     F, S = _setup(2)
     with pytest.raises(ZeroDivisionError):
         S.one.right_divmod(S.zero)
+
+
+def test_elements_of_another_ring_are_rejected():
+    """An element of F_3(t){tau} is not one of F_2(t){tau}: coercion and
+    arithmetic across the rings name both."""
+    S2 = _setup(2)[1]
+    F3, S3 = _setup(3)
+    x = S3([F3.t, F3.one])
+    both = re.escape(f"element of {S3!r}, not of {S2!r}")
+    with pytest.raises(ValueError, match=both):
+        S2(x)
+    for op in (
+        lambda y: y + x,
+        lambda y: y * x,
+        lambda y: y.right_divmod(x),
+    ):
+        with pytest.raises(ValueError, match=both):
+            op(S2.tau())
+    assert S3(x) is x
+
+
+# -- differential tests against the textbook loops ---------------------------
+
+
+def _ref_mul(S, a, b):
+    """(ab)_k = sum_{i+j=k} a_i b_j^(q^i), every term added to a zero."""
+    F = S.coeff_field
+    out = [F.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + ai * bj ** (S.q**i)
+    return S(out)
+
+
+def _ref_right_divmod(S, a, b):
+    """Right division that subtracts c tau^k b in full, the cancelled
+    leading term included, and then drops the zeros it made."""
+    F = S.coeff_field
+    rem = list(a.coeffs)
+    db = len(b.coeffs) - 1
+    quot = [F.zero] * max(len(rem) - db, 0)
+    while len(rem) - 1 >= db and rem:
+        k = len(rem) - 1 - db
+        c = rem[-1] / b.lead ** (S.q**k)
+        quot[k] = c
+        for j, bj in enumerate(b.coeffs):
+            rem[k + j] = rem[k + j] - c * bj ** (S.q**k)
+        while rem and rem[-1].is_zero:
+            rem.pop()
+    return S(quot), S(rem)
+
+
+def _sparse(F, S, rng, length):
+    """A skew polynomial of tau-degree length - 1 whose lower coefficients
+    are zero a third of the time."""
+    if length == 0:
+        return S.zero
+    low = [
+        F.zero if rng.random() < 1 / 3 else F.random_element(rng, 1) for _ in range(length - 1)
+    ]
+    return S(low + [F.random_element(rng, 1, nonzero=True)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_product_matches_textbook_loop(q):
+    F, S = _setup(q)
+    rng = random.Random(54 + q)
+    t = F.t
+    pairs = [
+        (_sparse(F, S, rng, rng.randrange(0, 4)), _sparse(F, S, rng, rng.randrange(0, 4)))
+        for _ in range(20)
+    ]
+    # interior zeros, constants and one on either side
+    gap = S([t, F.zero, F.zero, t + F.one])
+    c = S.constant(t**2 + F.one)
+    pairs += [(gap, gap), (c, gap), (gap, c), (S.one, gap), (gap, S.one), (c, c)]
+    # (ab)_1 = a_0 b_1 + a_1 b_0^q cancels to 0; in (ab)_2 the first two
+    # of its three terms cancel
+    a0, a1, b0 = t + F.one, t, t**2 + t
+    b1 = -a1 * b0**q / a0
+    b2 = -a1 * b1**q / a0
+    pairs += [(S([a0, a1]), S([b0, b1])), (S([a0, a1, t]), S([b0, b1, b2]))]
+    for a, b in pairs:
+        assert a * b == _ref_mul(S, a, b)
+    ab = pairs[-2][0] * pairs[-2][1]
+    assert ab.coeff(1).is_zero and ab.tau_degree == 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_right_divmod_matches_textbook_loop(q):
+    F, S = _setup(q)
+    rng = random.Random(55 + q)
+    for db in range(4):
+        for _ in range(6):
+            b = _sparse(F, S, rng, db + 1)
+            # a dividend shorter than the divisor, as long, and longer
+            a = _sparse(F, S, rng, rng.randrange(0, db + 3))
+            quo, rem = a.right_divmod(b)
+            assert (quo, rem) == _ref_right_divmod(S, a, b)
+            assert quo * b + rem == a
+    gap = S([F.t, F.zero, F.zero, F.one])
+    a = _sparse(F, S, rng, 6)
+    assert a.right_divmod(gap) == _ref_right_divmod(S, a, gap)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_phi_of_counts_skew_products(q, monkeypatch):
+    """phi_a for monic a costs max(deg a - 1, 0) skew products."""
+    F = rational_function_field(q)
+    A = F.ring
+    rng = random.Random(56 + q)
+    phi = random_module(F, q, 2, rng, max_degree=1)
+    products = [0]
+    mul = SkewPoly.__mul__
+
+    def counting(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    for deg in range(4):
+        low = [A.base.random_element(rng) for _ in range(deg)]
+        a = A.from_coeffs(low + [A.base.one])
+        monkeypatch.setattr(SkewPoly, "__mul__", counting)
+        products[0] = 0
+        phi_a = phi.phi_of(a)
+        assert products[0] == max(deg - 1, 0)
+        monkeypatch.undo()
+        assert phi_a == _horner_from_zero(phi, a)
+        # the lead q - 1 makes a non-monic for q > 2
+        b = A.from_coeffs(low + [A.base.element_from_code(q - 1)])
+        assert phi.phi_of(b) == _horner_from_zero(phi, b)
+
+
+def _horner_from_zero(phi, a):
+    ref = phi.skew.zero
+    for c in reversed(a.coeffs):
+        ref = ref * phi.phi_t + phi.skew.constant(phi.field(c))
+    return ref
