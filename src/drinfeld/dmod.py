@@ -15,7 +15,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+from .base import rational_function_field
 from .errors import StableReductionRequired
+from .parsing import parse_element
 from .places import Place, valuation_base, valuations, weil_height
 from .ratfunc import FractionField
 from .skew import skew_ring
@@ -44,9 +46,6 @@ class DrinfeldModule:
     def from_literal(cls, literal):
         """Build from {"q": 2, "r": 2, "g": ["t+1", "1"]}; a literal of
         any other shape is a ValueError that names the problem."""
-        from .base import rational_function_field
-        from .parsing import parse_element
-
         if not isinstance(literal, dict):
             raise ValueError('module literal must be a JSON object {"q": .., "r": .., "g": [..]}')
         missing = [key for key in ("q", "r", "g") if key not in literal]

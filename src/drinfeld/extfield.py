@@ -5,6 +5,7 @@ Polynomials over A = F_q[t] in the variable x are represented in the
 nested ring A[x] = PolyRing(PolyRing(F_q, 't'), 'x').
 """
 
+from .base import rational_function_field
 from .errors import InvariantViolation, IrreducibilityUncertain
 from .factor import factor
 from .ff import power
@@ -239,8 +240,6 @@ def irreducible_over_F(f_in_Ax):
     A = f.ring.base
     F_roots_decidable = f.degree <= 3
     if F_roots_decidable:
-        from .base import rational_function_field
-
         F = rational_function_field(A.base.q)
         return not rational_roots(f, F)
     swapped = _swap_to_t_outer(f)

@@ -4,7 +4,8 @@ One path for every degree: squarefree decomposition, distinct-degree
 splitting, then Cantor-Zassenhaus equal-degree splitting.  The
 equal-degree stage draws random elements from a fixed seed; the
 factorization is unique and returned sorted, so the seed never shows in
-a result.  Irreducibility is Ben-Or's test on the same Frobenius step.
+a result.  The irreducibility test, which also picks the moduli of the
+fields F_(p^e), is distinct-degree splitting that finds one block.
 """
 
 import random
@@ -59,7 +60,8 @@ def squarefree_decomposition(f):
 
 def distinct_degree_split(f):
     """For squarefree monic f, list of (product of irreducible factors of
-    degree d, d)."""
+    degree d, d).  Any other monic f still returns blocks of increasing d,
+    which `is_irreducible` reads."""
     ring = f.ring
     q = ring.base.q
     x = ring.gen()
@@ -146,16 +148,11 @@ def monic_polys_of_degree(ring, d):
 
 
 def is_irreducible(f):
-    """Ben-Or's test: f of degree n >= 1 is irreducible over F_q iff
-    gcd(x^(q^i) - x, f) = 1 for every i <= n / 2, since a reducible f has
-    an irreducible factor of degree at most n / 2."""
+    """f of degree n >= 1 is irreducible over F_q iff distinct-degree
+    splitting of g = f.monic() returns the one block (g, n): a reducible f
+    has an irreducible factor of degree at most n / 2, which splits off
+    as a block of its own (a repeated factor leaves a second block)."""
     if f.degree < 1:
         return False
-    q = f.ring.base.q
-    x = f.ring.gen()
-    h = x
-    for _ in range(int(f.degree) // 2):
-        h = _powmod(h, q, f)
-        if poly_gcd(h - x, f).degree > 0:
-            return False
-    return True
+    g = f.monic()
+    return distinct_degree_split(g) == [(g, int(g.degree))]

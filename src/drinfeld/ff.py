@@ -5,6 +5,7 @@ are the coordinates with respect to the power basis 1, u, ..., u^(e-1),
 where u is a root of a fixed monic irreducible modulus of degree e over
 F_p.  The modulus is the one whose non-leading coefficient vector, read as
 a base-p integer, is smallest; this makes field construction deterministic.
+``factor.is_irreducible``, the one irreducibility test, decides it.
 
 Multiplication and inversion tables are precomputed, so q is capped at
 ``MAX_Q`` (desk scale).  Each field builds its q elements once and
@@ -76,27 +77,19 @@ def power(x, n, one):
 
 def _smallest_irreducible(p, e):
     """Monic irreducible of degree e over F_p with the smallest
-    non-leading coefficient vector (as a base-p integer)."""
-    for code in range(p**e):
-        m = digits(code, p, e) + [1]
-        if _is_irreducible_mod_p(m, p):
-            return m
-    raise InvariantViolation(f"no monic irreducible of degree {e} over F_{p}")
-
-
-def _is_irreducible_mod_p(m, p):
-    e = len(m) - 1
+    non-leading coefficient vector (as a base-p integer): the first of
+    ``factor.monic_polys_of_degree`` that ``factor.is_irreducible``
+    accepts.  Degree 1 needs no test, and GF(p) none of its own tables."""
     if e == 1:
-        return True
-    if m[0] == 0:
-        return False
-    # Trial division by every monic polynomial of degree 1..e/2; the
-    # degrees in play here are tiny, so this is fast enough.
-    for deg in range(1, e // 2 + 1):
-        for code in range(p**deg):
-            if not _poly_rem(m, digits(code, p, deg) + [1], GF(p)):
-                return False
-    return True
+        return [0, 1]
+    # poly and factor import this module
+    from .factor import is_irreducible, monic_polys_of_degree
+    from .poly import PolyRing
+
+    for m in monic_polys_of_degree(PolyRing(GF(p), "x"), e):
+        if is_irreducible(m):
+            return list(m.codes)
+    raise InvariantViolation(f"no monic irreducible of degree {e} over F_{p}")
 
 
 def _poly_add(a, b, F):

@@ -5,11 +5,13 @@ computed constructively: phi_N right-divided by f, for the minimal monic
 N with ker f contained in phi[N].
 """
 
+from .base import poly_ring_A, rational_function_field
 from .dmod import DrinfeldModule
 from .errors import InvariantViolation, KernelNotStable
 from .extfield import rational_roots, to_A_x
 from .factor import monic_polys_of_degree
 from .poly import PolyRing
+from .skew import skew_ring
 
 
 class Isogeny:
@@ -70,7 +72,7 @@ def minimal_N(phi, f):
     of tau-degree r deg N, only from deg N = ceil(tau-deg f / r) on; the
     search stops at deg N = tau-deg f.  The quotient comes from the
     division that found N, so `dual` divides no second time."""
-    A = _A_of(phi)
+    A = poly_ring_A(phi.q)
     bound = int(f.tau_degree)
     for deg in range(-(-bound // phi.r), bound + 1):
         for N in monic_polys_of_degree(A, deg):
@@ -79,12 +81,6 @@ def minimal_N(phi, f):
             if rem.is_zero:
                 return N, phi_N, fhat
     raise InvariantViolation("no N up to the degree bound; f is not an isogeny")
-
-
-def _A_of(phi):
-    from .base import poly_ring_A
-
-    return poly_ring_A(phi.q)
 
 
 def dual(phi, phi2, f):
@@ -120,9 +116,6 @@ def random_isogenous_pair(q, r, rng, size_bound=2):
     """Exact generator of isogenous pairs over F: pick skew f, P with
     P_0 * f_0 = t and tau-deg P + tau-deg f = r, then phi_t := P * f and
     phi'_t := f * P.  Both f and P are then isogenies with N = t."""
-    from .base import rational_function_field
-    from .skew import skew_ring
-
     F = rational_function_field(q)
     A = F.ring
     S = skew_ring(F, q)

@@ -8,6 +8,11 @@ parsing round-trip: parse(print(v)) == v.
 
 import re
 
+from .extfield import QuotientField
+from .ff import GaloisField
+from .poly import PolyRing
+from .ratfunc import FractionField
+
 TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]\w*|\^|\+|\-|\*|/|\(|\))")
 
 
@@ -107,11 +112,6 @@ def parse_in_ring(text, ring, variables):
 
 def standard_vars(ring):
     """Variable bindings for the standard tower rings."""
-    from .extfield import QuotientField
-    from .ff import GaloisField
-    from .poly import PolyRing
-    from .ratfunc import FractionField
-
     out = {}
     if isinstance(ring, GaloisField):
         if ring.e > 1:
@@ -143,9 +143,7 @@ def parse_skew(text, skew_ring):
     coefficient list is reinterpreted; this is faithful because the
     printed form keeps all coefficients to the left of T-powers.
     """
-    from .poly import PolyRing
-
-    R = skew_ring.coeff_field
+    R = skew_ring.base
     commutative = PolyRing(R, "T")
     variables = standard_vars(R)
     variables = {k: commutative(v) for k, v in variables.items()}
@@ -217,7 +215,7 @@ def format_ratfunc(x):
 def format_skew(f):
     if f.is_zero:
         return "0"
-    one = f.coeff_field.one
+    one = f.ring.base.one
     terms = []
     for k, c in enumerate(f.coeffs):
         if c.is_zero:

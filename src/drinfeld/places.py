@@ -5,9 +5,10 @@ Fractions.  At the infinite place |x| = q^deg(x); at the finite place
 attached to a monic irreducible P, |x| = q^(-deg(P) v_P(x)).
 
 `coprime_base` splits numerators and denominators into pairwise coprime
-b by gcds and exact divisions; heights read b with weight deg b, and
-`valuations` factors each b once.  `valuation` and `log_abs` divide by
-one given P and serve as the reference.
+b by gcds and exact divisions, never testing a pair it has proved
+coprime; heights read b with weight deg b, and `valuations` factors
+each b once.  `valuation` and `log_abs` divide by one given P and serve
+as the reference.
 
 Only places of F itself occur, so every local degree n_v is 1 and the
 e_v/f_v bookkeeping of finite extensions never enters.
@@ -89,18 +90,28 @@ def coprime_base(pieces):
     and integer vectors e, by factor refinement (Bach, Driscoll and
     Shallit 1993): a pair sharing g = gcd(a, b) becomes (a/g, e_a),
     (g, e_a + e_b), (b/g, e_b) until none does.  That is the natural coprime
-    base in any input order; b with a zero vector are dropped only last."""
-    work = [(f.monic(), list(e)) for f, e in pieces if f.degree > 0]
+    base in any input order; b with a zero vector are dropped only last.
+
+    Each pending piece carries a k such that it is coprime to base[:k],
+    and is tested against base[k:] only.  A split at base[k] leaves b/g
+    there (or deletes it, a unit) and pushes a/g and g with that same k.
+    The stack holds the pieces in nondecreasing k, so a deletion at k
+    never reaches the proved prefix of a piece still waiting."""
+    work = [(f.monic(), list(e), 0) for f, e in pieces if f.degree > 0]
     base = []
     while work:
-        a, ea = work.pop()
-        for k, (b, eb) in enumerate(base):
+        a, ea, start = work.pop()
+        for k in range(start, len(base)):
+            b, eb = base[k]
             g = poly_gcd(a, b)
             if g.degree > 0:
-                del base[k]
-                split = ((a.exact_div(g), ea), (g, [x + y for x, y in zip(ea, eb)]),
-                         (b.exact_div(g), eb))
-                work += [(h, e) for h, e in split if h.degree > 0]
+                b = b.exact_div(g)
+                if b.degree > 0:
+                    base[k] = (b, eb)
+                else:
+                    del base[k]
+                split = ((a.exact_div(g), ea), (g, [x + y for x, y in zip(ea, eb)]))
+                work += [(h, e, k) for h, e in split if h.degree > 0]
                 break
         else:
             base.append((a, ea))

@@ -9,6 +9,10 @@ Over any other base (A[x], F[Y], A[s][y], ...) the elements are generic
 plus ``exact_div`` and ``is_zero``: nesting PolyRings gives multivariate
 rings in recursive (dense) representation.
 
+``Dense``, the ring and coefficient tuple with equality, hashing,
+negation and coefficient access, is shared with ``skew.SkewPoly``;
+``FqPoly`` overrides all of it on codes.
+
 Division helpers:
 
 * ``divmod`` is long division, the loop of ``ff._poly_divmod`` on
@@ -67,17 +71,16 @@ def _is_power_of(n, p):
     return n == 1
 
 
-class Poly:
+class Dense:
+    """Ring and coefficient tuple, lowest degree first and trimmed by the
+    ring.  A ring builds elements of one class, so equality compares ring
+    identity and coefficients."""
+
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
-        # coeffs: low-degree first, trailing zeros trimmed by the ring
         self.ring = ring
         self.coeffs = coeffs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     @property
     def is_zero(self):
@@ -101,19 +104,31 @@ class Poly:
             return self.coeffs[i]
         return self.ring.base.zero
 
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.lead == self.ring.base.one
-
     def __eq__(self, other):
         return (
-            isinstance(other, Poly)
+            isinstance(other, Dense)
             and self.ring is other.ring
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
         return hash((id(self.ring), self.coeffs))
+
+    def __neg__(self):
+        # from a list: tuple() of a generator or map resizes and swells free lists
+        return self.__class__(self.ring, tuple([-c for c in self.coeffs]))
+
+
+class Poly(Dense):
+    __slots__ = ()
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+
+    @property
+    def is_monic(self):
+        return bool(self.coeffs) and self.lead == self.ring.base.one
 
     def _lift(self, other):
         """This polynomial in the ring of other, when other is a polynomial
@@ -144,10 +159,6 @@ class Poly:
         return self.ring.from_coeffs(out)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        # from a list: tuple() of a generator or map resizes and swells free lists
-        return Poly(self.ring, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
         try:

@@ -1,63 +1,30 @@
 """Twisted polynomial rings R{tau} with tau c = c^q tau.
 
-A skew polynomial sum a_i tau^i acts as the additive polynomial
-sum a_i X^(q^i); multiplication is composition.  Right division (Ore's
-left Euclidean division) works over any coefficient field: each step
-pops the leading coefficient it cancels and needs only an inversion and
-Frobenius powers of coefficients.
+R{tau} has the elements of R[x], so a ``SkewPoly`` is the container
+``poly.Dense`` (ring, trimmed coefficient tuple) and defines only its
+twisted arithmetic; its ring calls the coefficient field ``base``, as a
+``PolyRing`` does.  A skew polynomial sum a_i tau^i acts as the additive
+polynomial sum a_i X^(q^i); multiplication is composition.  Right
+division (Ore's left Euclidean division) works over any coefficient
+field: each step pops the leading coefficient it cancels and needs only
+an inversion and Frobenius powers of coefficients.
 """
 
 from functools import lru_cache
 
 from .ff import power
+from .poly import Dense
 
 
-class SkewPoly:
-    __slots__ = ("ring", "coeffs")
+class SkewPoly(Dense):
+    """Not a ``Poly``: its commutative division, evaluation and Frobenius
+    ``**`` are wrong in R{tau}."""
 
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = coeffs
-
-    @property
-    def coeff_field(self):
-        return self.ring.coeff_field
+    __slots__ = ()
 
     @property
     def tau_degree(self):
         return len(self.coeffs) - 1 if self.coeffs else float("-inf")
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.coeff_field.zero
-
-    @property
-    def constant(self):
-        return self.coeff(0)
-
-    @property
-    def lead(self):
-        if not self.coeffs:
-            raise ValueError("zero skew polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SkewPoly)
-            and self.ring is other.ring
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), self.coeffs))
 
     def __add__(self, other):
         a, b = self.coeffs, self.ring(other).coeffs
@@ -68,10 +35,6 @@ class SkewPoly:
             out[i] = out[i] + c
         return self.ring(out)
 
-    def __neg__(self):
-        # from a list: tuple() of a generator or map resizes and swells free lists
-        return SkewPoly(self.ring, tuple([-c for c in self.coeffs]))
-
     def __sub__(self, other):
         return self + (-other)
 
@@ -81,7 +44,7 @@ class SkewPoly:
         if self.is_zero or other.is_zero:
             return self.ring.zero
         ring = self.ring
-        zero = self.coeff_field.zero
+        zero = self.ring.base.zero
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ai in enumerate(self.coeffs):
             if ai.is_zero:
@@ -115,7 +78,7 @@ class SkewPoly:
         rem = list(self.coeffs)
         db, lead = len(b.coeffs) - 1, b.lead
         low = [(j, bj) for j, bj in enumerate(b.coeffs[:-1]) if not bj.is_zero]
-        quot = [self.coeff_field.zero] * max(len(rem) - db, 0)
+        quot = [self.ring.base.zero] * max(len(rem) - db, 0)
         while len(rem) > db:
             k = len(rem) - 1 - db
             qk = ring.q**k
@@ -144,22 +107,22 @@ class SkewPoly:
 
 
 @lru_cache(maxsize=None)
-def skew_ring(coeff_field, q):
+def skew_ring(base, q):
     """Shared SkewPolyRing instance for a given coefficient field."""
-    return SkewPolyRing(coeff_field, q)
+    return SkewPolyRing(base, q)
 
 
 class SkewPolyRing:
     """R{tau} over a coefficient field R of the same q, so that tau c = c^q tau
     is additive."""
 
-    def __init__(self, coeff_field, q):
-        if q != coeff_field.q:
-            raise ValueError(f"q = {q} is not the q = {coeff_field.q} of the coefficient field")
-        self.coeff_field = coeff_field
+    def __init__(self, base, q):
+        if q != base.q:
+            raise ValueError(f"q = {q} is not the q = {base.q} of the coefficient field")
+        self.base = base
         self.q = q
         self.zero = SkewPoly(self, ())
-        self.one = SkewPoly(self, (coeff_field.one,))
+        self.one = SkewPoly(self, (base.one,))
 
     def __call__(self, coeffs):
         if isinstance(coeffs, SkewPoly):
@@ -172,15 +135,15 @@ class SkewPolyRing:
         return SkewPoly(self, tuple(coeffs))
 
     def tau(self):
-        return SkewPoly(self, (self.coeff_field.zero, self.coeff_field.one))
+        return SkewPoly(self, (self.base.zero, self.base.one))
 
     def monomial(self, c, k):
         if c.is_zero:
             return self.zero
-        return SkewPoly(self, (self.coeff_field.zero,) * k + (c,))
+        return SkewPoly(self, (self.base.zero,) * k + (c,))
 
     def constant(self, c):
         return self((c,))
 
     def __repr__(self):
-        return f"{self.coeff_field!r}{{tau}}"
+        return f"{self.base!r}{{tau}}"

@@ -1,6 +1,7 @@
 """Exhaustive field-axiom checks for the small coefficient fields."""
 
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -87,7 +88,9 @@ def test_cap_is_inclusive(monkeypatch):
 def test_no_irreducible_raises_domain_error(monkeypatch):
     """The "cannot happen" branch of the modulus search raises a
     DrinfeldError, which python -O keeps, not an AssertionError."""
-    monkeypatch.setattr(ff, "_is_irreducible_mod_p", lambda m, p: False)
+    # the module: the package attribute drinfeld.factor is the function
+    monkeypatch.setattr(importlib.import_module("drinfeld.factor"), "is_irreducible",
+                        lambda f: False)
     with pytest.raises(InvariantViolation):
         ff._smallest_irreducible(2, 3)
 

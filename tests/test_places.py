@@ -155,6 +155,26 @@ def test_coprime_base_examples():
     assert coprime_base([]) == []
 
 
+def test_coprime_base_skips_proved_pairs(monkeypatch):
+    """A piece split off at base[k] is coprime to base[:k] and is not
+    tested against it again: 7 gcds here, where retesting takes 9."""
+    import drinfeld.places as places
+
+    A = poly_ring_A(2)
+    t, one = A.gen(), A.one
+    P, Q, R = t, t + one, t**2 + t + one
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(places, "poly_gcd", counted)
+    base = coprime_base([(R, [1]), (Q * R, [1]), (P * Q, [1])])
+    assert base == [(P, [1]), (Q, [2]), (R, [2])]
+    assert len(calls) == 7
+
+
 def test_valuation_base_cancels_across_coefficients():
     """A numerator of one element that is a denominator of another shares
     its base element, with one exponent per element; (t+1)^3 stays whole,

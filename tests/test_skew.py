@@ -127,7 +127,7 @@ def test_elements_of_another_ring_are_rejected():
 
 def _ref_mul(S, a, b):
     """(ab)_k = sum_{i+j=k} a_i b_j^(q^i), every term added to a zero."""
-    F = S.coeff_field
+    F = S.base
     out = [F.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, ai in enumerate(a.coeffs):
         for j, bj in enumerate(b.coeffs):
@@ -138,7 +138,7 @@ def _ref_mul(S, a, b):
 def _ref_right_divmod(S, a, b):
     """Right division that subtracts c tau^k b in full, the cancelled
     leading term included, and then drops the zeros it made."""
-    F = S.coeff_field
+    F = S.base
     rem = list(a.coeffs)
     db = len(b.coeffs) - 1
     quot = [F.zero] * max(len(rem) - db, 0)

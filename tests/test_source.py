@@ -10,6 +10,10 @@ A = F_q[t] has one representation, ``FqPoly`` on integer codes; the
 generic ``Poly`` serves the nested rings only, so it must not grow a
 second F_q path that unwraps or rewraps codes.
 
+``Poly`` and ``SkewPoly`` share one container, ``poly.Dense``: neither
+class body defines again a name the core defines.  ``FqPoly`` is exempt,
+since it runs every one of them on codes.
+
 Invariant checks raise ``InvariantViolation`` (a ``DrinfeldError``):
 ``python -O`` strips an ``assert``, and a bare ``AssertionError`` or
 ``ArithmeticError`` escapes the CLI's error handling.
@@ -88,6 +92,48 @@ def test_fq_guard_sees_each_mention():
         "        return isinstance(self.ring.base, GaloisField), codes[0].code\n"
     )
     assert sorted(_fq_mentions(tree.body[0])) == ["GaloisField", "_from_codes", "code"]
+
+
+def _defined_names(cls):
+    """Names a class body binds, methods and assignments, __slots__ aside."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names - {"__slots__"}
+
+
+def _core_redefinitions(classes, core):
+    """(class, name) for each name of the core a class body defines again."""
+    shared = _defined_names(core)
+    return sorted((cls.name, name) for cls in classes for name in _defined_names(cls) & shared)
+
+
+def test_dense_kinds_inherit_the_core():
+    classes = {}
+    for name in ("poly.py", "skew.py"):
+        tree = ast.parse((SRC / name).read_text())
+        classes.update({n.name: n for n in tree.body if isinstance(n, ast.ClassDef)})
+    core = classes["Dense"]
+    assert _defined_names(core) >= {"__init__", "coeff", "__eq__", "__hash__", "__neg__"}
+    assert not _core_redefinitions([classes["Poly"], classes["SkewPoly"]], core)
+
+
+def test_core_guard_sees_a_redefinition():
+    tree = ast.parse(
+        "class Dense:\n"
+        "    __slots__ = ('ring', 'coeffs')\n"
+        "    def coeff(self, i): pass\n"
+        "    def __neg__(self): pass\n"
+        "class Poly(Dense):\n"
+        "    __slots__ = ()\n"
+        "    def coeff(self, i): pass\n"
+        "    def degree(self): pass\n"
+    )
+    core, poly = tree.body
+    assert _core_redefinitions([poly], core) == [("Poly", "coeff")]
 
 
 def _bare_checks(tree):
