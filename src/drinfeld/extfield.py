@@ -1,5 +1,6 @@
 """Quotient-ring field extensions L = F[x]/(m) and irreducibility
-certificates for polynomials over F = F_q(t).
+certificates for polynomials over F = F_q(t).  ``ExtElem`` is an
+``ff.FieldElem`` that defines ``+``, negation, ``*`` and ``inverse``.
 
 Polynomials over A = F_q[t] in the variable x are represented in the
 nested ring A[x] = PolyRing(PolyRing(F_q, 't'), 'x').
@@ -8,12 +9,12 @@ nested ring A[x] = PolyRing(PolyRing(F_q, 't'), 'x').
 from .base import rational_function_field
 from .errors import InvariantViolation, IrreducibilityUncertain
 from .factor import factor
-from .ff import power
+from .ff import FieldElem, power
 from .poly import Poly, PolyRing, content, poly_gcd, poly_xgcd, primitive_part
 from .ratfunc import RatFunc
 
 
-class ExtElem:
+class ExtElem(FieldElem):
     """Element of F[x]/(m), stored as the reduced representative."""
 
     __slots__ = ("field", "poly")
@@ -25,9 +26,6 @@ class ExtElem:
     @property
     def is_zero(self):
         return self.poly.is_zero
-
-    def __bool__(self):
-        return not self.poly.is_zero
 
     def __eq__(self, other):
         return (
@@ -48,12 +46,6 @@ class ExtElem:
     def __neg__(self):
         return ExtElem(self.field, -self.poly)
 
-    def __sub__(self, other):
-        return self + (-self.field(other))
-
-    def __rsub__(self, other):
-        return self.field(other) + (-self)
-
     def __mul__(self, other):
         other = self.field(other)
         return ExtElem(self.field, (self.poly * other.poly) % self.field.modulus)
@@ -67,15 +59,6 @@ class ExtElem:
         if g.degree != 0:
             raise InvariantViolation("modulus is not irreducible")
         return ExtElem(self.field, u % self.field.modulus)
-
-    def __truediv__(self, other):
-        return self * self.field(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.field(other) / self
-
-    def exact_div(self, other):
-        return self / other
 
     def __pow__(self, n):
         if n < 0:
@@ -100,15 +83,11 @@ class QuotientField:
         self.xring = modulus.ring
         self.modulus = modulus
         self.degree = int(modulus.degree)
-        self.characteristic = F.characteristic
+        self.q, self.characteristic = F.q, F.characteristic
         if not irreducible_over_F(to_A_x(modulus)):
             raise ValueError("modulus is reducible over F")
         self.zero = ExtElem(self, self.xring.zero)
         self.one = ExtElem(self, self.xring.one)
-
-    @property
-    def q(self):
-        return self.F.q
 
     def gen(self):
         return ExtElem(self, self.xring.gen() % self.modulus)

@@ -141,10 +141,12 @@ def factor(f):
 
 
 def monic_polys_of_degree(ring, d):
-    """All monic degree-d polynomials in a fixed lexicographic order
-    (low-degree coefficient codes vary fastest)."""
-    q = ring.base.q
-    return [ring.from_codes(digits(code, q, d) + [1]) for code in range(q**d)]
+    """Yield every monic degree-d polynomial, in a fixed lexicographic
+    order (low-degree coefficient codes vary fastest), built only when
+    the caller asks for it."""
+    q = ring.q
+    for code in range(q**d):
+        yield ring.from_codes(digits(code, q, d) + [1])
 
 
 def is_irreducible(f):

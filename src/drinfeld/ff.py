@@ -10,6 +10,7 @@ a base-p integer, is smallest; this makes field construction deterministic.
 Multiplication and inversion tables are precomputed, so q is capped at
 ``MAX_Q`` (desk scale).  Each field builds its q elements once and
 every operation returns one of them, so elements compare by identity.
+Every field element of the tower is a ``FieldElem``.
 
 A polynomial over F_q is a list of codes, lowest degree first, with no
 trailing zero.  The kernels below add, subtract, multiply, divide and take
@@ -25,32 +26,19 @@ from .errors import InvariantViolation
 MAX_Q = 256
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 def factor_prime_power(q):
-    """Return (p, e) with q = p^e, or raise ValueError."""
+    """Return (p, e) with q = p^e, or raise ValueError.  The least divisor
+    p > 1 of q is prime, so q is a prime power iff it is a power of p."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if is_prime(p):
-            e, m = 0, q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m == 1:
-                return p, e
-            if e > 0:
-                break
-    raise ValueError(f"{q} is not a prime power")
+    p = next(k for k in range(2, q + 1) if q % k == 0)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 def digits(n, base, width):
@@ -194,7 +182,34 @@ def _poly_gcd(a, b, F):
     return _poly_monic(a, F) if a else []
 
 
-class FFElem:
+class FieldElem:
+    """Field-element arithmetic derived from the parent ``field``'s
+    coercion and the element's ``is_zero``, ``+``, negation, ``*`` and
+    ``inverse``: truth, ``-`` and ``/`` in either order, and ``exact_div``,
+    which in a field is ``/``."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __sub__(self, other):
+        return self + (-self.field(other))
+
+    def __rsub__(self, other):
+        return self.field(other) + (-self)
+
+    def __truediv__(self, other):
+        return self * self.field(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.field(other) / self
+
+    def exact_div(self, other):
+        return self / other
+
+
+class FFElem(FieldElem):
     """Element of a small finite field; immutable, one object per element."""
 
     __slots__ = ("field", "code")
@@ -249,9 +264,6 @@ class FFElem:
         if code == 0:
             raise ZeroDivisionError("division by zero in F_q")
         return f._elems[f.mul_table[self.code][f.inv_table[code]]]
-
-    def exact_div(self, other):
-        return self / other
 
     def inverse(self):
         f = self.field

@@ -167,18 +167,6 @@ def kappa(q, m):
 # -- the two Phi_t constructions ----------------------------------------------
 
 
-def _rings(q):
-    A = poly_ring_A(q)
-    F = rational_function_field(q)
-    As = PolyRing(A, "s")
-    Asy = PolyRing(As, "y")
-    AsX = PolyRing(As, "X")
-    Ay = PolyRing(A, "y")
-    AX = PolyRing(A, "X")
-    FX = PolyRing(F, "X")
-    return A, F, As, Asy, AsX, Ay, AX, FX
-
-
 def _pushforward_coeffs(yring, s_elem, t_elem, q):
     """(p, g1') in yring, with g1' already reduced mod p; g2' = 1."""
     y = yring.gen()
@@ -215,11 +203,10 @@ def compute_phi_t(q):
     zeta^(2-i-j) a_ij(t).  A monomial c t^k of a_ij then has
     c zeta^k = c zeta^(2-i-j) for every zeta, and zeta of order q - 1
     forces k = 2 - i - j mod q - 1."""
-    A, _, As, Asy, AsX, _, _, _ = _rings(q)
-    t = A.gen()
-    s = As.gen()
-    p, g1p = _pushforward_coeffs(Asy, s, As.constant(t), q)
-    res = _phi_slice(AsX, p, g1p, q)
+    A = poly_ring_A(q)
+    As = PolyRing(A, "s")
+    p, g1p = _pushforward_coeffs(PolyRing(As, "y"), As.gen(), As.constant(A.gen()), q)
+    res = _phi_slice(PolyRing(As, "X"), p, g1p, q)
     if res.degree != q + 1 or res.lead != As.one:
         raise InvariantViolation("resultant is not monic of degree q+1 in X")
     coeffs = {}
@@ -244,11 +231,12 @@ def compute_phi_t(q):
 def phi_t_slices(q, svals):
     """Univariate slices Phi_t(X, j) at j = s^(q+1) for each s in svals,
     a list of elements of A, as (j in F, poly in F[X]) pairs."""
-    A, F, _, _, _, Ay, AX, FX = _rings(q)
-    t = A.gen()
+    F = rational_function_field(q)
+    A, FX = F.ring, PolyRing(F, "X")
+    Ay, AX = PolyRing(A, "y"), PolyRing(A, "X")
     out = []
     for s in svals:
-        p, g1p = _pushforward_coeffs(Ay, s, t, q)
+        p, g1p = _pushforward_coeffs(Ay, s, A.gen(), q)
         res = _phi_slice(AX, p, g1p, q)
         out.append((F.from_poly(s ** (q + 1)), res.map_coeffs(F.from_poly, FX)))
     return out

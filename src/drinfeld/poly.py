@@ -11,7 +11,8 @@ rings in recursive (dense) representation.
 
 ``Dense``, the ring and coefficient tuple with equality, hashing,
 negation and coefficient access, is shared with ``skew.SkewPoly``;
-``FqPoly`` overrides all of it on codes.
+``FqPoly`` overrides all of it on codes.  Their rings share
+``DenseRing``: one registry, the base's q, and the constructors.
 
 Division helpers:
 
@@ -418,45 +419,54 @@ class FqPoly(Poly):
         return FqPoly(self.ring, tuple([elems[c].pth_root().code for c in codes[::p]]))
 
 
-class PolyRing:
-    """Univariate polynomials over ``base`` in the variable ``var``.
+class DenseRing:
+    """Ring of dense polynomials, of class ``element``, over ``base`` in
+    ``var``, with the q and characteristic of the base.
 
-    There is one ring per (base, var): ``PolyRing(base, var)`` returns the
-    ring already built for that base object and variable, so rings, like
-    every other parent, compare by identity.  The registry keys on
-    ``id(base)``; it keeps each ring, and so its base, alive, so an id is
-    never reused while its entry stands.
+    There is one ring per (class, base, var), so rings, like every other
+    parent, compare by identity, and R[T] and R{tau} are two rings.  The
+    registry keys on ``id(base)``; it keeps each ring, and so its base,
+    alive, so an id is never reused while its entry stands.
     """
 
     _registry = {}
 
-    def __new__(cls, base, var):
-        key = (id(base), var)
-        ring = cls._registry.get(key)
+    @classmethod
+    def _unique(cls, base, var):
+        key = (cls, id(base), var)
+        ring = DenseRing._registry.get(key)
         if ring is None:
-            ring = object.__new__(FqPolyRing if isinstance(base, GaloisField) else PolyRing)
-            ring.base = base
-            ring.var = var
-            ring.characteristic = base.characteristic
+            ring = DenseRing._registry[key] = object.__new__(cls)
+            ring.base, ring.var = base, var
+            ring.q, ring.characteristic = base.q, base.characteristic
             ring.zero = ring.from_coeffs([])
             ring.one = ring.from_coeffs([base.one])
-            cls._registry[key] = ring
         return ring
-
-    def gen(self):
-        return self.from_coeffs([self.base.zero, self.base.one])
 
     def from_coeffs(self, coeffs):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1].is_zero:
             coeffs.pop()
-        return Poly(self, tuple(coeffs))
+        return self.element(self, tuple(coeffs))
+
+    def gen(self):
+        return self.from_coeffs([self.base.zero, self.base.one])
 
     def monomial(self, c, k):
         return self.from_coeffs([self.base.zero] * k + [c])
 
     def constant(self, c):
         return self.from_coeffs([c])
+
+
+class PolyRing(DenseRing):
+    """Univariate polynomials over ``base`` in the variable ``var``; an
+    ``FqPolyRing`` over a ``GaloisField``."""
+
+    element = Poly
+
+    def __new__(cls, base, var):
+        return (FqPolyRing if isinstance(base, GaloisField) else PolyRing)._unique(base, var)
 
     def __call__(self, value):
         if isinstance(value, Poly) and value.ring is self:

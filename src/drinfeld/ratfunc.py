@@ -2,12 +2,15 @@
 
 Every element is stored with coprime numerator and denominator and a
 monic denominator, so structural equality is mathematical equality.
+``RatFunc`` is an ``ff.FieldElem`` that defines ``+``, negation, ``*`` and
+``inverse``.
 """
 
+from .ff import FieldElem
 from .poly import Poly, poly_gcd
 
 
-class RatFunc:
+class RatFunc(FieldElem):
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field, num, den):
@@ -19,9 +22,6 @@ class RatFunc:
     @property
     def is_zero(self):
         return self.num.is_zero
-
-    def __bool__(self):
-        return not self.num.is_zero
 
     def __eq__(self, other):
         return (
@@ -51,12 +51,6 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(self.field, -self.num, self.den)
 
-    def __sub__(self, other):
-        return self + (-self.field(other))
-
-    def __rsub__(self, other):
-        return self.field(other) + (-self)
-
     def __mul__(self, other):
         other = self.field(other)
         if self.is_zero or other.is_zero:
@@ -75,15 +69,6 @@ class RatFunc:
         return RatFunc(self.field, a * c, b * d)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * self.field(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.field(other) / self
-
-    def exact_div(self, other):
-        return self / other
 
     def inverse(self):
         if self.is_zero:
@@ -123,14 +108,10 @@ class FractionField:
     def __init__(self, polyring):
         self.ring = polyring
         self.base_field = polyring.base
-        self.characteristic = polyring.characteristic
+        self.q, self.characteristic = polyring.q, polyring.characteristic
         self.zero = RatFunc(self, polyring.zero, polyring.one)
         self.one = RatFunc(self, polyring.one, polyring.one)
         self.var = polyring.var
-
-    @property
-    def q(self):
-        return self.base_field.q
 
     def gen(self):
         return RatFunc(self, self.ring.gen(), self.ring.one)

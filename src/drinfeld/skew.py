@@ -1,19 +1,17 @@
 """Twisted polynomial rings R{tau} with tau c = c^q tau.
 
 R{tau} has the elements of R[x], so a ``SkewPoly`` is the container
-``poly.Dense`` (ring, trimmed coefficient tuple) and defines only its
-twisted arithmetic; its ring calls the coefficient field ``base``, as a
-``PolyRing`` does.  A skew polynomial sum a_i tau^i acts as the additive
-polynomial sum a_i X^(q^i); multiplication is composition.  Right
-division (Ore's left Euclidean division) works over any coefficient
-field: each step pops the leading coefficient it cancels and needs only
-an inversion and Frobenius powers of coefficients.
+``poly.Dense`` and its ring a ``poly.DenseRing`` in T, which reads q off
+R: a field of the tower, or a polynomial ring such as A[s][y].  A skew
+polynomial sum a_i tau^i acts as the additive polynomial sum
+a_i X^(q^i); multiplication is composition.  Right division (Ore's left
+Euclidean division) works over any coefficient field, and over a ring
+for a monic divisor: each step pops the leading coefficient it cancels
+and needs only an exact division and Frobenius powers of coefficients.
 """
 
-from functools import lru_cache
-
 from .ff import power
-from .poly import Dense
+from .poly import Dense, DenseRing
 
 
 class SkewPoly(Dense):
@@ -33,7 +31,7 @@ class SkewPoly(Dense):
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return self.ring(out)
+        return self.ring.from_coeffs(out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -55,7 +53,7 @@ class SkewPoly(Dense):
                     term = ai * bj**qi if i else ai * bj
                     # a slot still holding its initial zero takes the term as it is
                     out[k] = term if out[k] is zero else out[k] + term
-        return ring(out)
+        return ring.from_coeffs(out)
 
     def __pow__(self, n):
         if n < 0:
@@ -68,8 +66,8 @@ class SkewPoly(Dense):
         Ore's left Euclidean division: each step pops the leading
         coefficient a of the remainder, takes c = a / lc(b)^(q^k) for the
         shift k and subtracts c b_j^(q^k) tau^(k+j) for the nonzero lower
-        coefficients b_j of b only.  Always succeeds: it divides only by
-        a Frobenius power of lc(b), never extracts a root.
+        coefficients b_j of b only.  Over a field it always succeeds: it
+        divides only by a Frobenius power of lc(b), never extracts a root.
         """
         b = self.ring(b)
         if b.is_zero:
@@ -87,7 +85,7 @@ class SkewPoly(Dense):
                 rem[k + j] = rem[k + j] - c * bj**qk
             while rem and rem[-1].is_zero:
                 rem.pop()
-        return ring(quot), ring(rem)
+        return ring.from_coeffs(quot), ring.from_coeffs(rem)
 
     def evaluate(self, x):
         """Value of the additive polynomial sum a_i x^(q^i)."""
@@ -106,44 +104,30 @@ class SkewPoly(Dense):
         return format_skew(self)
 
 
-@lru_cache(maxsize=None)
 def skew_ring(base, q):
-    """Shared SkewPolyRing instance for a given coefficient field."""
+    """The one R{tau} over the coefficient ring base."""
     return SkewPolyRing(base, q)
 
 
-class SkewPolyRing:
-    """R{tau} over a coefficient field R of the same q, so that tau c = c^q tau
-    is additive."""
+class SkewPolyRing(DenseRing):
+    """R{tau} over a coefficient ring R of the same q, so that tau c = c^q tau
+    is additive: the ``DenseRing`` of ``SkewPoly``s over R in the variable T."""
 
-    def __init__(self, base, q):
+    element = SkewPoly
+
+    def __new__(cls, base, q):
         if q != base.q:
             raise ValueError(f"q = {q} is not the q = {base.q} of the coefficient field")
-        self.base = base
-        self.q = q
-        self.zero = SkewPoly(self, ())
-        self.one = SkewPoly(self, (base.one,))
+        return cls._unique(base, "T")
+
+    tau = DenseRing.gen
 
     def __call__(self, coeffs):
         if isinstance(coeffs, SkewPoly):
             if coeffs.ring is not self:
                 raise ValueError(f"element of {coeffs.ring!r}, not of {self!r}")
             return coeffs
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        return SkewPoly(self, tuple(coeffs))
-
-    def tau(self):
-        return SkewPoly(self, (self.base.zero, self.base.one))
-
-    def monomial(self, c, k):
-        if c.is_zero:
-            return self.zero
-        return SkewPoly(self, (self.base.zero,) * k + (c,))
-
-    def constant(self, c):
-        return self((c,))
+        return self.from_coeffs(coeffs)
 
     def __repr__(self):
         return f"{self.base!r}{{tau}}"

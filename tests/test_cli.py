@@ -1,5 +1,7 @@
 """Command line surface: JSON shape, exit codes, determinism, CSV."""
 
+import csv
+import io
 import json
 import time
 from fractions import Fraction
@@ -264,6 +266,24 @@ def test_csv_output(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 6  # header + five rows
     assert "satisfied" in lines[0]
+
+
+def test_csv_without_rows_is_the_key_value_projection(capsys):
+    """A report without a list of row objects prints as key,value lines,
+    one per top-level key in sorted order; a nested value is its JSON."""
+    argv = ["heights", "--module", '{"q":2,"r":2,"g":["t","1"]}']
+    doc = json.loads(_run(capsys, argv)[1])
+    code, out = _run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["key", "value"]
+    assert [key for key, _ in rows] == sorted(doc)
+    for key, cell in rows:
+        value = doc[key]
+        if isinstance(value, (dict, list)):
+            assert cell == json.dumps(value, sort_keys=True)
+        else:
+            assert cell == str(value)
 
 
 def test_usage_error_exit_code(capsys):

@@ -95,3 +95,15 @@ def test_unrelated_polynomial_rings_raise(q, op):
         for x, y in ((a, b), (b, a)):
             with pytest.raises(TypeError):
                 op(x, y)
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("op", (operator.sub, operator.truediv), ids=lambda op: op.__name__)
+def test_integer_minus_and_over_field_element(q, op):
+    """n - c and n / c for an integer n, nonzero mod p, and c in F_q: the
+    element's reflected op coerces n into F_q and returns one of the
+    field's elements."""
+    k = GF(q)
+    for c in k.elements()[1:]:
+        for n in (-1, 1, k.p + 1, 2 * k.p - 1):
+            assert op(n, c) is op(k(n), c)

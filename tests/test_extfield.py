@@ -104,8 +104,10 @@ def test_irreducibility_certificates():
     assert not irreducible_over_F((x - Ax.constant(t)) * (x - Ax.one))
     # linear in t with coprime t-coefficients (Gauss certificate)
     assert irreducible_over_F(x**7 + x - Ax.constant(t))
-    # Eisenstein at the prime t
+    # linear in t, so the Gauss certificate decides it first
     assert irreducible_over_F(x**5 - Ax.constant(t))
+    # quadratic in t, so only Eisenstein at the prime t decides it
+    assert irreducible_over_F(x**5 + Ax.constant(t**2) * x + Ax.constant(t))
     # content not 1 is rejected
     assert not irreducible_over_F(Ax.monomial(t, 1) + Ax.constant(t))
 

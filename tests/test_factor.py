@@ -95,7 +95,7 @@ def _differential_inputs(q):
     if q <= 4:
         return [f for d in range(1, 4) for f in monic_polys_of_degree(A, d)]
     rng = random.Random(q)
-    cubics = monic_polys_of_degree(A, 3)
+    cubics = list(monic_polys_of_degree(A, 3))
     sample = rng.sample(cubics, 40)
     t = A.gen()
     sample.append((t + A.one) ** 3)
@@ -235,5 +235,5 @@ def test_enumerate_irreducibles_ordering():
 
 def test_monic_enumeration_size():
     A = poly_ring_A(3)
-    assert len(monic_polys_of_degree(A, 2)) == 9
+    assert len(list(monic_polys_of_degree(A, 2))) == 9
     assert len(set(monic_polys_of_degree(A, 2))) == 9

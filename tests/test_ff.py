@@ -66,8 +66,19 @@ def test_element_codes_roundtrip():
 
 
 def test_bad_order_rejected():
-    with pytest.raises(ValueError):
-        GF(6)
+    # 0 and 1 have no divisor > 1; 6, 12, 100 and 250 = 2 * 5^3 are not
+    # powers of their least divisor
+    for q in (0, 1, 6, 12, 100, 250):
+        with pytest.raises(ValueError, match=f"{q} is not a prime power"):
+            GF(q)
+
+
+@pytest.mark.parametrize(
+    "q, p, e", [(4, 2, 2), (8, 2, 3), (9, 3, 2), (27, 3, 3), (243, 3, 5), (256, 2, 8)]
+)
+def test_prime_power_orders_factor(q, p, e):
+    assert ff.factor_prime_power(q) == (p, e)
+    assert (GF(q).p, GF(q).e) == (p, e)
 
 
 @pytest.mark.parametrize("q", [2**16, 1000003])

@@ -528,6 +528,23 @@ def test_nested_divmod_matches_schoolbook(q):
         assert raised >= 5 and exact >= 12
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_nested_truediv_is_exact_division(q):
+    """a / b on A[x] and A[s][y] for b of positive degree: the quotient
+    when b divides a, and ValueError when the remainder or a step's
+    coefficient division is not exact."""
+    rng = random.Random(1800 + q)
+    for ring, coeff in _nested_rings(q):
+        for _ in range(6):
+            b = _nested_poly(ring, coeff, rng, rng.randint(1, 3))
+            quot = _nested_poly(ring, coeff, rng, rng.randint(0, 3))
+            assert _ref_mul(quot, b) / b == quot
+        x = ring.gen()
+        for a, b in ((x**2 + ring.one, x), (x**2, x.scale(ring.base.gen()) + ring.one)):
+            with pytest.raises(ValueError, match="not exact"):
+                a / b
+
+
 def test_poly_ring_is_one_object_per_base_and_variable():
     A = poly_ring_A(3)
     F = rational_function_field(2)

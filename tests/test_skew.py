@@ -6,8 +6,11 @@ import re
 import pytest
 
 from drinfeld import skew_ring
-from drinfeld.base import rational_function_field
+from drinfeld.base import poly_ring_A, rational_function_field
 from drinfeld.dmod import random_module
+from drinfeld.isogeny import random_isogenous_pair, rank2_t_isogenies
+from drinfeld.modpoly import _pushforward_coeffs
+from drinfeld.poly import PolyRing
 from drinfeld.skew import SkewPoly
 
 
@@ -239,3 +242,52 @@ def _horner_from_zero(phi, a):
     for c in reversed(a.coeffs):
         ref = ref * phi.phi_t + phi.skew.constant(phi.field(c))
     return ref
+
+
+# -- F{tau} over polynomial rings ----------------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_kernel_line_division_over_A_s_y(q):
+    """phi_t = t + s tau + tau^2 over A[s][y], whose q is that of A: the
+    remainder of phi_t by tau - y is the torsion polynomial p of
+    ``_pushforward_coeffs``, and the quotient of (tau - y) phi_t by
+    tau - y is phi'_t = t + g1' tau + tau^2 mod p."""
+    A = poly_ring_A(q)
+    As = PolyRing(A, "s")
+    R = PolyRing(As, "y")
+    p, g1p = _pushforward_coeffs(R, As.gen(), As.constant(A.gen()), q)
+    S = skew_ring(R, q)
+    assert S.q == R.q == q
+    t = R(A.gen())
+    phi_t = S([t, R(As.gen()), R.one])
+    f = S([-R.gen(), R.one])
+    quot, rem = phi_t.right_divmod(f)
+    assert quot * f + rem == phi_t
+    assert rem.tau_degree == 0 and rem.constant == p
+    quot, rem = (f * phi_t).right_divmod(f)
+    assert quot * f + rem == f * phi_t
+    assert rem.constant % p == R.zero
+    assert [c % p for c in quot.coeffs] == [t, g1p, R.one]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_kernel_line_division_over_F_y(q):
+    """phi_t of a rank 2 module over F, in F[y]{tau}: the remainder by
+    tau - y is g2 y^(q+1) + g1 y + t, the torsion polynomial of
+    ``rank2_t_isogenies``, and it vanishes at the y of every t-isogeny
+    tau - y that function finds."""
+    rng = random.Random(2300 + q)
+    phi = random_isogenous_pair(q, 2, rng)[0]
+    F = phi.field
+    Fy = PolyRing(F, "y")
+    y = Fy.gen()
+    S = skew_ring(Fy, q)
+    g1, g2 = phi.coeffs
+    phi_t = S([Fy(c) for c in phi.phi_t.coeffs])
+    rem = phi_t.right_divmod(S([-y, Fy.one]))[1]
+    assert rem.constant == Fy.monomial(g2, q + 1) + Fy.monomial(g1, 1) + Fy.constant(F.t)
+    isogenies = rank2_t_isogenies(phi)
+    assert isogenies
+    for iso in isogenies:
+        assert rem.constant(-iso.f.constant) == F.zero

@@ -11,8 +11,11 @@ generic ``Poly`` serves the nested rings only, so it must not grow a
 second F_q path that unwraps or rewraps codes.
 
 ``Poly`` and ``SkewPoly`` share one container, ``poly.Dense``: neither
-class body defines again a name the core defines.  ``FqPoly`` is exempt,
-since it runs every one of them on codes.
+class body defines again a name the core defines.  Likewise ``RatFunc``
+and ``ExtElem`` inherit ``ff.FieldElem``, and ``PolyRing`` and
+``SkewPolyRing`` inherit ``poly.DenseRing``, and define none of its
+names.  ``FqPoly``, ``FFElem`` and ``FqPolyRing`` are exempt, since they
+run on codes.
 
 Invariant checks raise ``InvariantViolation`` (a ``DrinfeldError``):
 ``python -O`` strips an ``assert``, and a bare ``AssertionError`` or
@@ -94,6 +97,15 @@ def test_fq_guard_sees_each_mention():
     assert sorted(_fq_mentions(tree.body[0])) == ["GaloisField", "_from_codes", "code"]
 
 
+def _classes(*names):
+    """The top-level classes of the named source files, by name."""
+    classes = {}
+    for name in names:
+        tree = ast.parse((SRC / name).read_text())
+        classes.update({n.name: n for n in tree.body if isinstance(n, ast.ClassDef)})
+    return classes
+
+
 def _defined_names(cls):
     """Names a class body binds, methods and assignments, __slots__ aside."""
     names = set()
@@ -112,10 +124,7 @@ def _core_redefinitions(classes, core):
 
 
 def test_dense_kinds_inherit_the_core():
-    classes = {}
-    for name in ("poly.py", "skew.py"):
-        tree = ast.parse((SRC / name).read_text())
-        classes.update({n.name: n for n in tree.body if isinstance(n, ast.ClassDef)})
+    classes = _classes("poly.py", "skew.py")
     core = classes["Dense"]
     assert _defined_names(core) >= {"__init__", "coeff", "__eq__", "__hash__", "__neg__"}
     assert not _core_redefinitions([classes["Poly"], classes["SkewPoly"]], core)
@@ -134,6 +143,37 @@ def test_core_guard_sees_a_redefinition():
     )
     core, poly = tree.body
     assert _core_redefinitions([poly], core) == [("Poly", "coeff")]
+
+
+def _core_strays(classes, core):
+    """Classes that do not name the core as a base, and the core names
+    each class body defines again."""
+    orphans = [cls.name for cls in classes if core.name not in [ast.unparse(b) for b in cls.bases]]
+    return orphans + _core_redefinitions(classes, core)
+
+
+def test_fields_and_rings_inherit_their_cores():
+    classes = _classes("ff.py", "poly.py", "skew.py", "ratfunc.py", "extfield.py")
+    elem, ring = classes["FieldElem"], classes["DenseRing"]
+    assert _defined_names(elem) >= {"__sub__", "__rtruediv__", "exact_div"}
+    assert _defined_names(ring) >= {"from_coeffs", "gen", "monomial", "constant"}
+    assert not _core_strays([classes["RatFunc"], classes["ExtElem"]], elem)
+    assert not _core_strays([classes["PolyRing"], classes["SkewPolyRing"]], ring)
+
+
+def test_core_guard_sees_a_stray():
+    tree = ast.parse(
+        "class DenseRing:\n"
+        "    def gen(self): pass\n"
+        "class PolyRing(DenseRing):\n"
+        "    def __call__(self, value): pass\n"
+        "class SkewPolyRing(DenseRing):\n"
+        "    tau = gen = DenseRing.gen\n"
+        "class QuotientRing:\n"
+        "    def __call__(self, value): pass\n"
+    )
+    core, *classes = tree.body
+    assert _core_strays(classes, core) == ["QuotientRing", ("SkewPolyRing", "gen")]
 
 
 def _bare_checks(tree):
