@@ -9,19 +9,21 @@ Over any other base (A[x], F[Y], A[s][y], ...) the elements are generic
 plus ``exact_div`` and ``is_zero``: nesting PolyRings gives multivariate
 rings in recursive (dense) representation.
 
-``Dense``, the ring and coefficient tuple with equality, hashing,
-negation and coefficient access, is shared with ``skew.SkewPoly``;
-``FqPoly`` overrides all of it on codes.  Their rings share
-``DenseRing``: one registry, the base's q, and the constructors.
+``Dense`` is the core of every Ore ring R[x; sigma]: the ring and
+coefficient tuple with equality, hashing and negation, and the one sum,
+product and division loop, with sigma^k from the ring's ``_twist``.  It
+is the identity here and c -> c^(q^k) for ``skew.SkewPoly``; ``FqPoly``
+overrides all of it on codes.  Their rings share ``DenseRing``: one
+registry, the base's q, and the constructors.
 
 Division helpers:
 
 * ``divmod`` is long division, the loop of ``ff._poly_divmod`` on
   elements: each step pops the top coefficient, divides it by the
   divisor's lead with ``exact_div`` (not at all for a monic divisor) and
-  subtracts that multiple of the divisor's nonzero terms.  Over a field
-  this is classical polynomial division; over a domain it succeeds
-  exactly when each step is exact, and raises ``ValueError`` otherwise.
+  subtracts that multiple of the divisor's nonzero terms.  Over a domain
+  it raises ``ValueError`` when a step is not exact, and ``/`` is
+  ``exact_div``, by a constant too.
 * ``resultant`` runs the subresultant polynomial remainder sequence on
   coefficient lists, taking fraction-free pseudo-remainders only, so
   resultants over nested polynomial rings never leave the ring.
@@ -73,9 +75,9 @@ def _is_power_of(n, p):
 
 
 class Dense:
-    """Ring and coefficient tuple, lowest degree first and trimmed by the
-    ring.  A ring builds elements of one class, so equality compares ring
-    identity and coefficients."""
+    """Element of an Ore ring R[x; sigma]: ring and coefficient tuple,
+    lowest degree first and trimmed by the ring.  A ring builds elements
+    of one class, so equality compares ring identity and coefficients."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -119,20 +121,8 @@ class Dense:
         # from a list: tuple() of a generator or map resizes and swells free lists
         return self.__class__(self.ring, tuple([-c for c in self.coeffs]))
 
-
-class Poly(Dense):
-    __slots__ = ()
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.lead == self.ring.base.one
-
     def _lift(self, other):
-        """This polynomial in the ring of other, when other is a polynomial
+        """This element in the ring of other, when other is a polynomial
         from a higher level of the tower whose ring coerces it; else None."""
         ring = getattr(other, "ring", None)
         if isinstance(ring, PolyRing):
@@ -173,27 +163,75 @@ class Poly(Dense):
             out[i] = out[i] - c
         return self.ring.from_coeffs(out)
 
-    def __rsub__(self, other):
-        return self.ring(other) - self
-
     def __mul__(self, other):
+        """(ab)_k = sum_{i+j=k} a_i sigma^i(b_j), over the nonzero a_i and
+        b_j; a slot still holding its initial zero takes its first term
+        as it is."""
         try:
             other = self.ring(other)
         except TypeError:
             lifted = self._lift(other)
             return NotImplemented if lifted is None else lifted * other
+        ring = self.ring
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return self.ring.zero
-        out = [self.ring.base.zero] * (len(a) + len(b) - 1)
-        b = [(j, bj) for j, bj in enumerate(b) if not bj.is_zero]
+            return ring.zero
+        zero = ring.base.zero
+        out = [zero] * (len(a) + len(b) - 1)
+        js = [j for j, bj in enumerate(b) if not bj.is_zero]
+        row = [b[j] for j in js]
         for i, ai in enumerate(a):
             if not ai.is_zero:
-                for j, bj in b:
-                    out[i + j] = out[i + j] + ai * bj
-        return self.ring.from_coeffs(out)
+                for j, bj in zip(js, ring._twist(row, i) if i else row):
+                    term = ai * bj
+                    out[i + j] = term if out[i + j] is zero else out[i + j] + term
+        return ring.from_coeffs(out)
 
-    __rmul__ = __mul__
+    def _divmod(self, other):
+        """(quot, rem) with self = quot * other + rem, deg rem < deg other:
+        Ore's left Euclidean division.  The step at shift k pops the top
+        coefficient, divides it by sigma^k(lead) with ``exact_div`` (not
+        at all for a monic divisor) and subtracts that multiple of x^k
+        times sigma^k of the divisor's nonzero lower terms."""
+        other = self.ring(other)
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        ring = self.ring
+        b = other.coeffs
+        dv = len(b) - 1
+        monic = b[-1] == ring.base.one
+        js = [j for j in range(dv) if not b[j].is_zero]
+        # the nonzero lower terms, then the lead unless it is one
+        row = [b[j] for j in js] + ([] if monic else [b[-1]])
+        rem = list(self.coeffs)
+        quot = [ring.base.zero] * max(len(rem) - dv, 0)
+        while len(rem) > dv:
+            k = len(rem) - 1 - dv
+            twisted = ring._twist(row, k) if k else row
+            c = quot[k] = rem.pop() if monic else rem.pop().exact_div(twisted[-1])
+            for j, bj in zip(js, twisted):
+                rem[k + j] = rem[k + j] - c * bj
+            while rem and rem[-1].is_zero:
+                rem.pop()
+        return ring.from_coeffs(quot), ring.from_coeffs(rem)
+
+
+class Poly(Dense):
+    __slots__ = ()
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+
+    @property
+    def is_monic(self):
+        return bool(self.coeffs) and self.lead == self.ring.base.one
+
+    def __rsub__(self, other):
+        return self.ring(other) - self
+
+    # R[x] is commutative
+    __rmul__ = Dense.__mul__
 
     def __pow__(self, n):
         if n < 0:
@@ -213,37 +251,12 @@ class Poly(Dense):
                 out[i * n] = c**n
         return self.ring.from_coeffs(out)
 
-    def __divmod__(self, other):
-        """Long division: each step pops the top coefficient c and
-        subtracts (c / lead) x^shift times the divisor's nonzero terms; c /
-        lead is c.exact_div(lead), which raises if not exact, or c itself
-        when the divisor is monic."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        ring = self.ring
-        rem = list(self.coeffs)
-        dv = other.degree
-        lead = None if other.is_monic else other.lead
-        low = [(j, bc) for j, bc in enumerate(other.coeffs[:-1]) if not bc.is_zero]
-        quot = [ring.base.zero] * max(len(rem) - dv, 0)
-        while len(rem) > dv:
-            c = rem.pop() if lead is None else rem.pop().exact_div(lead)
-            shift = len(rem) - dv
-            quot[shift] = c
-            for j, bc in low:
-                rem[shift + j] = rem[shift + j] - c * bc
-            while rem and rem[-1].is_zero:
-                rem.pop()
-        return ring.from_coeffs(quot), ring.from_coeffs(rem)
+    __divmod__ = Dense._divmod
 
     def __truediv__(self, other):
-        """Division by a unit (degree-0) divisor, or exact polynomial
-        division; raises when the quotient would leave the ring."""
+        """Exact division by an element of the same ring; raises when the
+        quotient would leave the ring."""
         if isinstance(other, Poly) and other.ring is self.ring:
-            if other.is_zero:
-                raise ZeroDivisionError("polynomial division by zero")
-            if other.degree == 0:
-                return self.scale(self.ring.base.one / other.constant)
             return self.exact_div(other)
         return NotImplemented
 
@@ -467,6 +480,10 @@ class PolyRing(DenseRing):
 
     def __new__(cls, base, var):
         return (FqPolyRing if isinstance(base, GaloisField) else PolyRing)._unique(base, var)
+
+    def _twist(self, coeffs, k):
+        """sigma^k on coefficients: the identity, since R[x] is commutative."""
+        return coeffs
 
     def __call__(self, value):
         if isinstance(value, Poly) and value.ring is self:

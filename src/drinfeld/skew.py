@@ -1,13 +1,13 @@
 """Twisted polynomial rings R{tau} with tau c = c^q tau.
 
-R{tau} has the elements of R[x], so a ``SkewPoly`` is the container
-``poly.Dense`` and its ring a ``poly.DenseRing`` in T, which reads q off
-R: a field of the tower, or a polynomial ring such as A[s][y].  A skew
-polynomial sum a_i tau^i acts as the additive polynomial sum
-a_i X^(q^i); multiplication is composition.  Right division (Ore's left
-Euclidean division) works over any coefficient field, and over a ring
-for a monic divisor: each step pops the leading coefficient it cancels
-and needs only an exact division and Frobenius powers of coefficients.
+R{tau} is the Ore ring R[T; sigma], sigma(c) = c^q, so a ``SkewPoly``
+is a ``poly.Dense``, with the sum, product and right division loops of
+R[x], and its ring is a ``poly.DenseRing`` in T whose ``_twist`` is
+sigma^k.  The ring reads q off R: a field of the tower, or a polynomial
+ring such as A[s][y].  A skew polynomial sum a_i tau^i acts as the
+additive polynomial sum a_i X^(q^i); multiplication is composition.
+Right division (Ore's left Euclidean division) works over any field,
+and over a ring for a monic divisor: it needs no root.
 """
 
 from .ff import power
@@ -24,68 +24,13 @@ class SkewPoly(Dense):
     def tau_degree(self):
         return len(self.coeffs) - 1 if self.coeffs else float("-inf")
 
-    def __add__(self, other):
-        a, b = self.coeffs, self.ring(other).coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return self.ring.from_coeffs(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Composition: (ab)_k = sum_{i+j=k} a_i * b_j^(q^i)."""
-        other = self.ring(other)
-        if self.is_zero or other.is_zero:
-            return self.ring.zero
-        ring = self.ring
-        zero = self.ring.base.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai.is_zero:
-                continue
-            qi = ring.q**i
-            for k, bj in enumerate(other.coeffs, i):
-                if not bj.is_zero:
-                    term = ai * bj**qi if i else ai * bj
-                    # a slot still holding its initial zero takes the term as it is
-                    out[k] = term if out[k] is zero else out[k] + term
-        return ring.from_coeffs(out)
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a skew polynomial")
         return power(self, n, self.ring.one)
 
-    def right_divmod(self, b):
-        """(quot, rem) with self = quot * b + rem, tau-deg rem < tau-deg b.
-
-        Ore's left Euclidean division: each step pops the leading
-        coefficient a of the remainder, takes c = a / lc(b)^(q^k) for the
-        shift k and subtracts c b_j^(q^k) tau^(k+j) for the nonzero lower
-        coefficients b_j of b only.  Over a field it always succeeds: it
-        divides only by a Frobenius power of lc(b), never extracts a root.
-        """
-        b = self.ring(b)
-        if b.is_zero:
-            raise ZeroDivisionError("skew division by zero")
-        ring = self.ring
-        rem = list(self.coeffs)
-        db, lead = len(b.coeffs) - 1, b.lead
-        low = [(j, bj) for j, bj in enumerate(b.coeffs[:-1]) if not bj.is_zero]
-        quot = [self.ring.base.zero] * max(len(rem) - db, 0)
-        while len(rem) > db:
-            k = len(rem) - 1 - db
-            qk = ring.q**k
-            c = quot[k] = rem.pop().exact_div(lead**qk)
-            for j, bj in low:
-                rem[k + j] = rem[k + j] - c * bj**qk
-            while rem and rem[-1].is_zero:
-                rem.pop()
-        return ring.from_coeffs(quot), ring.from_coeffs(rem)
+    # (quot, rem) with self = quot * b + rem, tau-deg rem < tau-deg b
+    right_divmod = Dense._divmod
 
     def evaluate(self, x):
         """Value of the additive polynomial sum a_i x^(q^i)."""
@@ -121,6 +66,11 @@ class SkewPolyRing(DenseRing):
         return cls._unique(base, "T")
 
     tau = DenseRing.gen
+
+    def _twist(self, coeffs, k):
+        """sigma^k on coefficients: c -> c^(q^k)."""
+        qk = self.q**k
+        return [c**qk for c in coeffs]
 
     def __call__(self, coeffs):
         if isinstance(coeffs, SkewPoly):

@@ -107,3 +107,27 @@ def test_integer_minus_and_over_field_element(q, op):
     for c in k.elements()[1:]:
         for n in (-1, 1, k.p + 1, 2 * k.p - 1):
             assert op(n, c) is op(k(n), c)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_integer_operands_of_field_elements(q):
+    """c + n, n + c, c - n, c * n, n * c and c / n for c in F_q and an
+    integer n: the table-indexed ops coerce n through the field, and
+    c / n raises ZeroDivisionError for n = 0 mod p.  An operand from
+    higher up the tower still gets NotImplemented."""
+    k, A = GF(q), poly_ring_A(q)
+    t = A.gen()
+    for c in k.elements():
+        for n in (-1, 0, 1, k.p, k.p + 1, 2 * k.p - 1):
+            m = k(n)
+            assert c + n is n + c is c + m
+            assert c - n is c - m
+            assert c * n is n * c is c * m
+            if n % k.p:
+                assert c / n is c / m
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    c / n
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            assert getattr(c, op)(t) is NotImplemented
+        assert c * t == A(c) * t and c - t == A(c) - t

@@ -507,6 +507,16 @@ def test_nested_divmod_matches_schoolbook(q):
             (x**9 + x**3, sparse),
             (x**2, x.scale(base.gen()) + ring.one),
         ]
+        # products whose output coefficients cancel: the x term of
+        # (x + c)(x - c), both middle terms of (x^2 + cx + c^2)(x - c), and
+        # the x^2 term -uvw + vuw of (ux + v)(uw x^2 - vw x)
+        c = _nested_poly(ring, coeff, rng, 0)
+        u, v, w = (_nested_poly(ring, coeff, rng, 0) for _ in range(3))
+        cases += [
+            (x + c, x - c),
+            (x**2 + x * c + c * c, x - c),
+            (x * u + v, x**2 * (w * u) - x * (v * w)),
+        ]
         raised = exact = 0
         for a, b in cases:
             assert a * b == _ref_mul(a, b) == b * a
@@ -526,23 +536,33 @@ def test_nested_divmod_matches_schoolbook(q):
             divmod(x**2, x.scale(base.gen()) + ring.one)
         # the random cases hit both outcomes and exact quotients
         assert raised >= 5 and exact >= 12
+        for a, b in cases[-3:]:
+            assert (a * b).coeffs[1:-1].count(base.zero) == 1 + (a.degree == 2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_nested_truediv_is_exact_division(q):
-    """a / b on A[x] and A[s][y] for b of positive degree: the quotient
-    when b divides a, and ValueError when the remainder or a step's
-    coefficient division is not exact."""
+    """a / b on A[x] and A[s][y]: the quotient when b divides a, and
+    ValueError when the remainder or a step's coefficient division is not
+    exact.  A constant b is no unit in general: (gx + g^2) / g = x + g for
+    the generator g of the base, but (x + g) / g raises."""
     rng = random.Random(1800 + q)
     for ring, coeff in _nested_rings(q):
         for _ in range(6):
             b = _nested_poly(ring, coeff, rng, rng.randint(1, 3))
             quot = _nested_poly(ring, coeff, rng, rng.randint(0, 3))
             assert _ref_mul(quot, b) / b == quot
-        x = ring.gen()
-        for a, b in ((x**2 + ring.one, x), (x**2, x.scale(ring.base.gen()) + ring.one)):
+        x, g = ring.gen(), ring.constant(ring.base.gen())
+        for _ in range(3):
+            b = _nested_poly(ring, coeff, rng, 0)
+            quot = _nested_poly(ring, coeff, rng, rng.randint(0, 3))
+            assert _ref_mul(quot, b) / b == quot
+        assert (x * g + g * g) / g == x + g
+        for a, b in ((x**2 + ring.one, x), (x**2, x.scale(ring.base.gen()) + ring.one), (x + g, g)):
             with pytest.raises(ValueError, match="not exact"):
                 a / b
+        with pytest.raises(ZeroDivisionError):
+            x / ring.zero
 
 
 def test_poly_ring_is_one_object_per_base_and_variable():

@@ -156,15 +156,16 @@ def _ref_right_divmod(S, a, b):
     return S(quot), S(rem)
 
 
-def _sparse(F, S, rng, length):
+def _sparse(F, S, rng, length, lead=None):
     """A skew polynomial of tau-degree length - 1 whose lower coefficients
-    are zero a third of the time."""
+    are zero a third of the time, with top coefficient lead (a random
+    nonzero one when lead is None)."""
     if length == 0:
         return S.zero
     low = [
         F.zero if rng.random() < 1 / 3 else F.random_element(rng, 1) for _ in range(length - 1)
     ]
-    return S(low + [F.random_element(rng, 1, nonzero=True)])
+    return S(low + [lead or F.random_element(rng, 1, nonzero=True)])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -207,6 +208,12 @@ def test_right_divmod_matches_textbook_loop(q):
     gap = S([F.t, F.zero, F.zero, F.one])
     a = _sparse(F, S, rng, 6)
     assert a.right_divmod(gap) == _ref_right_divmod(S, a, gap)
+    # monic divisors, which skip the division by lc(b)^(q^k)
+    for db in range(1, 4):
+        for _ in range(4):
+            b = _sparse(F, S, rng, db + 1, F.one)
+            a = _sparse(F, S, rng, rng.randrange(db, 2 * db + 3))
+            assert a.right_divmod(b) == _ref_right_divmod(S, a, b)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])

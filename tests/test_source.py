@@ -11,7 +11,10 @@ generic ``Poly`` serves the nested rings only, so it must not grow a
 second F_q path that unwraps or rewraps codes.
 
 ``Poly`` and ``SkewPoly`` share one container, ``poly.Dense``: neither
-class body defines again a name the core defines.  Likewise ``RatFunc``
+class body defines again a name the core defines.  The core is also the
+one Ore-ring loop for R[x] and R{tau}: neither class body holds a loop
+for its sums, products or division, and ``Poly.__divmod__`` and
+``SkewPoly.right_divmod`` are one function.  Likewise ``RatFunc``
 and ``ExtElem`` inherit ``ff.FieldElem``, and ``PolyRing`` and
 ``SkewPolyRing`` inherit ``poly.DenseRing``, and define none of its
 names.  ``FqPoly``, ``FFElem`` and ``FqPolyRing`` are exempt, since they
@@ -143,6 +146,50 @@ def test_core_guard_sees_a_redefinition():
     )
     core, poly = tree.body
     assert _core_redefinitions([poly], core) == [("Poly", "coeff")]
+
+
+_ARITHMETIC = ("__add__", "__sub__", "__mul__", "__divmod__", "right_divmod")
+
+
+def _arithmetic_loops(cls):
+    """(class, method) for each sum, product or division method that a
+    class body defines with a for or while loop or a comprehension."""
+    loops = (ast.For, ast.While, ast.comprehension)
+    return sorted(
+        (cls.name, node.name)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in _ARITHMETIC
+        and any(isinstance(n, loops) for n in ast.walk(node))
+    )
+
+
+def test_dense_kinds_share_the_arithmetic_loops():
+    from drinfeld.poly import Poly
+    from drinfeld.skew import SkewPoly
+
+    classes = _classes("poly.py", "skew.py")
+    assert not _arithmetic_loops(classes["Poly"]) + _arithmetic_loops(classes["SkewPoly"])
+    assert Poly.__divmod__ is SkewPoly.right_divmod
+
+
+def test_loop_guard_sees_each_form():
+    tree = ast.parse(
+        "class SkewPoly:\n"
+        "    def __add__(self, other):\n"
+        "        return self.ring.from_coeffs([a + b for a, b in zip(self, other)])\n"
+        "    def __mul__(self, other):\n"
+        "        for c in other: pass\n"
+        "    def right_divmod(self, b):\n"
+        "        while b: pass\n"
+        "    def __sub__(self, other):\n"
+        "        return self + (-other)\n"
+        "    def evaluate(self, x):\n"
+        "        for c in self: pass\n"
+        "    right_divmod = Dense._divmod\n"
+    )
+    assert _arithmetic_loops(tree.body[0]) == [
+        ("SkewPoly", "__add__"), ("SkewPoly", "__mul__"), ("SkewPoly", "right_divmod")
+    ]
 
 
 def _core_strays(classes, core):
