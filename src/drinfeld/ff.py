@@ -230,14 +230,14 @@ class FFElem(FieldElem):
     def __hash__(self):
         return hash((self.field.q, self.code))
 
-    # an integer operand is coerced through the field; any other operand
-    # without a code (a polynomial or rational function) is from a higher
-    # level of the tower: NotImplemented hands it its reflected op
+    # the field coerces an integer operand and raises on an element of
+    # another F_q; any other operand (a polynomial or rational function) is
+    # from a higher level of the tower: NotImplemented hands it its reflected op
     def __add__(self, other):
         f = self.field
         try:
-            return f._elems[f.add_table[self.code][other.code]]
-        except AttributeError:
+            return f._elems[f.add_table[self.code][(other if other.field is f else f(other)).code]]
+        except (AttributeError, TypeError):
             return self + f(other) if isinstance(other, int) else NotImplemented
 
     __radd__ = __add__
@@ -249,15 +249,16 @@ class FFElem(FieldElem):
     def __sub__(self, other):
         f = self.field
         try:
-            return f._elems[f.add_table[self.code][f.neg_table[other.code]]]
-        except AttributeError:
+            b = other if other.field is f else f(other)
+            return f._elems[f.add_table[self.code][f.neg_table[b.code]]]
+        except (AttributeError, TypeError):
             return self - f(other) if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other):
         f = self.field
         try:
-            return f._elems[f.mul_table[self.code][other.code]]
-        except AttributeError:
+            return f._elems[f.mul_table[self.code][(other if other.field is f else f(other)).code]]
+        except (AttributeError, TypeError):
             return self * f(other) if isinstance(other, int) else NotImplemented
 
     __rmul__ = __mul__
@@ -265,8 +266,8 @@ class FFElem(FieldElem):
     def __truediv__(self, other):
         f = self.field
         try:
-            code = other.code
-        except AttributeError:
+            code = (other if other.field is f else f(other)).code
+        except (AttributeError, TypeError):
             return self / f(other) if isinstance(other, int) else NotImplemented
         if code == 0:
             raise ZeroDivisionError("division by zero in F_q")

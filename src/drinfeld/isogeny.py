@@ -96,7 +96,9 @@ def dual(phi, phi2, f):
 def rank2_t_isogenies(phi):
     """All t-isogenies from a rank 2 module over F whose kernel line is
     rational: one f = tau - y per root y in F of g_2 y^(q+1) + g_1 y + t
-    (the substitution y = u^(q-1) into the t-torsion equation)."""
+    (the substitution y = u^(q-1) into the t-torsion equation), built by
+    hand: as phi_t mod tau - y in F[y]{tau} (``modpoly._phi_slice``'s route)
+    it took 62-81 us, not 11-18 us, of a 200-270 us call at q = 2, 3, 4."""
     if phi.r != 2:
         raise ValueError("t-isogeny enumeration is rank 2 only")
     F = phi.field

@@ -3,10 +3,11 @@ machinery around them.
 
 Phi_t is computed two independent ways:
 
-* resultant route: the generic rank-2 module g = (s, 1) has j = s^(q+1);
-  the kernel parameter y satisfies p(y) = y^(q+1) + s y + t = 0, the
-  pushforward along tau - y has coefficients (g1', g2') = (s^q - y +
-  y^(q^2), 1) mod p, and since g2' = 1, Phi_t(X, s^(q+1)) is the
+* resultant route: the generic rank-2 module g = (s, 1) has j = s^(q+1)
+  and phi_t = t + s tau + tau^2.  Right division by the kernel line
+  f = tau - y in R[y]{tau} gives phi_t = Q f + p, p(y) the torsion
+  polynomial, and f Q = phi'_t mod p (as f p = 0 mod p), whose tau^1
+  coefficient is g1' while g2' = 1: Phi_t(X, s^(q+1)) is the
   y-resultant of p against X - g1'^(q+1).
 * interpolation route: specialize s to 0, 1 and t + c for c in F_q,
   take univariate resultants, and Lagrange-interpolate in Y = j over A
@@ -30,6 +31,7 @@ from .factor import factor
 from .ff import digits
 from .poly import PolyRing, resultant
 from .ratfunc import RatFunc
+from .skew import skew_ring
 
 
 class BivarPoly:
@@ -167,21 +169,18 @@ def kappa(q, m):
 # -- the two Phi_t constructions ----------------------------------------------
 
 
-def _pushforward_coeffs(yring, s_elem, t_elem, q):
-    """(p, g1') in yring, with g1' already reduced mod p; g2' = 1."""
-    y = yring.gen()
-    p = y ** (q + 1) + yring.monomial(s_elem, 1) + yring.constant(t_elem)
-    g1p = (yring.constant(s_elem**q) - y + y ** (q * q)) % p
-    return p, g1p
-
-
-def _phi_slice(up, p, g1p, q):
-    """Res_y(p, X - g1'^(q+1)) in up = (base)[X]."""
-    power = p.ring.one
-    for _ in range(q + 1):
-        power = (power * g1p) % p
-    upy = PolyRing(up, "y")
-    lift = lambda c: up.constant(c)
+def _phi_slice(base, s, q):
+    """Phi_t(X, s^(q+1)) in base[X], for s in base, a ring over A."""
+    Ry = PolyRing(base, "y")
+    S = skew_ring(Ry, q)
+    f = S([-Ry.gen(), Ry.one])
+    quot, rem = S([Ry(poly_ring_A(q).gen()), Ry(s), Ry.one]).right_divmod(f)
+    p = rem.constant
+    g1p = (f * quot).coeff(1) % p
+    # the q-th power is Poly's Frobenius substitution
+    power = (g1p**q * g1p) % p
+    up = PolyRing(base, "X")
+    upy, lift = PolyRing(up, "y"), up.constant
     return resultant(
         p.map_coeffs(lift, upy), upy.constant(up.gen()) - power.map_coeffs(lift, upy)
     )
@@ -205,8 +204,7 @@ def compute_phi_t(q):
     forces k = 2 - i - j mod q - 1."""
     A = poly_ring_A(q)
     As = PolyRing(A, "s")
-    p, g1p = _pushforward_coeffs(PolyRing(As, "y"), As.gen(), As.constant(A.gen()), q)
-    res = _phi_slice(PolyRing(As, "X"), p, g1p, q)
+    res = _phi_slice(As, As.gen(), q)
     if res.degree != q + 1 or res.lead != As.one:
         raise InvariantViolation("resultant is not monic of degree q+1 in X")
     coeffs = {}
@@ -233,11 +231,9 @@ def phi_t_slices(q, svals):
     a list of elements of A, as (j in F, poly in F[X]) pairs."""
     F = rational_function_field(q)
     A, FX = F.ring, PolyRing(F, "X")
-    Ay, AX = PolyRing(A, "y"), PolyRing(A, "X")
     out = []
     for s in svals:
-        p, g1p = _pushforward_coeffs(Ay, s, A.gen(), q)
-        res = _phi_slice(AX, p, g1p, q)
+        res = _phi_slice(A, s, q)
         out.append((F.from_poly(s ** (q + 1)), res.map_coeffs(F.from_poly, FX)))
     return out
 

@@ -6,6 +6,10 @@ change is intended, record the new digest and say which reports moved.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -136,3 +140,31 @@ def test_cli_report_digest(capsys, argv, code, sha256):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# runs every invocation of GOLDEN (argv lists as JSON on stdin) and prints
+# sys.flags.optimize, then one [exit code, stdout sha256] per invocation
+_RUN_ALL = """
+import contextlib, hashlib, io, json, sys
+from drinfeld.cli import main
+print(sys.flags.optimize)
+for argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    print(json.dumps([code, hashlib.sha256(buf.getvalue().encode()).hexdigest()]))
+"""
+
+
+def test_cli_report_digests_under_python_O():
+    """The same digests from one ``python -O`` subprocess, which strips
+    assert statements: no report depends on an assert."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _RUN_ALL],
+        input=json.dumps([g[1] for g in GOLDEN]),
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out[0] == "1"
+    assert [json.loads(line) for line in out[1:]] == [[g[2], g[3]] for g in GOLDEN]

@@ -39,6 +39,20 @@ def test_frobenius_is_additive(q):
             assert (a + b) ** p == a**p + b**p
 
 
+@pytest.mark.parametrize("q,q2", [(4, 2), (9, 3), (3, 2), (16, 4)])
+def test_operands_of_two_fields_raise(q, q2):
+    """+, -, * and / of elements of two different fields raise the
+    ValueError of coercion in either order, as GF(q)(b) does, where the
+    tables once read one field's entry at the other's code (or indexed
+    past a smaller table)."""
+    for a in GF(q).elements():
+        for b in GF(q2).elements():
+            for x, y in ((a, b), (b, a)):
+                for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+                    with pytest.raises(ValueError, match="element of a different field"):
+                        op()
+
+
 def test_characteristic():
     assert GF(4).p == 2
     assert GF(4).e == 2

@@ -106,7 +106,7 @@ def test_phi_t_weight_grading(q, monkeypatch):
     monkeypatch.setattr(
         modpoly,
         "_phi_slice",
-        lambda up, *args: slice_of(up, *args) + up.constant(up.base.constant(t)),
+        lambda base, s, q: slice_of(base, s, q) + PolyRing(base, "X")(t),
     )
     with pytest.raises(InvariantViolation, match="X\\^0 Y\\^0 coefficient is off its weight"):
         compute_phi_t(q)

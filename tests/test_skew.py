@@ -9,8 +9,9 @@ from drinfeld import skew_ring
 from drinfeld.base import poly_ring_A, rational_function_field
 from drinfeld.dmod import random_module
 from drinfeld.isogeny import random_isogenous_pair, rank2_t_isogenies
-from drinfeld.modpoly import _pushforward_coeffs
-from drinfeld.poly import PolyRing
+from drinfeld.ff import power
+from drinfeld.modpoly import _phi_slice
+from drinfeld.poly import PolyRing, resultant
 from drinfeld.skew import SkewPoly
 
 
@@ -129,12 +130,13 @@ def test_elements_of_another_ring_are_rejected():
 
 
 def _ref_mul(S, a, b):
-    """(ab)_k = sum_{i+j=k} a_i b_j^(q^i), every term added to a zero."""
+    """(ab)_k = sum_{i+j=k} a_i b_j^(q^i), every term added to a zero, the
+    power by square-and-multiply rather than the ring's Frobenius ``**``."""
     F = S.base
     out = [F.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, ai in enumerate(a.coeffs):
         for j, bj in enumerate(b.coeffs):
-            out[i + j] = out[i + j] + ai * bj ** (S.q**i)
+            out[i + j] = out[i + j] + ai * power(bj, S.q**i, F.one)
     return S(out)
 
 
@@ -147,25 +149,42 @@ def _ref_right_divmod(S, a, b):
     quot = [F.zero] * max(len(rem) - db, 0)
     while len(rem) - 1 >= db and rem:
         k = len(rem) - 1 - db
-        c = rem[-1] / b.lead ** (S.q**k)
+        twisted = [power(bj, S.q**k, F.one) for bj in b.coeffs]
+        c = rem[-1] / twisted[-1]
         quot[k] = c
-        for j, bj in enumerate(b.coeffs):
-            rem[k + j] = rem[k + j] - c * bj ** (S.q**k)
+        for j, bj in enumerate(twisted):
+            rem[k + j] = rem[k + j] - c * bj
         while rem and rem[-1].is_zero:
             rem.pop()
     return S(quot), S(rem)
 
 
+def _random_coeff(R, rng, nonzero=False):
+    """An element of F of t-degree <= 1 over t-degree <= 1, or of A[y] of
+    y-degree <= 1 over t-degree <= 1."""
+    if not isinstance(R, PolyRing):
+        return R.random_element(rng, 1, nonzero=nonzero)
+    while True:
+        c = R.from_coeffs([R.base.random_element(rng, 1) for _ in range(2)])
+        if c or not nonzero:
+            return c
+
+
 def _sparse(F, S, rng, length, lead=None):
-    """A skew polynomial of tau-degree length - 1 whose lower coefficients
-    are zero a third of the time, with top coefficient lead (a random
-    nonzero one when lead is None)."""
+    """A skew polynomial over F (or A[y]) of tau-degree length - 1 whose
+    lower coefficients are zero a third of the time, with top coefficient
+    lead (a random nonzero one when lead is None)."""
     if length == 0:
         return S.zero
-    low = [
-        F.zero if rng.random() < 1 / 3 else F.random_element(rng, 1) for _ in range(length - 1)
-    ]
-    return S(low + [lead or F.random_element(rng, 1, nonzero=True)])
+    low = [F.zero if rng.random() < 1 / 3 else _random_coeff(F, rng) for _ in range(length - 1)]
+    return S(low + [lead or _random_coeff(F, rng, nonzero=True)])
+
+
+def _nested(q):
+    """A[y] and A[y]{tau}: the nested base whose q-th powers are
+    ``Poly``'s Frobenius substitution on the y- and t-coefficients."""
+    R = PolyRing(poly_ring_A(q), "y")
+    return R, skew_ring(R, q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -191,6 +210,11 @@ def test_product_matches_textbook_loop(q):
         assert a * b == _ref_mul(S, a, b)
     ab = pairs[-2][0] * pairs[-2][1]
     assert ab.coeff(1).is_zero and ab.tau_degree == 2
+    # over A[y], tau-degree <= 2 keeps the reference's powers at q^2
+    R, S = _nested(q)
+    for _ in range(12):
+        a, b = (_sparse(R, S, rng, rng.randrange(0, 4)) for _ in range(2))
+        assert a * b == _ref_mul(S, a, b)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -214,6 +238,16 @@ def test_right_divmod_matches_textbook_loop(q):
             b = _sparse(F, S, rng, db + 1, F.one)
             a = _sparse(F, S, rng, rng.randrange(db, 2 * db + 3))
             assert a.right_divmod(b) == _ref_right_divmod(S, a, b)
+    # over A[y] a divisor must be monic; shifts 0 <= k <= 2 keep the
+    # reference's powers at q^2
+    R, S = _nested(q)
+    for db in range(1, 4):
+        for _ in range(4):
+            b = _sparse(R, S, rng, db + 1, R.one)
+            a = _sparse(R, S, rng, rng.randrange(db + 1, db + 4))
+            quo, rem = a.right_divmod(b)
+            assert (quo, rem) == _ref_right_divmod(S, a, b)
+            assert quo * b + rem == a
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -254,16 +288,40 @@ def _horner_from_zero(phi, a):
 # -- F{tau} over polynomial rings ----------------------------------------------
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+def _hand_pushforward(R, s, t, q):
+    """The hand expansion of phi_t = t + s tau + tau^2 along tau - y in
+    R{tau}, R = base[y]: the torsion polynomial p = y^(q+1) + s y + t and
+    g1' = s^q - y + y^(q^2) mod p, with g2' = 1."""
+    y = R.gen()
+    p = y ** (q + 1) + R.monomial(s, 1) + R.constant(t)
+    return p, (R.constant(s**q) - y + y ** (q * q)) % p
+
+
+def _hand_phi_slice(base, s, q):
+    """Res_y(p, X - g1'^(q+1)) in base[X] from the hand expansion, the
+    power by q + 1 multiplications mod p."""
+    p, g1p = _hand_pushforward(PolyRing(base, "y"), s, base(poly_ring_A(q).gen()), q)
+    power = p.ring.one
+    for _ in range(q + 1):
+        power = (power * g1p) % p
+    up = PolyRing(base, "X")
+    upy = PolyRing(up, "y")
+    return resultant(
+        p.map_coeffs(up.constant, upy),
+        upy.constant(up.gen()) - power.map_coeffs(up.constant, upy),
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_kernel_line_division_over_A_s_y(q):
     """phi_t = t + s tau + tau^2 over A[s][y], whose q is that of A: the
-    remainder of phi_t by tau - y is the torsion polynomial p of
-    ``_pushforward_coeffs``, and the quotient of (tau - y) phi_t by
-    tau - y is phi'_t = t + g1' tau + tau^2 mod p."""
+    remainder of phi_t by tau - y is the hand-expanded torsion polynomial
+    p, and the quotient of (tau - y) phi_t by tau - y is
+    phi'_t = t + g1' tau + tau^2 mod p."""
     A = poly_ring_A(q)
     As = PolyRing(A, "s")
     R = PolyRing(As, "y")
-    p, g1p = _pushforward_coeffs(R, As.gen(), As.constant(A.gen()), q)
+    p, g1p = _hand_pushforward(R, As.gen(), As.constant(A.gen()), q)
     S = skew_ring(R, q)
     assert S.q == R.q == q
     t = R(A.gen())
@@ -272,10 +330,25 @@ def test_kernel_line_division_over_A_s_y(q):
     quot, rem = phi_t.right_divmod(f)
     assert quot * f + rem == phi_t
     assert rem.tau_degree == 0 and rem.constant == p
+    assert (f * quot).coeff(1) % p == g1p
     quot, rem = (f * phi_t).right_divmod(f)
     assert quot * f + rem == f * phi_t
     assert rem.constant % p == R.zero
     assert [c % p for c in quot.coeffs] == [t, g1p, R.one]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_phi_slice_matches_hand_expansion(q):
+    """``_phi_slice`` reads p and g1' off the right division by tau - y;
+    the hand expansion's resultant is its reference, at s in A and, for
+    q <= 3, at the generic s of A[s]."""
+    A = poly_ring_A(q)
+    t = A.gen()
+    for s in (A.zero, A.one, t + 1, t**2 + t):
+        assert _phi_slice(A, s, q) == _hand_phi_slice(A, s, q)
+    if q <= 3:
+        As = PolyRing(A, "s")
+        assert _phi_slice(As, As.gen(), q) == _hand_phi_slice(As, As.gen(), q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
