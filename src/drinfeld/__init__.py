@@ -19,11 +19,11 @@ from .bounds import (
 )
 from .dmod import DrinfeldModule, random_module
 from .errors import (
+    BadReduction,
     DrinfeldError,
     InvariantViolation,
     IrreducibilityUncertain,
     KernelNotStable,
-    StableReductionRequired,
 )
 from .extfield import QuotientField
 from .factor import factor, is_irreducible
@@ -64,6 +64,7 @@ from .places import Place, log_abs, valuation, weil_height
 from .skew import skew_ring
 
 __all__ = [
+    "BadReduction",
     "BivarPoly",
     "BoundReport",
     "DrinfeldError",
@@ -76,7 +77,6 @@ __all__ = [
     "LatticeBasis",
     "Place",
     "QuotientField",
-    "StableReductionRequired",
     "analytic_isogeny_check",
     "build_Sn",
     "compute_phi_t",

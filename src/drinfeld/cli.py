@@ -259,9 +259,9 @@ def cmd_modpoly(args):
         report["rows"] = [
             modpoly_mod.bounds_row(q, t, phi_height=phi_t.height())
         ]
-        report["height_within_prop65"] = phi_t.height() <= Fraction(
-            report["rows"][0]["prop65_bound"]
-        )
+        report["height_within_prop65"] = bounds_mod.BoundReport(
+            phi_t.height(), report["rows"][0]["prop65_bound"], {}
+        ).satisfied
     elif args.action == "cross-check":
         a = modpoly_mod.compute_phi_t(q)
         b = modpoly_mod.compute_phi_t_interpolated(q)

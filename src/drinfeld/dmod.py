@@ -16,7 +16,6 @@ from functools import cached_property
 from math import lcm
 
 from .base import rational_function_field
-from .errors import StableReductionRequired
 from .parsing import parse_element
 from .places import Place, valuation_base, valuations, weil_height
 from .ratfunc import FractionField
@@ -214,18 +213,6 @@ class DrinfeldModule:
         if place.is_infinite:
             raise ValueError("stable reduction is a finite-place predicate")
         return (self.local_height_G(place) / place.degree).denominator == 1
-
-    def taguchi_finite(self):
-        """Finite part of the Taguchi height (= finite part of h_G),
-        defined only under everywhere stable reduction."""
-        fin, _, table = self.height_G_split()
-        for v, h in table.items():
-            if not v.is_infinite and not self.stable_at(v):
-                raise StableReductionRequired(
-                    f"local height {h} at {v!r} is not deg P times an integer; "
-                    "twist first"
-                )
-        return fin
 
 
 def random_module(F, q, r, rng, max_degree=2):

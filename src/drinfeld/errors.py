@@ -15,9 +15,9 @@ class KernelNotStable(DrinfeldError):
     """The kernel of a candidate isogeny is not a module under phi."""
 
 
-class StableReductionRequired(DrinfeldError):
-    """A finite local height is non-integral, so the module does not have
-    everywhere stable reduction; twist first."""
+class BadReduction(DrinfeldError):
+    """The one reduction error: an element of F does not reduce into the
+    residue field A/l, because l divides its denominator."""
 
 
 class IrreducibilityUncertain(DrinfeldError):

@@ -1,21 +1,26 @@
-"""Quotient-ring field extensions L = F[x]/(m) and irreducibility
-certificates for polynomials over F = F_q(t).  ``ExtElem`` is an
-``ff.FieldElem`` that defines ``+``, negation, ``*`` and ``inverse``.
+"""Quotient fields R/(m), m monic irreducible over a field K, and
+irreducibility certificates for polynomials over F = F_q(t).
+
+``QuotientField`` is the one quotient core and ``ExtElem``, an
+``ff.FieldElem`` that defines ``+``, negation, ``*`` and ``inverse``, its
+one element class.  R = F[x] gives L = F[x]/(m); K = F_q and R = A give
+the residue field A/l, generated by t, which reduces a/b in F to a * b^-1
+and raises ``BadReduction`` when l divides b.
 
 Polynomials over A = F_q[t] in the variable x are represented in the
 nested ring A[x] = PolyRing(PolyRing(F_q, 't'), 'x').
 """
 
 from .base import rational_function_field
-from .errors import InvariantViolation, IrreducibilityUncertain
-from .factor import factor
-from .ff import FieldElem, power
+from .errors import BadReduction, InvariantViolation, IrreducibilityUncertain
+from .factor import factor, is_irreducible
+from .ff import FieldElem, GaloisField, power
 from .poly import Poly, PolyRing, content, poly_gcd, poly_xgcd, primitive_part
 from .ratfunc import RatFunc
 
 
 class ExtElem(FieldElem):
-    """Element of F[x]/(m), stored as the reduced representative."""
+    """Element of R/(m), stored as the reduced representative."""
 
     __slots__ = ("field", "poly")
 
@@ -72,20 +77,19 @@ class ExtElem(FieldElem):
 
 
 class QuotientField:
-    """F[x]/(m) for monic irreducible m over F."""
+    """F[x]/(m) for monic irreducible m over F, or A/l for F = F_q, m = l."""
 
     def __init__(self, F, modulus):
-        if not modulus.is_monic:
-            raise ValueError("modulus must be monic")
-        if modulus.degree < 1:
-            raise ValueError("modulus must be nonconstant")
+        if modulus.ring.base is not F or not modulus.is_monic or modulus.degree < 1:
+            raise ValueError(f"modulus must be monic nonconstant over {F!r}")
         self.F = F
         self.xring = modulus.ring
         self.modulus = modulus
         self.degree = int(modulus.degree)
         self.q, self.characteristic = F.q, F.characteristic
-        if not irreducible_over_F(to_A_x(modulus)):
-            raise ValueError("modulus is reducible over F")
+        self.residue = isinstance(F, GaloisField)
+        if not (is_irreducible(modulus) if self.residue else irreducible_over_F(to_A_x(modulus))):
+            raise ValueError(f"modulus is reducible over {F!r}")
         self.zero = ExtElem(self, self.xring.zero)
         self.one = ExtElem(self, self.xring.one)
 
@@ -94,17 +98,22 @@ class QuotientField:
 
     @property
     def t(self):
-        return self(self.F.t)
+        return self.gen() if self.residue else self(self.F.t)
 
     def __call__(self, value):
         if isinstance(value, ExtElem) and value.field is self:
             return value
         if isinstance(value, Poly) and value.ring is self.xring:
             return ExtElem(self, value % self.modulus)
-        # int, base-field element, or rational function
+        if isinstance(value, RatFunc) and value.field.ring is self.xring:
+            den = self(value.den)
+            if den.is_zero:
+                raise BadReduction(f"{self.modulus!r} divides the denominator of {value!r}")
+            return self(value.num) / den
+        # an int, or an element of F or of F_q
         return ExtElem(self, self.xring(self.F(value)))
 
-    def random_element(self, rng, max_degree=2, nonzero=False):
+    def random_element(self, rng, max_degree, nonzero=False):
         while True:
             coeffs = [
                 self.F.random_element(rng, max_degree) for _ in range(self.degree)
@@ -114,7 +123,7 @@ class QuotientField:
                 return x
 
     def __repr__(self):
-        return f"F[x]/({self.modulus!r})"
+        return f"{self.xring!r}/({self.modulus!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -385,7 +385,8 @@ class GaloisField:
     def elements(self):
         return list(self._elems)
 
-    def random_element(self, rng, nonzero=False):
+    def random_element(self, rng, max_degree=None, nonzero=False):
+        """A uniform element; max_degree, for the rings above, is unused."""
         lo = 1 if nonzero else 0
         return self._elems[rng.randrange(lo, self.q)]
 

@@ -1,9 +1,9 @@
 """Text syntax for field elements, polynomials and skew polynomials.
 
 The grammar is the usual one: `t^3+2*t+1`, `(t+1)/(t^2+t+1)`,
-`u^2+1` for F_{p^e} elements, `x`-polynomials for quotient-field
-elements and `T` for the twist in skew polynomials.  Printing and
-parsing round-trip: parse(print(v)) == v.
+`u^2+1` for F_{p^e} elements, `x`-polynomials for elements of F[x]/(m),
+`t`-polynomials for elements of A/l and `T` for the twist in skew
+polynomials.  Printing and parsing round-trip: parse(print(v)) == v.
 """
 
 import re
@@ -126,13 +126,13 @@ def standard_vars(ring):
         return out
     if isinstance(ring, QuotientField):
         out.update({k: ring(v) for k, v in standard_vars(ring.F).items()})
-        out["x"] = ring.gen()
+        out[ring.xring.var] = ring.gen()
         return out
     raise TypeError(f"no standard variables for {ring!r}")
 
 
 def parse_element(text, ring):
-    """Parse an element of F_q, A, F, or a quotient field L."""
+    """Parse an element of F_q, A, F, or a quotient field F[x]/(m) or A/l."""
     return parse_in_ring(text, ring, standard_vars(ring))
 
 

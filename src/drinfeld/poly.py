@@ -494,7 +494,7 @@ class PolyRing(DenseRing):
     def random_element(self, rng, max_degree, nonzero=False, monic=False):
         while True:
             d = rng.randint(0, max_degree)
-            coeffs = [self.base.random_element(rng) for _ in range(d + 1)]
+            coeffs = [self.base.random_element(rng, max_degree) for _ in range(d + 1)]
             if monic:
                 coeffs[-1] = self.base.one
             p = self.from_coeffs(coeffs)

@@ -159,7 +159,7 @@ class FractionField:
     def from_poly(self, p):
         return RatFunc(self, p, self.ring.one)
 
-    def random_element(self, rng, max_degree=3, nonzero=False):
+    def random_element(self, rng, max_degree, nonzero=False):
         while True:
             num = self.ring.random_element(rng, max_degree)
             den = self.ring.random_element(rng, max_degree, nonzero=True)

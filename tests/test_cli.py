@@ -167,6 +167,19 @@ def test_modpoly_compute(capsys):
     assert (3, 0) in degrees and (0, 3) in degrees
 
 
+def test_modpoly_table_one_m(capsys):
+    """--m gives the one row of that m, with h(Phi_m) only for m = t."""
+    code, out = _run(capsys, ["modpoly", "table", "--q", "2", "--m", "t^2+t+1"])
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert (row["m"], row["psi"], row["h_phi"]) == ("t^2+t+1", 5, None)
+    assert row["prop65_bound"] == 76.12661091241608
+    code, out = _run(capsys, ["modpoly", "table", "--q", "2", "--m", "t"])
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert (row["m"], row["h_phi"]) == ("t", "12")
+
+
 def test_modpoly_cross_check(capsys):
     code, out = _run(capsys, ["modpoly", "cross-check", "--q", "2"])
     assert code == 0

@@ -9,7 +9,6 @@ import pytest
 from drinfeld import DrinfeldModule, Place, log_abs, random_module
 from drinfeld.factor import factor
 from drinfeld.base import poly_ring_A, rational_function_field
-from drinfeld.errors import StableReductionRequired
 
 
 def _mod(q, r, gs):
@@ -130,19 +129,16 @@ def test_stable_at():
 
 
 def test_taguchi_finite():
-    assert _mod(2, 2, ["t", "1"]).taguchi_finite() == 0
+    """The finite part of h_G, which is the finite part of the Taguchi
+    height for a module with everywhere stable reduction."""
+    assert _mod(2, 2, ["t", "1"]).height_G_split()[0] == 0
     # place t contributes max(0, -1) = 0 for g = (1, t^3): the max in the
     # local height includes the unit coordinate g_1 = 1
-    assert _mod(2, 2, ["1", "t^3"]).taguchi_finite() == 0
+    assert _mod(2, 2, ["1", "t^3"]).height_G_split()[0] == 0
     # a module whose finite part is genuinely negative: g = (t, t^3) has
     # local height -1 at the place t
-    assert _mod(2, 2, ["t", "t^3"]).taguchi_finite() == -1
-    with pytest.raises(StableReductionRequired):
-        _mod(2, 2, ["1", "1/t"]).taguchi_finite()
-    # an integral h_G^P at a degree-2 place is not enough
-    with pytest.raises(StableReductionRequired):
-        _mod(3, 2, ["1/(t^2+1)", "1"]).taguchi_finite()
-    assert _mod(3, 2, ["1/(t^2+1)^2", "1"]).taguchi_finite() == 2
+    assert _mod(2, 2, ["t", "t^3"]).height_G_split()[0] == -1
+    assert _mod(3, 2, ["1/(t^2+1)^2", "1"]).height_G_split()[0] == 2
 
 
 def _oracle_places(coeffs):
@@ -158,9 +154,9 @@ def _oracle_places(coeffs):
 
 
 def _oracle_heights(phi):
-    """(h_G, h_J, finite part, infinite part, per-place table, Taguchi
-    finite part or None) as sums over places of log_abs, which divides
-    by each prime for its valuation."""
+    """(h_G, h_J, finite part, infinite part, per-place table, stable
+    reduction at every finite place) as sums over places of log_abs,
+    which divides by each prime for its valuation."""
     q, d = phi.q, phi.d
     nonzero = [(i, g) for i, g in enumerate(phi.coeffs, start=1) if not g.is_zero]
     gr = phi.coeffs[-1]
@@ -173,7 +169,7 @@ def _oracle_heights(phi):
             stable = stable and (table[v] / v.degree).denominator == 1
     inf = table[Place.infinity()]
     fin = sum(table.values(), Fraction(0)) - inf
-    return fin + inf, hJ, fin, inf, table, fin if stable else None
+    return fin + inf, hJ, fin, inf, table, stable
 
 
 def _random_modules(q, r, rng, count):
@@ -218,17 +214,13 @@ def test_heights_match_place_sum_oracle(q, r):
     rng = random.Random(64 + 10 * q + r)
     modules = _random_modules(q, r, rng, 6) + _shared_factor_modules(q, r, rng, 4)
     for phi in modules:
-        hG, hJ, fin, inf, table, tag = _oracle_heights(phi)
+        hG, hJ, fin, inf, table, stable = _oracle_heights(phi)
         assert phi.height_G() == hG
         assert phi.height_J() == hJ
         assert phi.height_G_split() == (fin, inf, table)
         for v, h in table.items():
             assert phi.local_height_G(v) == h
-        if tag is None:
-            with pytest.raises(StableReductionRequired):
-                phi.taguchi_finite()
-        else:
-            assert phi.taguchi_finite() == tag
+        assert all(phi.stable_at(v) for v in table if not v.is_infinite) == stable
 
 
 def test_heights_do_not_recertify_primes(monkeypatch):

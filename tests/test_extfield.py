@@ -1,15 +1,16 @@
-"""Quotient fields and the irreducibility / rational-root machinery."""
+"""Quotient fields, F[x]/(m) and the residue fields A/l, and the
+irreducibility / rational-root machinery."""
 
 import random
 
 import pytest
 
-from drinfeld import QuotientField
-from drinfeld.base import rational_function_field, x_ring_over_A, x_ring_over_F
-from drinfeld.errors import IrreducibilityUncertain
+from drinfeld import GF, QuotientField, skew_ring
+from drinfeld.base import poly_ring_A, rational_function_field, x_ring_over_A, x_ring_over_F
+from drinfeld.errors import BadReduction, IrreducibilityUncertain
 from drinfeld.extfield import _monic_divisors, irreducible_over_F, rational_roots, to_A_x
 from drinfeld.isogeny import random_isogenous_pair
-from drinfeld.poly import content
+from drinfeld.poly import PolyRing, content
 
 
 def _L(q, build):
@@ -35,6 +36,117 @@ def test_quotient_field_rejects_reducible():
     Fx = x_ring_over_F(2)
     with pytest.raises(ValueError):
         QuotientField(F, Fx.gen() ** 2 + Fx.constant(F.t**2))
+    A2, A4 = poly_ring_A(2), poly_ring_A(4)
+    malformed = [
+        (F, A2.from_codes([1, 1, 1])),  # a modulus in A, not in F[x]
+        (GF(2), A4.from_codes([2, 1, 1])),  # in F_4[t], not in F_2[t]
+        (GF(3), A2.from_codes([1, 1, 1])),
+        (GF(2), A2.one),  # constant
+        (F, Fx.gen().scale(F.t)),  # not monic
+    ]
+    for K, m in malformed:
+        with pytest.raises(ValueError):
+            QuotientField(K, m)
+    # A/l checks its modulus with factor.is_irreducible
+    with pytest.raises(ValueError):
+        _residue(2, [1, 0, 1])  # (t + 1)^2
+    with pytest.raises(ValueError):
+        _residue(3, [2, 0, 1])  # (t + 1)(t + 2)
+
+
+# -- residue fields A/l --------------------------------------------------------
+
+
+def _residue(q, codes):
+    """A/l over F_q for the prime l with coefficient codes codes."""
+    return QuotientField(GF(q), poly_ring_A(q).from_codes(codes))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_residue_field_agrees_with_GF(p, d):
+    """A/l for l = GF(p^d)'s modulus is GF(p^d): the map sending the
+    element with coordinates c to the class of sum c_i t^i respects +, *,
+    inverse and the p-th power on every element and pair."""
+    k = GF(p**d)
+    L = _residue(p, k.modulus)
+    image = {x: L(L.xring.from_codes(x.coords())) for x in k.elements()}
+    assert len(set(image.values())) == p**d
+    for x, lx in image.items():
+        assert image[x**p] == lx**p
+        if x:
+            assert image[x.inverse()] == lx.inverse()
+        for y, ly in image.items():
+            assert image[x + y] == lx + ly
+            assert image[x * y] == lx * ly
+
+
+@pytest.mark.parametrize("q, codes", [(2, [1, 1, 0, 1]), (3, [2, 1, 1]), (4, [2, 1, 1])])
+def test_residue_reduction_is_a_homomorphism(q, codes):
+    """Reduction F -> A/l respects + and * on l-integral elements and
+    raises BadReduction on the others."""
+    F = rational_function_field(q)
+    L = _residue(q, codes)
+    ell = F.from_poly(L.modulus)
+    assert L.t == L.gen() and L(F.t) == L.t and L(ell).is_zero
+    rng = random.Random(180 + q)
+    integral = 0
+    for _ in range(60):
+        f, g = F.random_element(rng, 3), F.random_element(rng, 3)
+        if (f.den % L.modulus).is_zero or (g.den % L.modulus).is_zero:
+            continue
+        integral += 1
+        assert L(f + g) == L(f) + L(g)
+        assert L(f * g) == L(f) * L(g)
+        if L(f):
+            with pytest.raises(BadReduction):
+                L(f / ell)
+    assert integral >= 40
+
+
+@pytest.mark.parametrize("q, codes", [(2, [1, 1, 1]), (3, [1, 0, 1]), (4, [2, 1, 1]), (9, [3, 1])])
+def test_residue_reduction_of_skew_products(q, codes):
+    """red(f) * red(g) = red(f * g) for f, g in F{tau} with l-integral
+    coefficients, in (A/l){tau}: reduction commutes with c -> c^q."""
+    F = rational_function_field(q)
+    L = _residue(q, codes)
+    S, SL = skew_ring(F, q), skew_ring(L, q)
+    A = F.ring
+
+    def red(f):
+        return SL([L(c) for c in f.coeffs])
+
+    rng = random.Random(190 + q)
+    for _ in range(15):
+        # a denominator 1 + l t is prime to l
+        den = A.one + L.modulus * A.gen()
+        f, g = (
+            S([F.make(A.random_element(rng, 3), den) for _ in range(rng.randrange(1, 4))])
+            for _ in range(2)
+        )
+        assert red(f) * red(g) == red(f * g)
+
+
+# every parent draws with random_element(rng, max_degree, nonzero=False)
+
+
+def test_ring_over_A_draws_to_max_degree():
+    f = PolyRing(poly_ring_A(3), "y").random_element(random.Random(1), 1)
+    assert f.degree <= 1 and all(c.degree <= 1 for c in f.coeffs)
+
+
+def test_residue_field_draws_every_class():
+    L = _residue(2, [1, 1, 0, 0, 1])
+    rng = random.Random(5)
+    assert len({L.random_element(rng, 1) for _ in range(200)}) == 16
+
+
+def test_F_q_draws_ignore_max_degree():
+    k = GF(9)
+    a, b = random.Random(7), random.Random(7)
+    assert [k.random_element(a, 5, nonzero=True) for _ in range(20)] == [
+        k.random_element(b, nonzero=True) for _ in range(20)
+    ]
 
 
 def test_rational_roots():

@@ -15,6 +15,7 @@ def test_parse_poly():
     assert parse_element("t^3+2*t+1", A) == t**3 + 2 * t + A.one
     assert parse_element("0", A).is_zero
     assert parse_element("-t", A) == -t
+    assert parse_element("t ", A) == t  # trailing blanks end the input
 
 
 def test_parse_ratfunc():
@@ -42,9 +43,12 @@ def test_parse_errors():
 @pytest.mark.parametrize(
     "ring", [GF(2), GF(4), poly_ring_A(2), rational_function_field(3)]
 )
-@pytest.mark.parametrize("text", ["1/0", "1/(1-1)", 1, None, ["1"]])
+@pytest.mark.parametrize(
+    "text", ["1/0", "1/(1-1)", 1, None, ["1"], "t $", "t+1)", "(t+1"]
+)
 def test_unparseable_literal_is_parse_error(ring, text):
-    # a zero divisor or a non-string is bad input, not an arithmetic error
+    # a zero divisor, a non-string, a bad token or an unbalanced
+    # parenthesis is bad input, not an arithmetic error
     with pytest.raises(ParseError):
         parse_element(text, ring)
 
@@ -73,8 +77,15 @@ def test_quotient_field_roundtrip():
     F = rational_function_field(2)
     Fx = x_ring_over_F(2)
     mod = Fx.gen() ** 2 + Fx.gen() + Fx.constant(F.t)
-    L = QuotientField(F, mod)
+    # F[x]/(m), and A/l at l = t^4 + t + 1, t^2 + t + u and t + u over F_q
+    fields = [QuotientField(F, mod)] + [
+        QuotientField(GF(q), poly_ring_A(q).from_codes(codes))
+        for q, codes in ((2, [1, 1, 0, 0, 1]), (4, [2, 1, 1]), (9, [3, 1]))
+    ]
     rng = random.Random(43)
-    for _ in range(20):
-        x = L.random_element(rng, 2)
-        assert parse_element(repr(x), L) == x
+    for L in fields:
+        draws = [L.random_element(rng, 2) for _ in range(20)]
+        assert len(set(draws)) > 1
+        for x in draws:
+            assert parse_element(repr(x), L) == x
+    assert parse_element("t^2", fields[1]) == fields[1].t ** 2

@@ -5,12 +5,13 @@ deterministic.  Subtraction is checked against negate-then-add over A,
 F and A[Z]; every sum in F is checked to be canonical and equal to the
 reduction by ``FractionField.make`` of the plain cross-multiplied sum,
 which is what the constant-denominator fast path of ``RatFunc.__add__``
-skips.
+skips.  The residue fields A/l at q = 4 and 9 satisfy the field axioms.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from drinfeld import GF, QuotientField
 from drinfeld.base import poly_ring_A, rational_function_field
 from drinfeld.poly import PolyRing, poly_gcd
 
@@ -101,3 +102,24 @@ def test_ratfunc_sum_is_canonical(q, na, da, nb, db):
     for total, ref in cases:
         _assert_canonical(total)
         assert total == ref
+
+
+# primes l of A = F_q[t] by coefficient codes: t^2 + t + u over F_4 and
+# t^3 + t + u over F_9 (u the generator of F_q)
+RESIDUE_PRIMES = {4: [2, 1, 1], 9: [3, 1, 0, 1]}
+
+
+@settings(PROPERTY)
+@given(st.sampled_from(sorted(RESIDUE_PRIMES)), codes, codes, codes)
+@example(4, [2, 1, 1], [1], [])  # l itself reduces to 0
+def test_residue_field_axioms(q, ca, cb, cc):
+    A = poly_ring_A(q)
+    L = QuotientField(GF(q), A.from_codes(RESIDUE_PRIMES[q]))
+    a, b, c = (L(_poly(A, cs)) for cs in (ca, cb, cc))
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + L.zero == a and a * L.one == a and (a - a).is_zero
+    if a:
+        assert a * a.inverse() == L.one
+    assert a**q * b**q == (a * b) ** q and (a + b) ** q == a**q + b**q

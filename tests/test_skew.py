@@ -278,6 +278,15 @@ def test_phi_of_counts_skew_products(q, monkeypatch):
         assert phi.phi_of(b) == _horner_from_zero(phi, b)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_power_is_phi_of_power(q):
+    """phi_t^3 by repeated squaring is phi_(t^3) by Horner."""
+    F = rational_function_field(q)
+    phi = random_module(F, q, 2, random.Random(70 + q), max_degree=1)
+    assert phi.phi_t**3 == phi.phi_of(F.ring.gen() ** 3)
+    assert phi.phi_t**0 == phi.skew.one
+
+
 def _horner_from_zero(phi, a):
     ref = phi.skew.zero
     for c in reversed(a.coeffs):

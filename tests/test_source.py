@@ -18,7 +18,9 @@ for its sums, products or division, and ``Poly.__divmod__`` and
 and ``ExtElem`` inherit ``ff.FieldElem``, and ``PolyRing`` and
 ``SkewPolyRing`` inherit ``poly.DenseRing``, and define none of its
 names.  ``FqPoly``, ``FFElem`` and ``FqPolyRing`` are exempt, since they
-run on codes.
+run on codes.  ``FFElem``, ``RatFunc`` and ``ExtElem`` are the only
+``FieldElem`` classes: ``ExtElem`` is the one quotient element, of
+F[x]/(m) and of A/l alike.
 
 Invariant checks raise ``InvariantViolation`` (a ``DrinfeldError``):
 ``python -O`` strips an ``assert``, and a bare ``AssertionError`` or
@@ -221,6 +223,34 @@ def test_core_guard_sees_a_stray():
     )
     core, *classes = tree.body
     assert _core_strays(classes, core) == ["QuotientRing", ("SkewPolyRing", "gen")]
+
+
+def _subclasses(trees, core):
+    """Names of the classes, at any depth, with a base named core,
+    qualified or not."""
+    return sorted(
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and core in [ast.unparse(b).rpartition(".")[2] for b in node.bases]
+    )
+
+
+def test_one_element_class_per_kind_of_field():
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    assert _subclasses(trees, "FieldElem") == ["ExtElem", "FFElem", "RatFunc"]
+
+
+def test_subclass_guard_sees_an_extra_subclass():
+    tree = ast.parse(
+        "class ExtElem(FieldElem): pass\n"
+        "class Residue(ff.FieldElem): pass\n"
+        "def reduce():\n"
+        "    class Local(object, FieldElem): pass\n"
+        "class Other(FieldElemBase): pass\n"
+    )
+    assert _subclasses([tree], "FieldElem") == ["ExtElem", "Local", "Residue"]
 
 
 def _bare_checks(tree):
