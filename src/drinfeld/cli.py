@@ -37,7 +37,6 @@ from .isogeny import (
     verify,
 )
 from .parsing import parse_element, parse_skew
-from .places import weil_height
 
 SCHEMA_VERSION = 1
 
@@ -160,6 +159,7 @@ def cmd_isogeny(args):
     elif args.action == "pushforward":
         report["target"] = pushforward(phi, f).to_literal()
     elif args.action == "minimal-N":
+        pushforward(phi, f)  # a non-isogeny raises KernelNotStable at once
         report["N"] = repr(minimal_N(phi, f)[0])
     else:  # dual
         phi2 = pushforward(phi, f)
@@ -194,13 +194,10 @@ def cmd_harness(args):
     if r == 2:
         for i in range(args.trials):
             phi = random_module(F, q, 2, rng)
-            j = phi.j_invariants()[0]
-            hj = weil_height([F.one, j])
+            hj = phi.height_J()  # h(j) for j = g_1^(q+1)/g_2, unexpanded
             for iso in rank2_t_isogenies(phi):
-                jp = iso.target.j_invariants()[0]
-                hjp = weil_height([F.one, jp])
                 rep = bounds_mod.thm1_part2_report(
-                    hj, hjp, 1, q, extra={"trial": i, "f": repr(iso.f)}
+                    hj, iso.target.height_J(), 1, q, extra={"trial": i, "f": repr(iso.f)}
                 )
                 part2.append(rep.to_payload())
     report = {

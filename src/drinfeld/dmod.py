@@ -2,13 +2,13 @@
 
 A module is determined by phi_t = t + g_1 tau + ... + g_r tau^r with
 g_r != 0; the constant term is structurally t (generic characteristic is
-not a runtime option).  Heights are exact rationals.  h_G and h_J read
-one per-module table over the coprime base of the numerators and
-denominators of the g_i (`places.valuation_base`, gcds only), with
-weight 1 at infinity and deg b at a base element b, so they factor
-nothing and never expand the J-invariant tuple.  The per-place view
-factors each element of that same base once (`places.valuations`), so
-a module refines its coefficients once for all of its heights.
+not a runtime option).  Heights are exact rationals, all read off one
+per-module table: a row at infinity and one per element b of the coprime
+base of the numerators and denominators of the g_i (`places.valuation_base`,
+gcds only), with weight 1 at infinity and deg b at b.  h_G, h_J and the
+naive height factor nothing and never expand the J-invariant tuple; the
+local height at P reads the row of the b that P divides, and the
+per-place table factors each b once.
 """
 
 from fractions import Fraction
@@ -16,8 +16,9 @@ from functools import cached_property
 from math import lcm
 
 from .base import rational_function_field
+from .factor import factor
 from .parsing import parse_element
-from .places import Place, valuation_base, valuations, weil_height
+from .places import Place, valuation, valuation_base
 from .ratfunc import FractionField
 from .skew import skew_ring
 
@@ -107,71 +108,54 @@ class DrinfeldModule:
     def j_invariants(self):
         """The tuple (j_1, ..., j_r); j_r = 1.  Expands the powers, so
         use only when the exponents are desk-sized."""
-        d = self.d
-        gr = self.coeffs[-1]
-        denom = gr ** (d // (self.q**self.r - 1))
-        out = []
-        for k in range(1, self.r + 1):
-            gk = self.coeffs[k - 1]
-            if gk.is_zero:
-                out.append(self.field.zero)
-            else:
-                out.append(gk ** (d // (self.q**k - 1)) / denom)
-        return out
+        q, d = self.q, self.d
+        denom = self.coeffs[-1] ** (d // (q**self.r - 1))
+        return [g ** (d // (q**k - 1)) / denom for k, g in enumerate(self.coeffs, start=1)]
 
     # -- heights ------------------------------------------------------------
 
-    def _require_over_F(self):
+    @cached_property
+    def _rows(self):
+        """[(weight, b, [(i, a_i) for the nonzero g_i])], the module's one
+        table of local data.  Infinity comes first, with b = None, weight 1
+        and a_i = log_q |g_i|_inf; then each element b of the coprime base
+        of the numerators and denominators of the g_i, with weight deg b
+        and a_i = -v_b(g_i), as log_q |g_i|_P = deg P v_P(b) a_i at P | b."""
         if not isinstance(self.field, FractionField):
             raise ValueError("heights with local parts need coefficients in F")
-
-    @cached_property
-    def _base(self):
-        """The nonzero (i, g_i) and `valuation_base` of those g_i: one
-        refinement serves h_G, h_J and the per-place view."""
-        self._require_over_F()
         nonzero = [(i, g) for i, g in enumerate(self.coeffs, start=1) if not g.is_zero]
-        return nonzero, valuation_base([g for _, g in nonzero])
-
-    @cached_property
-    def _weighted_logs(self):
-        """[(weight, [(i, a_i) for the nonzero g_i])], h_G being the sum of
-        weight * max_i a_i / (q^i - 1): infinity with weight 1 and a_i =
-        log_q |g_i|_inf, then each coprime-base element b with weight deg b
-        and a_i = -v_b(g_i), as log_q |g_i|_P = deg P v_P(b) a_i at P | b."""
-        nonzero, base = self._base
-        rows = [(1, [(i, g.deg_infinity()) for i, g in nonzero])]
-        for b, vals in base:
-            rows.append((b.degree, [(i, -n) for (i, _), n in zip(nonzero, vals)]))
+        rows = [(1, None, [(i, g.deg_infinity()) for i, g in nonzero])]
+        for b, vals in valuation_base([g for _, g in nonzero]):
+            rows.append((b.degree, b, [(i, -n) for (i, _), n in zip(nonzero, vals)]))
         return rows
 
-    @cached_property
-    def _local_logs(self):
-        """{place: [(i, log_q |g_i|_v) for the nonzero g_i]} at infinity
-        and at every prime of a numerator or denominator of the g_i."""
-        nonzero, base = self._base
-        table = {Place.infinity(): [(i, g.deg_infinity()) for i, g in nonzero]}
-        for v, vals in valuations(base).items():
-            table[v] = [(i, -v.degree * n) for (i, _), n in zip(nonzero, vals)]
-        return table
-
-    def local_height_G(self, place):
-        """h_G^v = log max_i |g_i|_v^(1/(q^i - 1)); 0 where every g_i is a unit."""
-        logs = self._local_logs.get(place)
-        if logs is None:
-            return Fraction(0)
+    def _row_max(self, logs):
         return max(Fraction(a, self.q**i - 1) for i, a in logs)
 
+    def local_height_G(self, place):
+        """h_G^v = log max_i |g_i|_v^(1/(q^i - 1)); 0 where every g_i is a
+        unit.  At a finite P only the row of the one base element b that
+        P divides counts: h_G^P = v_P(b) deg P times its max."""
+        if place.is_infinite:
+            return self._row_max(self._rows[0][2])
+        for _, b, logs in self._rows[1:]:
+            m = valuation(self.field.from_poly(b), place.prime)
+            if m:
+                return m * place.degree * self._row_max(logs)
+        return Fraction(0)
+
     def height_G(self):
-        total = Fraction(0)
-        for w, logs in self._weighted_logs:
-            total += w * max(Fraction(a, self.q**i - 1) for i, a in logs)
-        return total
+        return sum((w * self._row_max(logs) for w, _, logs in self._rows), Fraction(0))
 
     def height_G_split(self):
-        """(finite part, infinite part, per-place table)."""
-        table = {v: self.local_height_G(v) for v in self._local_logs}
-        inf = table[Place.infinity()]
+        """(finite part, infinite part, per-place table), the table from
+        one `factor(b)` per row."""
+        (_, _, logs), *finite = self._rows
+        inf = self._row_max(logs)
+        table = {Place.infinity(): inf}
+        for _, b, logs in finite:
+            h = self._row_max(logs)
+            table.update((Place(p), m * p.degree * h) for p, m in factor(b)[1])
         return sum(table.values(), Fraction(0)) - inf, inf, table
 
     def height_J(self):
@@ -179,20 +163,17 @@ class DrinfeldModule:
         J-tuple from coefficient valuations (no power expansion)."""
         d = self.d
         total = Fraction(0)
-        for w, logs in self._weighted_logs:
+        for w, _, logs in self._rows:
             base = (d // (self.q**self.r - 1)) * logs[-1][1]  # g_r != 0 comes last
             total += w * max((d // (self.q**i - 1)) * a - base for i, a in logs)
         return total
 
     def naive_height(self):
         """h(phi) = max_i h(g_i), the coefficient height used by the
-        isogeny-degree bound of David-Denis type."""
-        self._require_over_F()
-        out = Fraction(0)
-        for g in self.coeffs:
-            if not g.is_zero:
-                out = max(out, weil_height([self.field.one, g]))
-        return out
+        isogeny-degree bound of David-Denis type: h(g_i) sums weight *
+        max(a_i, 0) over the rows, which is max(deg num g_i, deg den g_i)."""
+        parts = [[w * max(a, 0) for _, a in logs] for w, _, logs in self._rows]
+        return Fraction(max(map(sum, zip(*parts))))
 
     # -- twisting and reduction ---------------------------------------------
 

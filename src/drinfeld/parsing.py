@@ -4,20 +4,41 @@ The grammar is the usual one: `t^3+2*t+1`, `(t+1)/(t^2+t+1)`,
 `u^2+1` for F_{p^e} elements, `x`-polynomials for elements of F[x]/(m),
 `t`-polynomials for elements of A/l and `T` for the twist in skew
 polynomials.  Printing and parsing round-trip: parse(print(v)) == v.
+A literal nested past the recursion limit, or one operation whose degree
+bound (the sum of its operands', or deg x n for x^n) passes MAX_DEGREE,
+is a ParseError.
 """
 
 import re
 
-from .extfield import QuotientField
+from .extfield import ExtElem, QuotientField
 from .ff import GaloisField
-from .poly import PolyRing
-from .ratfunc import FractionField
+from .poly import Poly, PolyRing
+from .ratfunc import FractionField, RatFunc
 
 TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]\w*|\^|\+|\-|\*|/|\(|\))")
+
+MAX_DEGREE = 5000  # its slowest operation, 1/P^a + 1/Q^b at q = 9, takes ~1 s
 
 
 class ParseError(ValueError):
     pass
+
+
+def _degree(v):
+    """v's degree over F_q, summed over the variables of its tower."""
+    if isinstance(v, RatFunc):
+        return max(_degree(v.num), _degree(v.den))
+    if isinstance(v, ExtElem):
+        return _degree(v.poly)
+    if isinstance(v, Poly):
+        return max(v.degree, 0) + max(map(_degree, v.coeffs), default=0)
+    return 0
+
+
+def _bound(degree):
+    if degree > MAX_DEGREE:
+        raise ParseError(f"literal may reach degree {degree}, past MAX_DEGREE = {MAX_DEGREE}")
 
 
 def tokenize(text):
@@ -61,6 +82,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.next()
             rhs = self.term()
+            _bound(_degree(value) + _degree(rhs))
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -69,6 +91,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.next()
             rhs = self.factor()
+            _bound(_degree(value) + _degree(rhs))
             if op == "*":
                 value = value * rhs
             elif rhs.is_zero:
@@ -87,6 +110,7 @@ class _Parser:
             tok = self.next()
             if tok is None or not tok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer")
+            _bound(_degree(value) * int(tok))
             value = value ** int(tok)
         return value
 
@@ -107,7 +131,10 @@ class _Parser:
 
 
 def parse_in_ring(text, ring, variables):
-    return _Parser(tokenize(text), ring, variables).parse()
+    try:
+        return _Parser(tokenize(text), ring, variables).parse()
+    except RecursionError:
+        raise ParseError("literal nests too deeply") from None
 
 
 def standard_vars(ring):

@@ -6,9 +6,9 @@ attached to a monic irreducible P, |x| = q^(-deg(P) v_P(x)).
 
 `coprime_base` splits numerators and denominators into pairwise coprime
 b by gcds and exact divisions, never testing a pair it has proved
-coprime; heights read b with weight deg b, and `valuations` factors
-each b once.  `valuation` and `log_abs` divide by one given P and serve
-as the reference.
+coprime; a module's heights read b with weight deg b, and its per-place
+view factors each b once.  `valuation` and `log_abs` divide by one
+given P.
 
 Only places of F itself occur, so every local degree n_v is 1 and the
 e_v/f_v bookkeeping of finite extensions never enters.
@@ -17,7 +17,7 @@ e_v/f_v bookkeeping of finite extensions never enters.
 from fractions import Fraction
 from functools import reduce
 
-from .factor import factor, is_irreducible
+from .factor import is_irreducible
 from .poly import poly_gcd
 
 
@@ -129,13 +129,6 @@ def valuation_base(xs):
         unit = [int(k == i) for k in range(len(xs))]
         pieces += [(x.num, unit), (x.den, [-n for n in unit])]
     return coprime_base(pieces)
-
-
-def valuations(base):
-    """{Place(P): [v_P(x) for x in xs]} over the primes P of every
-    numerator and denominator, from base = valuation_base(xs): one
-    `factor` call per coprime-base element."""
-    return {Place(p): [m * n for n in v] for b, v in base for p, m in factor(b)[1]}
 
 
 def weil_height(coords):

@@ -497,6 +497,15 @@ def test_bad_input_exit_code(capsys):
             ],
             "different fields",
         ),
+        (["heights", "--module", '{"q":3,"r":2,"g":["t^5001","1"]}'], "MAX_DEGREE"),
+        (["heights", "--module", '{"q":2,"r":2,"g":["' + "-" * 5000 + 't","1"]}'], "nests"),
+        (
+            [
+                "isogeny", "minimal-N", "--module", '{"q":2,"r":2,"g":["t","1"]}',
+                "--f", "T^6+1",
+            ],
+            "not stable",
+        ),
     ],
 )
 def test_bad_literal_or_matrix_exits_one(capsys, argv, message):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld import DrinfeldModule, Place, log_abs, random_module
+from drinfeld import DrinfeldModule, Place, log_abs, random_module, weil_height
 from drinfeld.factor import factor
 from drinfeld.base import poly_ring_A, rational_function_field
 
@@ -208,7 +208,7 @@ def _shared_factor_modules(q, r, rng, count):
     return out
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_heights_match_place_sum_oracle(q, r):
     rng = random.Random(64 + 10 * q + r)
@@ -221,6 +221,27 @@ def test_heights_match_place_sum_oracle(q, r):
         for v, h in table.items():
             assert phi.local_height_G(v) == h
         assert all(phi.stable_at(v) for v in table if not v.is_infinite) == stable
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_naive_height_is_max_coefficient_weil_height(q):
+    rng = random.Random(66 + q)
+    for r in (2, 3):
+        for phi in _random_modules(q, r, rng, 6) + _shared_factor_modules(q, r, rng, 2):
+            one = phi.field.one
+            want = max(weil_height([one, g]) for g in phi.coeffs if not g.is_zero)
+            assert phi.naive_height() == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_rank2_height_J_is_weil_height_of_j(q):
+    """In rank 2, h_J is h(j) for j = g_1^(q+1)/g_2, j = 0 included."""
+    F = rational_function_field(q)
+    rng = random.Random(67 + q)
+    modules = _random_modules(q, 2, rng, 8) + _shared_factor_modules(q, 2, rng, 2)
+    modules += [DrinfeldModule(F, q, 2, [F.zero, F.random_element(rng, 3, nonzero=True)])]
+    for phi in modules:
+        assert phi.height_J() == weil_height([F.one, phi.j_invariants()[0]])
 
 
 def test_heights_do_not_recertify_primes(monkeypatch):
@@ -243,7 +264,7 @@ def test_heights_factor_nothing(monkeypatch):
     def refuse(f):
         raise AssertionError("factor called on a height path")
 
-    for name in ("drinfeld.places", "drinfeld.factor"):
+    for name in ("drinfeld.dmod", "drinfeld.factor"):
         monkeypatch.setattr(importlib.import_module(name), "factor", refuse)
     phi = _mod(2, 3, ["(t^2+t+1)^2/t", "0", "(t+1)^3/(t^2+t+1)"])
     assert phi.height_G() == Fraction(30, 7)

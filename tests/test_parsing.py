@@ -6,7 +6,7 @@ import pytest
 
 from drinfeld import GF, QuotientField, parse_element, parse_skew, skew_ring
 from drinfeld.base import poly_ring_A, rational_function_field, x_ring_over_F
-from drinfeld.parsing import ParseError
+from drinfeld.parsing import MAX_DEGREE, ParseError
 
 
 def test_parse_poly():
@@ -44,13 +44,30 @@ def test_parse_errors():
     "ring", [GF(2), GF(4), poly_ring_A(2), rational_function_field(3)]
 )
 @pytest.mark.parametrize(
-    "text", ["1/0", "1/(1-1)", 1, None, ["1"], "t $", "t+1)", "(t+1"]
+    "text",
+    [
+        "1/0", "1/(1-1)", 1, None, ["1"], "t $", "t+1)", "(t+1",
+        "t^3000000+1", "t^3000*t^3000",
+        pytest.param("(" * 2000 + "t" + ")" * 2000, id="2000-parentheses"),
+        pytest.param("-" * 5000 + "t", id="5000-minus-signs"),
+    ],
 )
 def test_unparseable_literal_is_parse_error(ring, text):
-    # a zero divisor, a non-string, a bad token or an unbalanced
-    # parenthesis is bad input, not an arithmetic error
+    # a zero divisor, a non-string, a bad token, an unbalanced parenthesis,
+    # a degree past MAX_DEGREE or nesting past the recursion limit is bad
+    # input, not an arithmetic error
     with pytest.raises(ParseError):
         parse_element(text, ring)
+
+
+def test_degree_bound_admits_up_to_max_degree():
+    # in F a sum has up to the sum of its terms' degrees
+    F = rational_function_field(3)
+    assert parse_element("1/t^2500+1/(t+1)^2500", F).den.degree == MAX_DEGREE
+    assert parse_element("(t+1)^5000", F).num.degree == MAX_DEGREE
+    for text in ("1/t^2500+1/(t+1)^2501", "(t+1)^5001", "t^2500*t^2501"):
+        with pytest.raises(ParseError, match="MAX_DEGREE"):
+            parse_element(text, F)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])

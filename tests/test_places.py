@@ -16,7 +16,7 @@ from drinfeld import (
     valuation,
     weil_height,
 )
-from drinfeld.places import coprime_base, valuation_base, valuations
+from drinfeld.places import coprime_base, valuation_base
 from drinfeld.base import poly_ring_A
 from drinfeld.factor import factor
 from drinfeld.poly import poly_gcd
@@ -50,39 +50,20 @@ def test_valuation_additivity():
         assert valuation(a * b, prime) == valuation(a, prime) + valuation(b, prime)
 
 
+def _support(xs):
+    """Infinity and every prime of a numerator or denominator of the
+    nonzero xs, found by factoring each one."""
+    primes = {p: True for x in xs for f in (x.num, x.den) for p, _ in factor(f)[1]}
+    return [Place.infinity()] + [Place(p) for p in primes]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_product_formula(q):
     F = rational_function_field(q)
     rng = random.Random(32)
     for _ in range(100):
         x = F.random_element(rng, 4, nonzero=True)
-        places = [Place.infinity()] + list(valuations(valuation_base([x])))
-        assert sum(log_abs(x, v) for v in places) == 0
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
-def test_valuations_match_valuation(q):
-    """The table read off one factorization agrees with repeated division
-    by each prime, p-th-power factors included."""
-    F = rational_function_field(q)
-    powers = {2: "(t+1)^2/t", 3: "t/(t+1)^3", 4: "t^4+u", 9: "(t^3+u)^3/(t^2+1)"}
-    rng = random.Random(35 + q)
-    for _ in range(20):
-        xs = [F.random_element(rng, 4, nonzero=True) for _ in range(rng.randint(1, 3))]
-        xs.append(parse_element(powers[q], F))
-        table = valuations(valuation_base(xs))
-        for v, vals in table.items():
-            assert v == Place.finite(v.prime)
-            assert vals == [valuation(x, v.prime) for x in xs]
-            assert any(vals)
-        # every prime of a numerator or denominator has a row
-        for x in xs:
-            for f in (x.num, x.den):
-                for p, _ in factor(f)[1]:
-                    assert Place(p) in table
-    assert valuations(valuation_base([])) == {}
-    with pytest.raises(ValueError):
-        valuations(valuation_base([F.one, F.zero]))
+        assert sum(log_abs(x, v) for v in _support([x])) == 0
 
 
 @st.composite
@@ -185,7 +166,9 @@ def test_valuation_base_cancels_across_coefficients():
     t, one = F.ring.gen(), F.ring.one
     cube = (t + one) ** 3
     assert valuation_base([x, y]) == [(t, [2, -1]), (t**2 + one, [0, 1]), (cube, [-1, 2])]
-    assert valuations(valuation_base([x, y]))[Place(t + one)] == [-3, 6]
+    assert valuation_base([]) == []
+    with pytest.raises(ValueError):
+        valuation_base([F.one, F.zero])
 
 
 def test_place_keying():
@@ -229,7 +212,7 @@ def _place_sum_height(coords):
     and at every finite place in the support of the tuple."""
     nonzero = [x for x in coords if not x.is_zero]
     total = Fraction(0)
-    for v in [Place.infinity()] + list(valuations(valuation_base(nonzero))):
+    for v in _support(nonzero):
         total += max(log_abs(x, v) for x in nonzero)
     return total
 
