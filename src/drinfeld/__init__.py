@@ -11,9 +11,13 @@ from .base import (
 from .bounds import (
     BoundReport,
     dd_corollary_bound,
+    hsia_main_term,
+    kappa,
     lemma54_window,
     lemma64_resolve,
     lemma64_threshold,
+    prop65_bound,
+    psi,
     thm1_part1_bound,
     thm1_part2_bound,
 )
@@ -52,11 +56,7 @@ from .modpoly import (
     build_Sn,
     compute_phi_t,
     compute_phi_t_interpolated,
-    hsia_main_term,
-    kappa,
     lagrange_reconstruct,
-    prop65_bound,
-    psi,
     tk_bounds,
 )
 from .parsing import parse_element, parse_skew

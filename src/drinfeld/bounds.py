@@ -1,34 +1,59 @@
-"""Evaluators for the explicit inequality constants.
+"""Evaluators for the explicit inequality constants, and reports.
 
 Height differences are exact rationals.  Every right-hand side that
-involves a logarithm of a non-power is one interval expression,
-evaluated in a private `mpmath` interval context held at 30 digits, and
-rounded up once, at the end, to the least float at or above its upper
-endpoint; so a verdict of "violated" can only occur when the inequality
-fails even at the conservative rounding.  No evaluator reads or changes
-the global `mpmath.iv`, and no other module of the package evaluates
-intervals: `modpoly` passes psi(m) and deg m to `prop65_from_psi` and
-`asymptotic_from_psi`.  All logarithms are base q.
+involves a logarithm of a non-power is one interval expression in a
+private `mpmath` interval context held at 30 digits; an evaluator
+returns the least float at or above its upper endpoint.  No other module
+evaluates intervals, builds a `BoundReport` or touches the global
+`mpmath.iv`.  The bounds on Phi_m take m in A = F_q[t] alone, and read q
+off its ring.  All logarithms are base q.
 """
 
 import math
 from fractions import Fraction
 
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import to_rational
 
+from .errors import InvariantViolation
+from .factor import factor
+from .ff import factor_prime_power
+
+_DPS, _MAX_DPS = 30, 240
 _IV = MPIntervalContext()
-_IV.dps = 30
+_IV.dps = _DPS
 
 
 class BoundReport:
-    """One checked inequality: exact lhs against an exact or upward-rounded
-    rhs; an exact rhs is rounded up only in the payload."""
+    """An exact lhs against a rational rhs, or an interval function that
+    evaluates the rhs in `_IV` at its precision.  A rational rhs, or the
+    value `exact` of an interval one, decides exactly; else the endpoints
+    decide, at 30 digits or at doubled digits up to `_MAX_DPS` while lhs
+    lies between them.  The payload's rhs is rounded up."""
 
-    def __init__(self, lhs, rhs, inputs):
-        self.lhs = Fraction(lhs)
-        self.rhs = rhs
-        self.inputs = dict(inputs)
-        self.satisfied = self.lhs <= Fraction(rhs)
+    def __init__(self, lhs, rhs, inputs, exact=None):
+        self.lhs, self.inputs, self.rhs = Fraction(lhs), dict(inputs), rhs
+        if callable(rhs):
+            x = rhs()
+            self.rhs = _upper_float(x)
+            self.satisfied = self.lhs <= exact if exact is not None else self._decide(rhs, x)
+        else:
+            self.satisfied = self.lhs <= Fraction(rhs)
+
+    def _decide(self, rhs, x):
+        try:
+            while True:
+                lo, hi = x._mpi_
+                if self.lhs <= Fraction(*to_rational(lo)):
+                    return True
+                if self.lhs > Fraction(*to_rational(hi)):
+                    return False
+                if _IV.dps >= _MAX_DPS:
+                    raise InvariantViolation(f"undecided at {_MAX_DPS} digits: {self.lhs}, {self.inputs}")
+                _IV.dps *= 2
+                x = rhs()
+        finally:
+            _IV.dps = _DPS
 
     def to_payload(self):
         rhs = float(self.rhs)
@@ -41,10 +66,6 @@ class BoundReport:
             "satisfied": self.satisfied,
             "inputs": self.inputs,
         }
-
-    def __repr__(self):
-        mark = "<=" if self.satisfied else ">"
-        return f"BoundReport({self.lhs} {mark} {self.rhs})"
 
 
 def _upper_float(x):
@@ -81,14 +102,25 @@ def lemma54_window(q, r):
     return Fraction(q**r, q**r - 1), Fraction(q, q - 1)
 
 
-def thm1_part2_bound(deg_f_log, h_jprime, q):
-    """((q^2-1)/2) (log deg f + log(1 + h(j')/q)) + q, rounded up."""
-    h_jprime = Fraction(h_jprime)
+def _part2(deg_f_log, h_jprime, q):
+    """The interval function of ((q^2-1)/2) (log deg f + log(1 + h(j')/q)) + q,
+    and its value when rational: when n = q (1 + h(j')/q) is a power p^k of
+    the characteristic, as log n = k/e for q = p^e; None otherwise."""
+    h_jprime, half = Fraction(h_jprime), Fraction(q * q - 1, 2)
     if h_jprime < 0:
         raise ValueError("h(j') must be nonnegative")
-    half = _frac_iv(Fraction(q * q - 1, 2))
-    inner = 1 + _frac_iv(h_jprime) / q
-    return _upper_float(half * (deg_f_log + _logq(inner, q)) + q)
+    (p, e), n = factor_prime_power(q), h_jprime + q
+    k = round(math.log(n.numerator, p)) if n.denominator == 1 else 0
+
+    def rhs():
+        return _frac_iv(half) * (deg_f_log + _logq(1 + _frac_iv(h_jprime) / q, q)) + q
+
+    return rhs, (half * (deg_f_log + Fraction(k, e) - 1) + q if p**k == n else None)
+
+
+def thm1_part2_bound(deg_f_log, h_jprime, q):
+    """((q^2-1)/2) (log deg f + log(1 + h(j')/q)) + q, rounded up."""
+    return _upper_float(_part2(deg_f_log, h_jprime, q)[0]())
 
 
 def dd_corollary_bound(K_degree, h_G, q, r, c2=1.0):
@@ -124,34 +156,90 @@ def _resolved_iv(a, q):
     return a + half * _logq(1 + (a / q) / damp, q)
 
 
-def prop65_from_psi(q, deg_m, psi_m):
-    """Prop. 6.5 for a modulus of degree deg_m: psi max(q^3, x) + 2 psi log psi,
-    x the Lemma 6.4 resolution of a = ((q^2-1)/2) deg_m + q + (1/2) log psi;
-    rounded up."""
+# -- height bounds on Phi_m ---------------------------------------------------
+
+
+def _modulus(m):
+    """(q, deg m, psi(m), kappa(m)) of a monic nonconstant m, factored once."""
+    if not m.is_monic or m.degree < 1:
+        raise ValueError("modulus must be monic nonconstant")
+    q, deg_m = m.ring.q, int(m.degree)
+    degs = [int(p.degree) for p, _ in factor(m)[1]]
+    psi_m = q ** (deg_m - sum(degs)) * math.prod(q**k + 1 for k in degs)
+    return q, deg_m, psi_m, sum((Fraction(k, q**k) for k in degs), Fraction(0))
+
+
+def psi(m):
+    """|m| prod_{P | m} (1 + 1/|P|) = q^(deg m - sum deg P) prod (|P| + 1)."""
+    return _modulus(m)[2]
+
+
+def kappa(m):
+    """sum_{P | m} deg P / |P|."""
+    return _modulus(m)[3]
+
+
+def hsia_main_term(m):
+    """((q^2-1)/2) psi(m) (deg m - 2 kappa(m)), exact."""
+    q, deg_m, psi_m, kappa_m = _modulus(m)
+    return Fraction(q * q - 1, 2) * psi_m * (deg_m - 2 * kappa_m)
+
+
+def _prop65_iv(q, deg_m, psi_m):
+    """psi max(q^3, x) + 2 psi log psi, x the Lemma 6.4 resolution of
+    a = ((q^2-1)/2) deg m + q + (1/2) log psi."""
     log_psi = _logq(_IV.mpf(psi_m), q)
     x = _resolved_iv(_frac_iv(Fraction(q * q - 1, 2) * deg_m + q) + log_psi / 2, q)
     top = _IV.mpf([max(x.a, q**3), max(x.b, q**3)])
-    return _upper_float(psi_m * top + 2 * psi_m * log_psi)
+    return psi_m * top + 2 * psi_m * log_psi
 
 
-def asymptotic_from_psi(q, deg_m, psi_m, eps):
-    """((q^2+4)/2 + eps) psi deg_m, rounded up."""
+def prop65_bound(m):
+    """psi(m) max(q^3, a + ((q^2-1)/2) log(1 + (a/q)(1 - (q^2-1)/(2q^2 ln q))^-1))
+    + 2 psi(m) log psi(m), a = ((q^2-1)/2) deg m + q + (1/2) log psi(m);
+    rounded up."""
+    return _upper_float(_prop65_iv(*_modulus(m)[:3]))
+
+
+def asymptotic_bound(m, eps):
+    """((q^2+4)/2 + eps) psi(m) deg m, rounded up."""
     if eps <= 0:
         raise ValueError("eps must be positive")
+    q, deg_m, psi_m, _ = _modulus(m)
     return _upper_float((_frac_iv(Fraction(q * q + 4, 2)) + _frac_iv(eps)) * psi_m * deg_m)
+
+
+def bounds_row(m, phi_height=None):
+    """One row of the height table: m, psi, kappa, h(Phi_m) when known,
+    and the three bounds.
+
+    The asymptotic bound ((q^2+4)/2 + eps) psi(m) deg m, here at eps =
+    0.01, holds only as deg m grows: h(Phi_t) = q^2 (q+1) lies above it
+    at every q >= 3, so the column is informational and never a verdict."""
+    return {
+        "m": repr(m),
+        "psi": psi(m),
+        "kappa": str(kappa(m)),
+        "h_phi": None if phi_height is None else str(phi_height),
+        "prop65_bound": prop65_bound(m),
+        "hsia_main_term": str(hsia_main_term(m)),
+        "asymptotic_bound": asymptotic_bound(m, 0.01),
+    }
 
 
 def thm1_part1_report(h_diff, deg_N, q, r, extra=None):
     bound = thm1_part1_bound(deg_N, q, r)
-    inputs = {"deg_N": deg_N, "q": q, "r": r}
-    if extra:
-        inputs.update(extra)
+    inputs = {"deg_N": deg_N, "q": q, "r": r, **(extra or {})}
     return BoundReport(abs(Fraction(h_diff)), bound, inputs)
 
 
 def thm1_part2_report(h_j, h_jprime, deg_f_log, q, extra=None):
-    rhs = thm1_part2_bound(deg_f_log, h_jprime, q)
-    inputs = {"deg_f_log": deg_f_log, "h_jprime": str(Fraction(h_jprime)), "q": q}
-    if extra:
-        inputs.update(extra)
-    return BoundReport(Fraction(h_jprime) - Fraction(h_j), rhs, inputs)
+    rhs, exact = _part2(deg_f_log, h_jprime, q)
+    inputs = {"deg_f_log": deg_f_log, "h_jprime": str(Fraction(h_jprime)), "q": q, **(extra or {})}
+    return BoundReport(Fraction(h_jprime) - Fraction(h_j), rhs, inputs, exact)
+
+
+def prop65_report(m, h_phi):
+    """h(Phi_m) against the Prop. 6.5 bound on it."""
+    q, deg_m, psi_m, _ = _modulus(m)
+    return BoundReport(h_phi, lambda: _prop65_iv(q, deg_m, psi_m), {"m": repr(m), "q": q})

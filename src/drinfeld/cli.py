@@ -252,13 +252,9 @@ def cmd_modpoly(args):
             "pretty": repr(phi_t),
             "height": str(phi_t.height()),
         }
-        t = A.gen()
-        report["rows"] = [
-            modpoly_mod.bounds_row(q, t, phi_height=phi_t.height())
-        ]
-        report["height_within_prop65"] = bounds_mod.BoundReport(
-            phi_t.height(), report["rows"][0]["prop65_bound"], {}
-        ).satisfied
+        t, h = A.gen(), phi_t.height()
+        report["rows"] = [bounds_mod.bounds_row(t, phi_height=h)]
+        report["height_within_prop65"] = bounds_mod.prop65_report(t, h).satisfied
     elif args.action == "cross-check":
         a = modpoly_mod.compute_phi_t(q)
         b = modpoly_mod.compute_phi_t_interpolated(q)
@@ -267,19 +263,10 @@ def cmd_modpoly(args):
         if args.m:
             ms = [parse_element(args.m, A)]
         else:
-            ms = [
-                m
-                for d in (1, 2)
-                for m in monic_polys_of_degree(A, d)
-            ]
+            ms = [m for d in (1, 2) for m in monic_polys_of_degree(A, d)]
         t = A.gen()
-        rows = []
-        for m in ms:
-            h = None
-            if m == t and q in (2, 3):
-                h = modpoly_mod.compute_phi_t(q).height()
-            rows.append(modpoly_mod.bounds_row(q, m, phi_height=h))
-        report["rows"] = rows
+        h = modpoly_mod.compute_phi_t(q).height() if q in (2, 3) and t in ms else None
+        report["rows"] = [bounds_mod.bounds_row(m, phi_height=h if m == t else None) for m in ms]
     return _emit(report, args)
 
 

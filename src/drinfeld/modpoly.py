@@ -17,17 +17,14 @@ Phi_t is computed two independent ways:
   divides each coefficient by E once; it builds no element of F.
 
 Coefficient heights are log base q of the sup norm at infinity, i.e.
-t-degrees.  The height bounds on Phi_m (Prop. 6.5 and the asymptotic
-bound) supply psi(m) and deg m to `bounds`, where one private interval
-context evaluates each rhs as one expression and rounds it up once.
+t-degrees.  The bounds on them (Prop. 6.5 and the asymptotic bound) and
+Hsia's main term live in `bounds`, which takes the modulus m alone.
 """
 
 from fractions import Fraction
 
 from .base import poly_ring_A, rational_function_field
-from .bounds import asymptotic_from_psi, prop65_from_psi
 from .errors import InvariantViolation
-from .factor import factor
 from .ff import digits
 from .poly import PolyRing, resultant
 from .ratfunc import RatFunc
@@ -131,39 +128,6 @@ class BivarPoly:
                 piece.append(f"Y^{j}" if j > 1 else "Y")
             parts.append("*".join(piece))
         return " + ".join(parts)
-
-
-# -- arithmetic functions of the modulus --------------------------------------
-
-
-def _prime_divisors(m):
-    _, facs = factor(m)
-    return [p for p, _ in facs]
-
-
-def _check_modulus(m):
-    if not m.is_monic or m.degree < 1:
-        raise ValueError("modulus must be monic nonconstant")
-
-
-def psi(q, m):
-    """|m| prod_{P | m} (1 + 1/|P|), an integer."""
-    _check_modulus(m)
-    value = Fraction(q ** int(m.degree))
-    for p in _prime_divisors(m):
-        value *= 1 + Fraction(1, q ** int(p.degree))
-    if value.denominator != 1:
-        raise InvariantViolation("psi(m) is not an integer")
-    return int(value)
-
-
-def kappa(q, m):
-    """sum_{P | m} deg P / |P|."""
-    _check_modulus(m)
-    return sum(
-        (Fraction(int(p.degree), q ** int(p.degree)) for p in _prime_divisors(m)),
-        Fraction(0),
-    )
 
 
 # -- the two Phi_t constructions ----------------------------------------------
@@ -371,46 +335,3 @@ def lagrange_reconstruct(pairs, d, n=None):
             raise InvariantViolation("height bound B + 2nd violated")
     return out
 
-
-# -- height bounds on Phi_m ---------------------------------------------------
-
-
-def prop65_bound(q, m):
-    """psi(m) max(q^3, a + ((q^2-1)/2) log(1 + (a/q)(1 - (q^2-1)/(2q^2 ln q))^-1))
-    + 2 psi(m) log psi(m), a = ((q^2-1)/2) deg m + q + (1/2) log psi(m);
-    rounded up."""
-    psi_m = psi(q, m)
-    return prop65_from_psi(q, int(m.degree), psi_m)
-
-
-def hsia_main_term(q, m):
-    """((q^2-1)/2) psi(m) (deg m - 2 kappa(m)), exact."""
-    _check_modulus(m)
-    return Fraction(q * q - 1, 2) * psi(q, m) * (int(m.degree) - 2 * kappa(q, m))
-
-
-def asymptotic_bound(q, m, eps):
-    """((q^2+4)/2 + eps) psi(m) deg m, rounded up."""
-    psi_m = psi(q, m)
-    return asymptotic_from_psi(q, int(m.degree), psi_m, eps)
-
-
-_ROW_EPS = 0.01
-
-
-def bounds_row(q, m, phi_height=None):
-    """One row of the height table: m, psi, kappa, h(Phi_m) when known,
-    and the three bounds.
-
-    The asymptotic bound ((q^2+4)/2 + eps) psi(m) deg m, here at eps =
-    0.01, holds only as deg m grows: h(Phi_t) = q^2 (q+1) lies above it
-    at every q >= 3, so the column is informational and never a verdict."""
-    return {
-        "m": repr(m),
-        "psi": psi(q, m),
-        "kappa": str(kappa(q, m)),
-        "h_phi": None if phi_height is None else str(phi_height),
-        "prop65_bound": prop65_bound(q, m),
-        "hsia_main_term": str(hsia_main_term(q, m)),
-        "asymptotic_bound": asymptotic_bound(q, m, _ROW_EPS),
-    }

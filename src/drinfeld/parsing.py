@@ -97,7 +97,10 @@ class _Parser:
             elif rhs.is_zero:
                 raise ParseError("division by zero")
             else:
-                value = value / rhs
+                try:
+                    value = value / rhs
+                except ValueError:  # an inexact quotient in a ring, such as 1/t in A
+                    raise ParseError(f"{value!r} is not divisible by {rhs!r}") from None
         return value
 
     def factor(self):

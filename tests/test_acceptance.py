@@ -284,9 +284,9 @@ def test_criterion_10_modular_polynomial():
             ok = False
         if compute_phi_t_interpolated(q) != phi_t:
             ok = False
-        if float(phi_t.height()) > prop65_bound(q, A.gen()):
+        if float(phi_t.height()) > prop65_bound(A.gen()):
             ok = False
-        if q == 2 and abs(prop65_bound(q, A.gen()) - 33.66) > 0.05:
+        if q == 2 and abs(prop65_bound(A.gen()) - 33.66) > 0.05:
             ok = False
         rng = random.Random(10000 + q)
         seen = 0

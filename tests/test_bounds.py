@@ -1,5 +1,7 @@
-"""Numeric bound evaluators: known values, monotonicity, rounding."""
+"""Numeric bound evaluators: known values, monotonicity, rounding, and
+the exact verdicts of the reports."""
 
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -23,9 +25,18 @@ from drinfeld import (
     thm1_part1_bound,
     thm1_part2_bound,
 )
-from drinfeld.bounds import thm1_part1_report
-from drinfeld.factor import monic_polys_of_degree
-from drinfeld.modpoly import asymptotic_bound
+from drinfeld import bounds
+from drinfeld.bounds import (
+    BoundReport,
+    asymptotic_bound,
+    hsia_main_term,
+    kappa,
+    prop65_report,
+    thm1_part1_report,
+    thm1_part2_report,
+)
+from drinfeld.errors import InvariantViolation
+from drinfeld.factor import factor, monic_polys_of_degree
 
 
 def test_part1_bound_values():
@@ -90,6 +101,8 @@ def test_part1_attained_with_zero_slack(module, f, bound):
 
 def test_part2_bound_values():
     assert thm1_part2_bound(1, 0, 2) == 3.5
+    # the rhs 13/2, as the harness-q2-r2 golden prints it
+    assert thm1_part2_bound(1, 6, 2) == 6.500000000000001
     v = thm1_part2_bound(1, 3, 2)
     expect = 1.5 + 1.5 * math.log2(2.5) + 2
     assert abs(v - expect) < 1e-6
@@ -126,7 +139,7 @@ def _ref_resolved(a, q):
 
 
 def _ref_prop65(q, m):
-    psi_m = psi(q, m)
+    psi_m = psi(m)
     a = _ref(Fraction(q * q - 1, 2) * int(m.degree) + q) + _ref_log(psi_m, q) / 2
     x = _ref_resolved(a, q)
     top = _REF.mpf([max(x.a, q**3), max(x.b, q**3)])
@@ -148,9 +161,9 @@ def _evaluations():
         for a in (1, Fraction(5, 3), 4.2925, 17, 100):
             yield ("lemma64", q, a), lemma64_resolve(a, q), _ref_resolved(_ref(a), q)
         for m in _moduli(q, 3 if q == 2 else 2):
-            yield ("prop65", q, m), prop65_bound(q, m), _ref_prop65(q, m)
-            ref = (_ref(Fraction(q * q + 4, 2)) + _ref(0.01)) * psi(q, m) * int(m.degree)
-            yield ("asymptotic", q, m), asymptotic_bound(q, m, 0.01), ref
+            yield ("prop65", q, m), prop65_bound(m), _ref_prop65(q, m)
+            ref = (_ref(Fraction(q * q + 4, 2)) + _ref(0.01)) * psi(m) * int(m.degree)
+            yield ("asymptotic", q, m), asymptotic_bound(m, 0.01), ref
     for q, r, K, h, c2 in itertools.product((2, 3, 5), (2, 3), (1, 2), (Fraction(1, 3), 1, 5), (1.0, 0.5)):
         const = Fraction(q, q - 1) - Fraction(q**r, q**r - 1)
         ref = _ref_log(_ref(c2), q) + 10 * (r + 1) ** 7 * _ref_log(K * (q**r - 1) * _ref(h), q)
@@ -239,3 +252,119 @@ def test_part1_payload_rhs_rounds_up(deg_N, q, r):
     rhs = thm1_part1_report(Fraction(0), deg_N, q, r).to_payload()["rhs"]
     assert Fraction(rhs) >= bound
     assert Fraction(math.nextafter(rhs, -math.inf)) < bound
+
+
+# -- two-sided verdicts: lhs at and around the true rhs ---------------------
+
+
+def _endpoints(x):
+    return tuple(Fraction(*mpmath.libmp.to_rational(end)) for end in x._mpi_)
+
+
+def _part2_ref(deg_f, h, q, ctx=_REF):
+    half = ctx.mpf(q * q - 1) / 2
+    return half * (deg_f + ctx.log(1 + ctx.mpf(h) / q) / ctx.log(q)) + q
+
+
+def _verdict_cases(lo, hi, exact):
+    """(lhs, the oracle's verdict) at the rhs, and 10^-20 and 10^-30 either
+    side of it.  An irrational rhs lies strictly inside the oracle's
+    interval [lo, hi], so lhs = lo holds and lhs = hi does not."""
+    if exact is not None:
+        assert lo <= exact <= hi
+        lo = hi = exact
+    yield lo, True
+    yield hi, exact is not None
+    for d in (Fraction(1, 10**20), Fraction(1, 10**30)):
+        yield lo - d, True
+        yield hi + d, False
+
+
+@pytest.mark.parametrize("h, exact", [(1, None), (2, Fraction(5)), (6, Fraction(13, 2))])
+def test_part2_verdict_is_exact(h, exact):
+    """q = 2, log deg f = 1: the rhs is (3/2)(1 + log_2(1 + h/2)) + 2, which
+    is rational when 1 + h/2 is a power of 2."""
+    lo, hi = _endpoints(_part2_ref(1, h, 2))
+    for lhs, verdict in _verdict_cases(lo, hi, exact):
+        rep = thm1_part2_report(h - lhs, h, 1, 2)
+        assert rep.satisfied is verdict, (h, lhs)
+        assert rep.to_payload()["rhs"] == thm1_part2_bound(1, h, 2)
+        assert bounds._IV.dps == 30
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_prop65_verdict_is_exact(q):
+    t = poly_ring_A(q).gen()
+    lo, hi = _endpoints(_ref_prop65(q, t))
+    for lhs, verdict in _verdict_cases(lo, hi, None):
+        rep = prop65_report(t, lhs)
+        assert rep.satisfied is verdict, (q, lhs)
+        assert rep.to_payload()["rhs"] == prop65_bound(t)
+
+
+def test_undecided_past_the_cap_raises():
+    """A lhs within 10^-390 of an irrational rhs is still inside the
+    240-digit interval: the report raises and names its inputs, and both
+    interval contexts keep their precision."""
+    ctx = MPIntervalContext()
+    ctx.dps = 400
+    lo, _ = _endpoints(_part2_ref(1, 1, 2, ctx))
+    old = mpmath.iv.dps
+    with pytest.raises(InvariantViolation, match="240 digits.*'h_jprime': '1'"):
+        thm1_part2_report(1 - lo, 1, 1, 2)
+    assert bounds._IV.dps == 30 and mpmath.iv.dps == old
+
+
+def test_decided_report_evaluates_once():
+    """An lhs outside the 30-digit interval is decided by its endpoints,
+    with no second evaluation."""
+    calls = []
+
+    def rhs():
+        calls.append(bounds._IV.dps)
+        return bounds._IV.log(3)
+
+    assert BoundReport(1, rhs, {}).satisfied and not BoundReport(2, rhs, {}).satisfied
+    assert calls == [30, 30]
+
+
+# -- psi and kappa against the product over the primes dividing m ----------
+
+
+def _psi_ref(q, m):
+    value = Fraction(q ** int(m.degree))
+    for p, _ in factor(m)[1]:
+        value *= 1 + Fraction(1, q ** int(p.degree))
+    return value
+
+
+def _kappa_ref(q, m):
+    return sum((Fraction(int(p.degree), q ** int(p.degree)) for p, _ in factor(m)[1]), Fraction(0))
+
+
+@pytest.mark.parametrize("q, max_degree", [(2, 3), (3, 3), (4, 3), (8, 2), (9, 2)])
+def test_psi_kappa_match_the_product_over_primes(q, max_degree):
+    for m in _moduli(q, max_degree):
+        assert type(psi(m)) is int and psi(m) == _psi_ref(q, m), m
+        assert kappa(m) == _kappa_ref(q, m), m
+
+
+def test_psi_at_prime_powers():
+    t = poly_ring_A(2).gen()
+    assert [psi(m) for m in (t**2, t**3, t**2 * (t + 1))] == [6, 12, 18]
+    assert [kappa(m) for m in (t**2, t**3, t**2 * (t + 1))] == [Fraction(1, 2)] * 2 + [1]
+
+
+def test_bounds_on_phi_m_read_q_off_m():
+    """psi(3, t) with t in F_2[t] was 4: no bound takes a q beside m."""
+    t = poly_ring_A(2).gen()
+    for f in (psi, kappa, hsia_main_term, prop65_bound):
+        with pytest.raises(TypeError):
+            f(3, t)
+    takes_m = [
+        name
+        for name, f in inspect.getmembers(bounds, inspect.isfunction)
+        if "m" in inspect.signature(f).parameters
+    ]
+    assert {"psi", "kappa", "prop65_bound", "bounds_row"} <= set(takes_m)
+    assert not [n for n in takes_m if "q" in inspect.signature(getattr(bounds, n)).parameters]

@@ -195,21 +195,21 @@ def _force_routes_disagree(monkeypatch):
 
 
 def _force_prop65_violated(monkeypatch):
-    from drinfeld import modpoly
+    from drinfeld import bounds
 
-    monkeypatch.setattr(modpoly, "prop65_bound", lambda q, m: -1.0)
+    monkeypatch.setattr(bounds, "_prop65_iv", lambda q, deg_m, psi_m: bounds._IV.mpf(-1))
     return ["modpoly", "compute", "--q", "2"], "height_within_prop65"
 
 
 def _force_prop65_violated_past_float(monkeypatch):
     """h = 2^53 + 1 exceeds the bound 2^53, but float(h) rounds to 2^53:
     only an exact comparison sees the violation."""
-    from drinfeld import modpoly
+    from drinfeld import bounds, modpoly
 
     monkeypatch.setattr(
         modpoly.BivarPoly, "height", lambda self: Fraction(2**53 + 1)
     )
-    monkeypatch.setattr(modpoly, "prop65_bound", lambda q, m: 2.0**53)
+    monkeypatch.setattr(bounds, "_prop65_iv", lambda q, deg_m, psi_m: bounds._IV.mpf(2**53))
     return ["modpoly", "compute", "--q", "2"], "height_within_prop65"
 
 
@@ -506,6 +506,7 @@ def test_bad_input_exit_code(capsys):
             ],
             "not stable",
         ),
+        (["modpoly", "table", "--q", "2", "--m", "1/t"], "not divisible"),
     ],
 )
 def test_bad_literal_or_matrix_exits_one(capsys, argv, message):

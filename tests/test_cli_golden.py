@@ -65,6 +65,18 @@ GOLDEN = [
         'a38dde77599b5636b93bb42406a004f274f85a69849e28c6d1546ddef2fbc172',
     ),
     (
+        'modpoly-table-q4',
+        ['modpoly', 'table', '--q', '4'],
+        0,
+        '7420103918755f3fcef00d14652087f580df1a6117f5d9da09b7a5bca4d94d77',
+    ),
+    (
+        'modpoly-table-q9',
+        ['modpoly', 'table', '--q', '9'],
+        0,
+        'f3fcece40175c5e398b068fc5a7b963e93e69d225e356edeecf2215e5cd9e486',
+    ),
+    (
         'modpoly-cross-check',
         ['modpoly', 'cross-check', '--q', '2'],
         0,

@@ -27,30 +27,31 @@ from drinfeld import (
 from drinfeld import modpoly
 from drinfeld.base import poly_ring_A, rational_function_field
 from drinfeld.errors import InvariantViolation
-from drinfeld.modpoly import asymptotic_bound, phi_t_slices
+from drinfeld.bounds import asymptotic_bound
+from drinfeld.modpoly import phi_t_slices
 from drinfeld.poly import PolyRing
 
 
 def test_psi_kappa_values():
     A2 = poly_ring_A(2)
     t = A2.gen()
-    assert psi(2, t) == 3
-    assert kappa(2, t) == Fraction(1, 2)
-    assert psi(2, t**2 + t + A2.one) == 5
-    assert kappa(2, t**2 + t + A2.one) == Fraction(1, 2)
+    assert psi(t) == 3
+    assert kappa(t) == Fraction(1, 2)
+    assert psi(t**2 + t + A2.one) == 5
+    assert kappa(t**2 + t + A2.one) == Fraction(1, 2)
 
     A3 = poly_ring_A(3)
     t3 = A3.gen()
-    assert psi(3, t3 * (t3 + A3.one)) == 16
-    assert kappa(3, t3 * (t3 + A3.one)) == Fraction(2, 3)
+    assert psi(t3 * (t3 + A3.one)) == 16
+    assert kappa(t3 * (t3 + A3.one)) == Fraction(2, 3)
 
 
 def test_psi_kappa_guards():
     A = poly_ring_A(2)
     with pytest.raises(ValueError):
-        psi(2, A.one)
+        psi(A.one)
     with pytest.raises(ValueError):
-        kappa(2, A.monomial(A.base.one, 0))
+        kappa(A.monomial(A.base.one, 0))
 
 
 def test_bivar_height():
@@ -90,7 +91,7 @@ def test_phi_t_beyond_q3(q):
     assert phi_t.is_symmetric()
     assert compute_phi_t_interpolated(q) == phi_t
     assert phi_t.height() == q * q * (q + 1)
-    assert phi_t.height() <= Fraction(prop65_bound(q, poly_ring_A(q).gen()))
+    assert phi_t.height() <= Fraction(prop65_bound(poly_ring_A(q).gen()))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -140,12 +141,12 @@ def test_phi_t_height_within_prop65():
     A = poly_ring_A(2)
     t = A.gen()
     h = compute_phi_t(2).height()
-    bound = prop65_bound(2, t)
+    bound = prop65_bound(t)
     assert abs(bound - 33.66) < 0.05
     assert h <= Fraction(bound)
 
     A3 = poly_ring_A(3)
-    assert compute_phi_t(3).height() <= Fraction(prop65_bound(3, A3.gen()))
+    assert compute_phi_t(3).height() <= Fraction(prop65_bound(A3.gen()))
 
 
 def test_build_Sn_sizes():
@@ -418,14 +419,14 @@ def test_phi_t_slices_match_evaluation():
 def test_hsia_main_term_values():
     A = poly_ring_A(2)
     t = A.gen()
-    assert hsia_main_term(2, t) == 0  # deg m = 2 kappa(m) here
-    assert hsia_main_term(2, t**2 + t + A.one) == Fraction(15, 2)
+    assert hsia_main_term(t) == 0  # deg m = 2 kappa(m) here
+    assert hsia_main_term(t**2 + t + A.one) == Fraction(15, 2)
 
 
 def test_asymptotic_bound():
     A = poly_ring_A(2)
     t = A.gen()
-    v = asymptotic_bound(2, t, 0.01)
+    v = asymptotic_bound(t, 0.01)
     assert abs(v - (4 + 0.01) * 3) < 1e-6
     with pytest.raises(ValueError):
-        asymptotic_bound(2, t, 0)
+        asymptotic_bound(t, 0)

@@ -60,6 +60,16 @@ def test_unparseable_literal_is_parse_error(ring, text):
         parse_element(text, ring)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_inexact_quotient_in_A_is_parse_error(q):
+    # A is a ring: a quotient that leaves A is bad input, an exact one parses
+    A = poly_ring_A(q)
+    for text in ("1/t", "t/(t+1)", "(t^2+1)/t"):
+        with pytest.raises(ParseError, match="not divisible"):
+            parse_element(text, A)
+    assert parse_element("(t^2+t)/t", A) == A.gen() + A.one
+
+
 def test_degree_bound_admits_up_to_max_degree():
     # in F a sum has up to the sum of its terms' degrees
     F = rational_function_field(3)

@@ -27,7 +27,9 @@ Invariant checks raise ``InvariantViolation`` (a ``DrinfeldError``):
 ``ArithmeticError`` escapes the CLI's error handling.
 
 Rounding lives in one module: only ``bounds.py`` imports ``mpmath``, so
-every real bound is evaluated and rounded up in one place.
+every real bound is evaluated and rounded up in one place.  Verdicts live
+there too: only ``bounds.py`` builds a ``BoundReport``, so no other
+module decides a real bound on a payload float.
 
 Every name in ``drinfeld.__all__`` is an attribute of the package, so an
 entry left behind by a deletion cannot break ``from drinfeld import *``.
@@ -322,6 +324,40 @@ def test_mpmath_guard_sees_each_form():
         "from .bounds import mpmath\n"
     )
     assert list(_mpmath_imports(tree)) == [1, 2, 3, 4, 6]
+
+
+def _bound_report_calls(tree):
+    """Lines of calls of BoundReport, by name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "BoundReport":
+                yield node.lineno
+
+
+def test_only_bounds_builds_a_bound_report():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "bounds.py"
+        for line in _bound_report_calls(ast.parse(path.read_text(), str(path)))
+    ]
+    bounds_tree = ast.parse((SRC / "bounds.py").read_text())
+    assert list(_bound_report_calls(bounds_tree)) and not found, found
+
+
+def test_bound_report_guard_sees_each_form():
+    tree = ast.parse(
+        "a = BoundReport(1, 2.0, {})\n"
+        "b = bounds_mod.BoundReport(h, rows[0]['prop65_bound'], {}).satisfied\n"
+        "from .bounds import BoundReport\n"
+        "c = BoundReport\n"
+        "d = BoundReports(1, 2, {})\n"
+        "def f():\n"
+        "    return drinfeld.bounds.BoundReport(0, 1, {})\n"
+    )
+    assert list(_bound_report_calls(tree)) == [1, 2, 7]
 
 
 def _missing_exports(module):
