@@ -1,24 +1,25 @@
 """A-lattices in the sup-normed model F_infinity^r, with entries in F.
 
 Each basis clears its denominators and is eliminated once, when it is
-built: it keeps its integral form (the columns over A and their common
-denominator) and log|det|, and every matrix computation reads that form.
-Column reduction (weak Popov form) produces a successive-minimum basis;
-the covolume is the sum of the minima in log form and always equals
-log|det|.  Determinants, and the change of basis from a lattice to a
-sublattice, come from fraction-free (Bareiss) elimination over A whose
-divisions are exact and need no gcd; indices are cross-checked against
+built: it keeps its integral form (the columns over A and a common
+denominator), log|det| and its Bareiss steps, and every matrix
+computation reads them; a scaled basis reads all but the steps off the
+basis it scales.  Column reduction (weak Popov form) produces a
+successive-minimum basis whose minima sum to log|det|.  Indices replay a
+superlattice's fraction-free elimination over A, whose divisions are
+exact, on the sublattice's columns alone, and are cross-checked against
 the Smith normal form over A.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvariantViolation
 
 
 class LatticeBasis:
     """Columns spanning an A-lattice; matrix must be nonempty and
-    nonsingular.  integral/den is the same matrix over A with its monic
+    nonsingular.  integral/den is the same matrix over A with a monic
     common denominator, and log_det = log|det| = deg p - r deg den, p the
     last Bareiss pivot of integral."""
 
@@ -35,7 +36,7 @@ class LatticeBasis:
             cols.append(tuple([field(x) for x in col]))
         self.columns = tuple(cols)
         self.integral, self.den = _integral(field, self.columns)
-        p = _bareiss(self.integral)[0]
+        p = self._elimination[0]
         if p.is_zero:
             raise ValueError("basis matrix is singular")
         self.log_det = int(p.degree) - self.r * int(self.den.degree)
@@ -46,11 +47,23 @@ class LatticeBasis:
             raise ValueError("basis matrix must be square")
         return cls(field, [[row[j] for row in rows] for j in range(len(rows))])
 
+    @cached_property
+    def _elimination(self):
+        return _bareiss(self.integral)
+
     def scaled(self, c):
+        """c L, whose integral form (integral num c, den den c) and log_det
+        + r deg c are read off L: nothing is cleared, and it is eliminated
+        only when it is first used as a superlattice."""
         c = self.field(c)
-        return LatticeBasis(
-            self.field, [[x * c for x in col] for col in self.columns]
-        )
+        if c.is_zero:
+            raise ValueError("basis matrix is singular")
+        L = object.__new__(LatticeBasis)
+        L.field, L.r, L.den = self.field, self.r, self.den * c.den
+        L.columns = tuple([tuple([x * c for x in col]) for col in self.columns])
+        L.integral = [[a * c.num for a in col] for col in self.integral]
+        L.log_det = self.log_det + self.r * c.deg_infinity()
+        return L
 
     def __repr__(self):
         return f"LatticeBasis({[list(c) for c in self.columns]!r})"
@@ -89,33 +102,35 @@ def _integral(field, columns):
     return [flat[j * r : (j + 1) * r] for j in range(r)], den
 
 
-def _bareiss(cols, extra=()):
+def _bareiss(cols):
     """Bareiss's fraction-free elimination with row swaps of the square
-    A-matrix given as columns, carrying the columns of extra along.
+    A-matrix given as columns.
 
-    Returns (+-det, rows): the last pivot with the sign of the swaps (zero
-    for a singular matrix) and the upper-triangular rows, each pivot the
-    leading minor of the row-swapped matrix.  Every update
-    (p_k a - m_ik b) / p_(k-1) divides exactly."""
+    Returns (+-det, rows, steps): the last pivot with the sign of the swaps
+    (zero for a singular matrix), the upper-triangular rows, each pivot the
+    leading minor of the row-swapped matrix, and per step k the pivot row
+    and the multipliers m_ik, i > k, so other columns can replay it.
+    Every update (p_k a - m_ik b) / p_(k-1) divides exactly."""
     n = len(cols)
     A = cols[0][0].ring
-    m = [[c[i] for c in cols] + [e[i] for e in extra] for i in range(n)]
-    prev, sign = A.one, 1
+    m = [[c[i] for c in cols] for i in range(n)]
+    prev, sign, steps = A.one, 1, []
     for k in range(n):
         piv = next((i for i in range(k, n) if not m[i][k].is_zero), None)
         if piv is None:
-            return A.zero, m
+            return A.zero, m, steps
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
         pk, row = m[k][k], m[k]
+        steps.append((piv, [m[i][k] for i in range(k + 1, n)]))
         for i in range(k + 1, n):
             mik = m[i][k]
             new = [pk * a - mik * b for a, b in zip(m[i][k + 1 :], row[k + 1 :])]
             # p_(-1) = 1: the first step divides by nothing
             m[i] = [A.zero] * (k + 1) + ([x.exact_div(prev) for x in new] if k else new)
         prev = pk
-    return (prev if sign > 0 else -prev), m
+    return (prev if sign > 0 else -prev), m, steps
 
 
 def det(field, columns):
@@ -203,33 +218,43 @@ def _index(sub, sup):
     containment; the log index is deg det, cross-checked against the
     Smith form.  sub = sup * M, so deg det M = deg det sub - deg det sup.
 
-    One Bareiss elimination of [S | T] over A, S = ds * sup and
-    T = dt * sub the integral forms, and fraction-free back substitution
-    give y = p S^-1 T with p the last pivot; M = y ds / (p dt) must be
-    integral."""
+    With S = ds * sup and T = dt * sub the integral forms, sup's
+    elimination is replayed on the columns of T alone, giving U z = ds T'
+    with U its upper-triangular rows; back substitution solves it for
+    z = dt M = ds S^-1 T, and M = z / dt.  Each step is one division,
+    and a remainder at any of them means sub is not contained in sup."""
     if sub.r != sup.r:
         raise ValueError("sub and sup must have the same rank")
-    S, ds, T, dt = sup.integral, sup.den, sub.integral, sub.den
-    n = len(S)
-    p, rows = _bareiss(S, T)
-    scale = p * dt
+    _, U, steps = sup._elimination
+    ds, dt, n = sup.den, sub.den, sup.r
+    rows = [[col[i] for col in sub.integral] for i in range(n)]
+    for k, (piv, mults) in enumerate(steps):
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pk, top = U[k][k], rows[k]
+        for i, mik in enumerate(mults, k + 1):
+            new = [pk * a - mik * b for a, b in zip(rows[i], top)]
+            rows[i] = [x.exact_div(U[k - 1][k - 1]) for x in new] if k else new
     M_A = []
-    for c in range(n, n + len(T)):
-        y = [None] * n
+    for c in range(n):
+        z = [None] * n
         for i in range(n - 1, -1, -1):
-            acc = p * rows[i][c]
+            acc = ds * rows[i][c] if ds.degree else rows[i][c]
             for j in range(i + 1, n):
-                acc = acc - rows[i][j] * y[j]
-            y[i] = acc.exact_div(rows[i][i])
-        col = [divmod(yi * ds, scale) for yi in y]
-        if any(not rem.is_zero for _, rem in col):
-            raise ValueError("not contained: change of basis is not integral")
-        M_A.append([quo for quo, _ in col])
+                acc = acc - U[i][j] * z[j]
+            z[i] = _contained_div(acc, U[i][i])
+        M_A.append([_contained_div(zi, dt) for zi in z] if dt.degree else z)
     value = Fraction(sub.log_det - sup.log_det)
     inv_factors = smith_invariant_factors(M_A)
     if value != sum(Fraction(int(f.degree)) for f in inv_factors):
         raise InvariantViolation("index differs from the Smith form degree")
     return value, inv_factors
+
+
+def _contained_div(a, b):
+    quo, rem = divmod(a, b)
+    if rem:
+        raise ValueError("not contained: change of basis is not integral")
+    return quo
 
 
 def log_index(sub, sup):
@@ -243,34 +268,38 @@ def smith_invariant_factors(cols):
     matrix over A given as columns.
 
     Step k pivots on a least-degree entry of the trailing block, clears
-    row and column k by division, and repivots while a remainder is left;
-    if the pivot does not divide the rest of the block, a row of it is
-    added to row k, which leaves a remainder."""
+    row and column k by division in that block, and repivots while a
+    remainder is left; if the pivot is not a unit and does not divide the
+    rest of the block, a row of it is added to row k, which leaves one."""
     n = len(cols)
     m = [[cols[j][i] for j in range(n)] for i in range(n)]  # rows
     factors = []
     for k in range(n):
         block, rest = range(k, n), range(k + 1, n)
         while True:
-            _, i0, j0 = min(
-                (m[i][j].degree, i, j) for i in block for j in block if m[i][j]
-            )
+            entries = [(m[i][j].degree, i, j) for i in block for j in block if m[i][j]]
+            if not entries:
+                raise ValueError("singular matrix")
+            d, i0, j0 = min(entries)
             m[k], m[i0] = m[i0], m[k]
             for row in m[k:]:
                 row[k], row[j0] = row[j0], row[k]
             pivot, top = m[k][k], m[k]
-            for i in rest:
-                if not m[i][k].is_zero:
-                    c = m[i][k] // pivot
-                    m[i] = [a - c * b for a, b in zip(m[i], top)]
+            for row in m[k + 1 :]:
+                if row[k]:
+                    c, row[k] = divmod(row[k], pivot)
+                    row[k + 1 :] = [a - c * b for a, b in zip(row[k + 1 :], top[k + 1 :])]
+            live = [row for row in m[k + 1 :] if row[k]]  # the rows column k still touches
             for j in rest:
-                if not top[j].is_zero:
-                    c = top[j] // pivot
-                    for row in m[k:]:
+                if top[j]:
+                    c, top[j] = divmod(top[j], pivot)
+                    for row in live:
                         row[j] = row[j] - c * row[k]
-            if any(not (m[i][k].is_zero and top[i].is_zero) for i in rest):
+            if not d:
+                break  # a unit pivot divides the rest of the block
+            if live or any(top[k + 1 :]):
                 continue  # a remainder is left: repivot on it
-            bad = (i for i in rest for j in rest if not (m[i][j] % pivot).is_zero)
+            bad = (i for i in rest for j in rest if m[i][j] % pivot)
             i = next(bad, None)
             if i is None:
                 break

@@ -1,7 +1,9 @@
 """Lattices in F_infinity^r: reduction, covolume calculus, indices,
 the containment sandwich, and the rank 2 j-size model."""
 
+import linecache
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +21,7 @@ from drinfeld import (
     reduce,
 )
 from drinfeld.base import poly_ring_A, rational_function_field
+from drinfeld.errors import InvariantViolation
 from drinfeld.lattice import (
     _index,
     det,
@@ -211,8 +214,8 @@ def test_gekeler_model_shape():
 
 # -- differential test against the F-level elimination ------------------------
 #
-# The library eliminates over A (Bareiss, then fraction-free back
-# substitution).  The Gaussian determinant and Gauss-Jordan solve over F it
+# The library eliminates over A (Bareiss, then back substitution that
+# divides exactly).  The Gaussian determinant and Gauss-Jordan solve over F it
 # replaced are kept here as test-only oracles.
 
 
@@ -379,7 +382,7 @@ def test_each_basis_is_cleared_and_eliminated_once(monkeypatch, q, with_den):
     assert reduced == (0, 0)
     assert red.log_covolume == sup.log_det
     value, indexed = cost(log_index, sub, sup)
-    assert indexed == (1, 0)
+    assert indexed == (0, 0)
     assert value == sub.log_det - sup.log_det
 
 
@@ -484,3 +487,241 @@ def test_smith_adds_a_row_when_the_pivot_does_not_divide(q):
     cols = [[t, A.zero], [A.zero, t + A.one]]
     assert smith_invariant_factors(cols) == [A.one, t * t + t]
     assert _smith_by_minors(cols, A) == [A.one, t * t + t]
+
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_smith_rejects_a_singular_matrix(q):
+    A = poly_ring_A(q)
+    t = A.gen()
+    for cols in ([[A.one, t], [A.one, t]], [[A.zero]]):
+        with pytest.raises(ValueError, match="singular matrix"):
+            smith_invariant_factors(cols)
+
+
+# -- differential tests of Smith and of the index against earlier loops -------
+#
+# _smith_full_rows is the Smith loop that cleared whole rows and columns and
+# scanned every block for divisibility; _index_p_scaled is the index route
+# that eliminated [S | T] together and back substituted with p-multiplied
+# intermediates.  Both are kept verbatim as references.
+
+
+def _smith_full_rows(cols):
+    n = len(cols)
+    m = [[cols[j][i] for j in range(n)] for i in range(n)]  # rows
+    factors = []
+    for k in range(n):
+        block, rest = range(k, n), range(k + 1, n)
+        while True:
+            _, i0, j0 = min(
+                (m[i][j].degree, i, j) for i in block for j in block if m[i][j]
+            )
+            m[k], m[i0] = m[i0], m[k]
+            for row in m[k:]:
+                row[k], row[j0] = row[j0], row[k]
+            pivot, top = m[k][k], m[k]
+            for i in rest:
+                if not m[i][k].is_zero:
+                    c = m[i][k] // pivot
+                    m[i] = [a - c * b for a, b in zip(m[i], top)]
+            for j in rest:
+                if not top[j].is_zero:
+                    c = top[j] // pivot
+                    for row in m[k:]:
+                        row[j] = row[j] - c * row[k]
+            if any(not (m[i][k].is_zero and top[i].is_zero) for i in rest):
+                continue  # a remainder is left: repivot on it
+            bad = (i for i in rest for j in rest if not (m[i][j] % pivot).is_zero)
+            i = next(bad, None)
+            if i is None:
+                break
+            m[k] = [a + b for a, b in zip(top, m[i])]
+        factors.append(m[k][k].monic())
+    return factors
+
+
+def _bareiss_augmented(cols, extra=()):
+    n = len(cols)
+    A = cols[0][0].ring
+    m = [[c[i] for c in cols] + [e[i] for e in extra] for i in range(n)]
+    prev, sign = A.one, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not m[i][k].is_zero), None)
+        if piv is None:
+            return A.zero, m
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pk, row = m[k][k], m[k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            new = [pk * a - mik * b for a, b in zip(m[i][k + 1 :], row[k + 1 :])]
+            # p_(-1) = 1: the first step divides by nothing
+            m[i] = [A.zero] * (k + 1) + ([x.exact_div(prev) for x in new] if k else new)
+        prev = pk
+    return (prev if sign > 0 else -prev), m
+
+
+def _index_p_scaled(sub, sup):
+    if sub.r != sup.r:
+        raise ValueError("sub and sup must have the same rank")
+    S, ds, T, dt = sup.integral, sup.den, sub.integral, sub.den
+    n = len(S)
+    p, rows = _bareiss_augmented(S, T)
+    scale = p * dt
+    M_A = []
+    for c in range(n, n + len(T)):
+        y = [None] * n
+        for i in range(n - 1, -1, -1):
+            acc = p * rows[i][c]
+            for j in range(i + 1, n):
+                acc = acc - rows[i][j] * y[j]
+            y[i] = acc.exact_div(rows[i][i])
+        col = [divmod(yi * ds, scale) for yi in y]
+        if any(not rem.is_zero for _, rem in col):
+            raise ValueError("not contained: change of basis is not integral")
+        M_A.append([quo for quo, _ in col])
+    value = Fraction(sub.log_det - sup.log_det)
+    inv_factors = _smith_full_rows(M_A)
+    if value != sum(Fraction(int(f.degree)) for f in inv_factors):
+        raise InvariantViolation("index differs from the Smith form degree")
+    return value, inv_factors
+
+
+def _smith_and_lines(cols):
+    """(smith_invariant_factors(cols), the stripped source lines it ran)."""
+    code, ran = smith_invariant_factors.__code__, set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
+    try:
+        factors = smith_invariant_factors(cols)
+    finally:
+        sys.settrace(previous)
+    return factors, {linecache.getline(code.co_filename, n).strip() for n in ran}
+
+
+_UNIT_SKIP = "break  # a unit pivot divides the rest of the block"
+_REPIVOT = "continue  # a remainder is left: repivot on it"
+_ROW_ADD = "m[k] = [a + b for a, b in zip(top, m[i])]"
+
+
+def _smith_cases(A, r, rng):
+    """Nonsingular r x r matrices over A with entries of degree <= 3: three
+    drawn freely (their least entry is often a unit), and three with no
+    constant entry, whose pivots are not units."""
+    cases = []
+    while len(cases) < 6:
+        nonconstant = len(cases) >= 3
+        cols = [[A.random_element(rng, 3) for _ in range(r)] for _ in range(r)]
+        if nonconstant:
+            cols = [[a if a.degree > 0 else a + A.gen() for a in col] for col in cols]
+        if not _laplace_det(cols, A).is_zero:
+            cases.append(cols)
+    return cases
+
+
+def test_smith_matches_the_full_row_loop_and_the_minors_oracle():
+    ran = set()
+    for q in (2, 3, 4, 9):
+        A = poly_ring_A(q)
+        rng = random.Random(5000 + q)
+        for r in range(1, 6):
+            for cols in _smith_cases(A, r, rng):
+                factors, lines = _smith_and_lines(cols)
+                ran |= lines
+                assert factors == _smith_full_rows(cols)
+                assert factors == _smith_by_minors(cols, A)
+    assert {_UNIT_SKIP, _REPIVOT, _ROW_ADD} <= ran
+
+
+def _containment_kind(sub, sup):
+    """'contained' when M = sup^-1 sub (over F, the oracle) is integral,
+    else whether z = dt M is integral: 'z integral' or 'z not integral'."""
+    dt = sup.field.from_poly(sub.den)
+    M = _gauss_jordan_solve(sup.columns, sub.columns)
+    if all(x.den.degree == 0 for col in M for x in col):
+        return "contained"
+    if all((x * dt).den.degree == 0 for col in M for x in col):
+        return "z integral"
+    return "z not integral"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_index_matches_the_p_scaled_route(q, r):
+    F = rational_function_field(q)
+    rng = random.Random(6000 + 10 * q + r)
+    t, g = F.t, (F.t + F.one) ** 3  # of degree above every numerator drawn
+    kinds = []
+    for _ in range(3):
+        cols = _nonsingular(F, r, rng, True, r > 1)
+        C = _nonsingular(F, r, rng, False, False)
+        sup = LatticeBasis(F, cols)
+        sub = LatticeBasis(F, _times(F, sup.columns, C))
+        assert _index(sub, sup) == _index_p_scaled(sub, sup)
+        # sup / g and sup * C / g: ds != 1 and dt != 1
+        sup = LatticeBasis(F, [[x / g for x in col] for col in cols])
+        sub = LatticeBasis(F, _times(F, sup.columns, C))
+        assert sup.den.degree > 0 and sub.den.degree > 0
+        assert _index(sub, sup) == _index_p_scaled(sub, sup)
+        # sub's first column over t or t^2, and C t / g over C / g (M = 1/t
+        # with dt a power of t + 1): each contained or not, as the oracle says
+        pairs = [
+            (LatticeBasis(F, [[x / tk for x in sub.columns[0]]] + list(sub.columns[1:])), sup)
+            for tk in (t, t * t)
+        ]
+        pairs.append(
+            (
+                LatticeBasis(F, [[x / g for x in col] for col in C]),
+                LatticeBasis(F, [[x * t / g for x in col] for col in C]),
+            )
+        )
+        for inner, outer in pairs:
+            assert inner.den.degree > 0 and outer.den.degree > 0
+            kinds.append(_containment_kind(inner, outer))
+            if kinds[-1] == "contained":
+                assert _index(inner, outer) == _index_p_scaled(inner, outer)
+                continue
+            for index in (_index, _index_p_scaled):
+                with pytest.raises(ValueError, match="not contained"):
+                    index(inner, outer)
+    assert {"z integral", "z not integral"} <= set(kinds)
+
+
+# -- scaled bases --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_scaled_agrees_with_the_basis_of_scaled_columns(monkeypatch, q, r):
+    F = rational_function_field(q)
+    t = F.t
+    rng = random.Random(7000 + 10 * q + r)
+    L = LatticeBasis(F, _nonsingular(F, r, rng, True, False))
+    C = _nonsingular(F, r, rng, False, False)
+    counts = _count_eliminations_and_clears(monkeypatch)
+    for c in (t * t, F.one / (t * t), (t + F.one) / (t * t)):
+        counts.update(eliminations=0, clears=0)
+        fast = L.scaled(c)
+        assert (counts["eliminations"], counts["clears"]) == (0, 0)
+        built = LatticeBasis(F, [[x * c for x in col] for col in L.columns])
+        assert fast.columns == built.columns
+        assert fast.log_det == built.log_det
+        assert reduce(fast).minima_logs == reduce(built).minima_logs
+        # as a sub: c L * C inside c L, and c L inside c L / t
+        inside = LatticeBasis(F, _times(F, built.columns, C))
+        outer = LatticeBasis(F, [[x / t for x in col] for col in built.columns])
+        assert _index(fast, outer) == _index(built, outer)
+        counts.update(eliminations=0)
+        assert _index(inside, fast) == _index(inside, built)
+        assert counts["eliminations"] == 1  # fast's, the first time it is a sup
+        assert _index(inside, fast) == _index(inside, built)
+        assert counts["eliminations"] == 1
+    with pytest.raises(ValueError, match="singular"):
+        L.scaled(F.zero)
