@@ -70,16 +70,14 @@ class LatticeBasis:
 
 
 class ReducedBasis:
-    def __init__(self, integral, den, minima_logs):
+    def __init__(self, integral, den, minima):
         # the reduced columns over A by descending minimum, and their
-        # common denominator: the basis over F is integral / den
+        # common denominator: the basis over F is integral / den; the
+        # minima are integer degrees, summed once
         self.integral = integral
         self.den = den
-        self.minima_logs = minima_logs  # descending
-
-    @property
-    def log_covolume(self):
-        return sum(self.minima_logs, Fraction(0))
+        self.minima_logs = [Fraction(m) for m in minima]  # descending
+        self.log_covolume = Fraction(sum(minima))
 
     @property
     def is_reduced(self):
@@ -192,7 +190,7 @@ def reduce(L):
     cols = weak_popov(list(L.integral))
     shift = int(L.den.degree)
     pairs = sorted(
-        ((Fraction(_col_degree(col) - shift), col) for col in cols),
+        ((_col_degree(col) - shift, col) for col in cols),
         key=lambda p: -p[0],
     )
     red = ReducedBasis([col for _, col in pairs], L.den, [m for m, _ in pairs])
@@ -243,11 +241,11 @@ def _index(sub, sup):
                 acc = acc - U[i][j] * z[j]
             z[i] = _contained_div(acc, U[i][i])
         M_A.append([_contained_div(zi, dt) for zi in z] if dt.degree else z)
-    value = Fraction(sub.log_det - sup.log_det)
+    value = sub.log_det - sup.log_det
     inv_factors = smith_invariant_factors(M_A)
-    if value != sum(Fraction(int(f.degree)) for f in inv_factors):
+    if value != sum(int(f.degree) for f in inv_factors):
         raise InvariantViolation("index differs from the Smith form degree")
-    return value, inv_factors
+    return Fraction(value), inv_factors
 
 
 def _contained_div(a, b):

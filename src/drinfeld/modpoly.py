@@ -12,9 +12,13 @@ Phi_t is computed two independent ways:
 * interpolation route: specialize s to 0, 1 and t + c for c in F_q,
   take univariate resultants, and Lagrange-interpolate in Y = j over A
   in Z = D Y, D the lcm of the point denominators (every j = s^(q+1)
-  lies in A here, so D = 1).  The slices P_k over the basis denominators
-  c_k share one common denominator E, so reconstruction sums in A[Z] and
-  divides each coefficient by E once; it builds no element of F.
+  lies in A here, so D = 1).  The basis numerators b_k = M / (Z - a_k)
+  come off the master polynomial M by synthetic division.  The slices
+  P_k over the basis denominators c_k = b_k(a_k) share one common
+  denominator E, so reconstruction sums in A[Z] and divides each
+  coefficient by E once; it builds no element of F.  tk_bounds needs
+  only degrees: deg c_k is the sum of the deg(a_k - a_s), as A is a
+  domain, so it never forms c_k.
 
 Coefficient heights are log base q of the sup norm at infinity, i.e.
 t-degrees.  The bounds on them (Prop. 6.5 and the asymptotic bound) and
@@ -85,16 +89,18 @@ class BivarPoly:
         """Partial evaluation Y = yval in F; result is a poly in X over F.
 
         With yval = a/b and d = deg_Y, each X-coefficient is
-        sum_j c_ij a^j b^(d-j) in A over b^d: one canonical form each."""
+        sum_j c_ij w_j in A over b^d, for the weights w_j = a^j b^(d-j)
+        formed once: one product per coefficient, one canonical form each."""
         F = FX.base
         if self.is_zero:
             return FX.zero
         d = self.deg_y
         a_pows = [yval.num**j for j in range(d + 1)]
         b_pows = [yval.den**j for j in range(d + 1)]
+        weights = [a_pows[j] * b_pows[d - j] for j in range(d + 1)]
         out = {}
         for (i, j), c in self.coeffs.items():
-            out[i] = out.get(i, self.A.zero) + c * a_pows[j] * b_pows[d - j]
+            out[i] = out.get(i, self.A.zero) + c * weights[j]
         return FX.from_coeffs(
             [F.make(out.get(i, self.A.zero), b_pows[d]) for i in range(self.deg_x + 1)]
         )
@@ -232,59 +238,69 @@ def build_Sn(q, n):
 
 
 def _lagrange_basis(points):
-    """(D, [(b_k, c_k)]): the Lagrange basis over A in Z = D Y, where D is
-    the monic lcm of the point denominators and a_k = D y_k lies in A.
-    b_k = M / (Z - a_k) in A[Z] for the master polynomial M = prod_s
-    (Z - a_s), built once, and c_k = prod_{s != k} (a_k - a_s) in A, so
-    T_k(Y) = b_k(D Y) / c_k.  Every divisor is monic, so no step runs a
-    gcd; exact_div raises if M(a_k) != 0."""
+    """(D, [a_k], [b_k]): the Lagrange numerators over A in Z = D Y, where
+    D is the monic lcm of the point denominators and a_k = D y_k lies in A.
+    The master polynomial M = prod_s (Z - a_s) is built once, one linear
+    factor at a time, and b_k = M / (Z - a_k) in A[Z] by synthetic
+    division, Horner's rule at a_k: b_{k,d} = 1 and b_{k,j-1} = M_j +
+    a_k b_{k,j}.  Its last step gives M(a_k), which must be zero.  With
+    c_k = prod_{s != k} (a_k - a_s) = b_k(a_k), T_k(Y) = b_k(D Y) / c_k.
+    No step divides."""
     if len(set(points)) != len(points):
         raise ValueError("interpolation points must be distinct")
     F = points[0].field
     nums, D = F.clear_denominators(points)
-    AZ = PolyRing(F.ring, "Z")
-    master = AZ.one
+    zero = F.ring.zero
+    M = [F.ring.one]
     for a in nums:
-        master = master * (AZ.gen() - AZ.constant(a))
-    out = []
-    for k, ak in enumerate(nums):
-        ck = F.ring.one
-        for s, a in enumerate(nums):
-            if s != k:
-                ck = ck * (ak - a)
-        out.append((master.exact_div(AZ.gen() - AZ.constant(ak)), ck))
-    return D, out
+        # M (Z - a) = Z M + (-a) M; the sum walks the shorter operand
+        na = -a
+        M = [lo + na * hi for lo, hi in zip([zero] + M, M + [zero])]
+    AZ = PolyRing(F.ring, "Z")
+    basis = []
+    for ak in nums:
+        b = [M[-1]]
+        for m in M[-2:0:-1]:
+            b.append(m + ak * b[-1])
+        if M[0] + ak * b[-1]:
+            raise ValueError("exact_div: division is not exact")
+        basis.append(AZ.from_coeffs(b[::-1]))
+    return D, nums, basis
 
 
 def tk_bounds(q, n, points):
     """Lagrange basis data for d+1 chosen points of S_n: the maximum
     T_k coefficient log-height against the bound n*d, and the minimum
-    spacing product log against -n*d.  Checked, not assumed."""
+    spacing product log against -n*d.  Checked, not assumed.  A is a
+    domain, so deg c_k = sum_{s != k} deg(a_k - a_s): c_k is never formed."""
     d = len(points) - 1
     if d < 0:
         raise ValueError("need at least one point")
     if d > q ** (2 * n + 1) - 1:
         raise ValueError("d exceeds |S_n| - 1")
-    coeff_max = None
-    spacing_min = None
-    D, basis = _lagrange_basis(points)
+    D, nums, basis = _lagrange_basis(points)
     dD = int(D.degree)
-    for bk, ck in basis:
-        # prod_{s != k} (y_k - y_s) = c_k / D^d and the Y^j coefficient of
-        # T_k is b_{k,j} D^j / c_k; degrees at infinity are additive
-        spacing = Fraction(int(ck.degree) - d * dD)
-        spacing_min = spacing if spacing_min is None else min(spacing_min, spacing)
-        for j, c in enumerate(bk.coeffs):
-            if c.is_zero:
-                continue
-            h = Fraction(int(c.degree) + j * dD - int(ck.degree))
-            coeff_max = h if coeff_max is None else max(coeff_max, h)
+    deg_c = [0] * len(nums)
+    for k, ak in enumerate(nums):
+        for s in range(k):
+            gap = (ak - nums[s]).degree
+            deg_c[k] += gap
+            deg_c[s] += gap
+    # prod_{s != k} (y_k - y_s) = c_k / D^d and the Y^j coefficient of
+    # T_k is b_{k,j} D^j / c_k; degrees at infinity are additive
+    spacing_min = min(deg_c) - d * dD
+    coeff_max = max(
+        c.degree + j * dD - dc
+        for bk, dc in zip(basis, deg_c)
+        for j, c in enumerate(bk.coeffs)
+        if c
+    )
     return {
         "d": d,
-        "coeff_log_max": coeff_max,
+        "coeff_log_max": Fraction(coeff_max),
         "coeff_log_bound": Fraction(n * d),
         "coeff_ok": coeff_max <= n * d,
-        "spacing_log_min": spacing_min,
+        "spacing_log_min": Fraction(spacing_min),
         "spacing_log_bound": Fraction(-n * d),
         "spacing_ok": spacing_min >= -n * d,
     }
@@ -302,16 +318,17 @@ def lagrange_reconstruct(pairs, d, n=None):
     # P = sum_k P_k(X) b_k(Z) / c_k with Z = D Y.  Over one common
     # denominator E every P_k,i / c_k is N_k,i / E, so the X^i Z^j
     # coefficient of P is sum_k N_k,i b_k,j / E: summed in A[Z], divided once
-    D, basis = _lagrange_basis([y for y, _ in pairs])
+    D, nodes, basis = _lagrange_basis([y for y, _ in pairs])
     fracs = []
-    for (_, ck), (_, pk) in zip(basis, pairs):
+    for ak, bk, (_, pk) in zip(nodes, basis, pairs):
+        ck = bk(ak)
         # clear_denominators takes unreduced fractions with monic denominators
         unit, mk = ck.lead.inverse(), ck.monic()
         fracs += [RatFunc(F, c.num.scale(unit), c.den * mk) for c in pk.coeffs]
     nums, E = F.clear_denominators(fracs)
     nums = iter(nums)
     sums = {}
-    for (bk, _), (_, pk) in zip(basis, pairs):
+    for bk, (_, pk) in zip(basis, pairs):
         for i in range(len(pk.coeffs)):
             sums[i] = sums.get(i, bk.ring.zero) + bk.scale(next(nums))
     coeffs = {}

@@ -405,6 +405,23 @@ def test_harness_trials_below_one_is_usage_error(capsys, trials):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("action", ["pushforward", "verify", "dual", "minimal-N"])
+def test_f_past_max_degree_exits_one_at_once(capsys, action):
+    """f phi_t carries t^(q^d) for d = tau-deg f: at q = 2, T^13 + 1 gives
+    t^8192, past MAX_DEGREE, and is refused before any product; T^12 + 1
+    (t^4096) is admitted and fails only as not stable."""
+    module = '{"q":2,"r":2,"g":["t","1"]}'
+    extra = ["--target", module] if action == "verify" else []
+    start = time.perf_counter()
+    argv = ["isogeny", action, "--module", module, "--f", "T^13+1"] + extra
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 0.5
+    assert "MAX_DEGREE" in capsys.readouterr().err
+    if action == "pushforward":
+        assert main(["isogeny", action, "--module", module, "--f", "T^12+1"]) == 1
+        assert "not stable" in capsys.readouterr().err
+
+
 def test_unwritable_out_exits_one(capsys, tmp_path):
     path = tmp_path / "missing" / "x.json"
     argv = ["heights", "--module", '{"q":2,"r":2,"g":["t","1"]}', "--out", str(path)]

@@ -29,7 +29,7 @@ from drinfeld.base import poly_ring_A, rational_function_field
 from drinfeld.errors import InvariantViolation
 from drinfeld.bounds import asymptotic_bound
 from drinfeld.modpoly import phi_t_slices
-from drinfeld.poly import PolyRing
+from drinfeld.poly import FqPoly, PolyRing
 
 
 def test_psi_kappa_values():
@@ -291,6 +291,61 @@ def test_tk_bounds_and_reconstruction_off_Sn(q):
         target = BivarPoly(A, coeffs)
         pairs = [(y, target.eval_y(FX, y)) for y in points]
         assert lagrange_reconstruct(pairs, d) == target
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_lagrange_basis_by_synthetic_division(q):
+    """Each b_k from Horner's rule at a_k is M / (Z - a_k), and b_k(a_k)
+    is c_k = prod_{s != k} (a_k - a_s): on points of S_1, on the node 0
+    alone and among others, and on points with mixed denominators."""
+    F = rational_function_field(q)
+    A = F.ring
+    AZ = PolyRing(A, "Z")
+    rng = random.Random(130 + q)
+    s1 = list(build_Sn(q, 1))
+    point_sets = [
+        [F.zero],
+        s1[:5],
+        rng.sample(s1, 7),
+        _mixed_points(q, 5, rng),
+        [F.zero] + _mixed_points(q, 4, rng),
+    ]
+    for points in point_sets:
+        D, nums, basis = modpoly._lagrange_basis(points)
+        assert (nums, D) == F.clear_denominators(points)
+        master = AZ.one
+        for a in nums:
+            master = master * (AZ.gen() - AZ.constant(a))
+        for k, (ak, bk) in enumerate(zip(nums, basis)):
+            assert bk * (AZ.gen() - AZ.constant(ak)) == master
+            ck = A.one
+            for s, a in enumerate(nums):
+                if s != k:
+                    ck = ck * (ak - a)
+            assert bk(ak) == ck
+
+
+def test_lagrange_basis_checks_every_node_is_a_root(monkeypatch):
+    """The last Horner step is M(a_k), which must vanish: a master
+    polynomial built on shifted roots (its -a_s replaced by t - a_s) is
+    caught as a division that is not exact."""
+    points = list(build_Sn(3, 1))[:4]
+    t = poly_ring_A(3).gen()
+    neg = FqPoly.__neg__
+    monkeypatch.setattr(FqPoly, "__neg__", lambda a: neg(a) + t)
+    with pytest.raises(ValueError, match="not exact"):
+        modpoly._lagrange_basis(points)
+
+
+def test_tk_bounds_on_all_of_S2_match_master_oracle():
+    """d = 31 at q = 2: every point of S_2 (D = t^2), against the F[Y]
+    oracle; the report's logs stay Fractions."""
+    points = list(build_Sn(2, 2))
+    rep = tk_bounds(2, 2, points)
+    got = (rep["coeff_log_max"], rep["spacing_log_min"])
+    assert got == _tk_bounds_oracle(points, _master_basis)
+    assert all(type(x) is Fraction for x in got)
+    assert rep["d"] == 31 and rep["coeff_ok"] and rep["spacing_ok"]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
