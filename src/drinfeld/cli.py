@@ -36,7 +36,7 @@ from .isogeny import (
     remark_rank3_check,
     verify,
 )
-from .parsing import MAX_DEGREE, ParseError, parse_element, parse_skew
+from .parsing import parse_element, parse_skew
 
 SCHEMA_VERSION = 1
 
@@ -153,12 +153,6 @@ def cmd_isogeny(args):
         report["remark3"] = remark_rank3_check(phi.q, f0)
         return _emit(report, args)
     f = parse_skew(args.f, phi.skew)
-    # f phi_t carries t^(q^d), d = tau-deg f: bound it as a literal's degree
-    if phi.q ** f.tau_degree > MAX_DEGREE:
-        raise ParseError(
-            f"--f of tau-degree {f.tau_degree} makes f*phi_t reach t-degree "
-            f"{phi.q}^{f.tau_degree}, past MAX_DEGREE = {MAX_DEGREE}"
-        )
     if args.action == "verify":
         target = _module_from_json(args.target)
         report["verified"] = verify(f, phi, target)

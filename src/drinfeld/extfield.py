@@ -11,10 +11,14 @@ Polynomials over A = F_q[t] in the variable x are represented in the
 nested ring A[x] = PolyRing(PolyRing(F_q, 't'), 'x').
 """
 
+from itertools import product
+from math import prod
+
 from .base import rational_function_field
 from .errors import BadReduction, InvariantViolation, IrreducibilityUncertain
 from .factor import factor, is_irreducible
 from .ff import FieldElem, GaloisField, power
+from .places import Place, newton_slopes
 from .poly import Poly, PolyRing, content, poly_gcd, poly_xgcd, primitive_part
 from .ratfunc import RatFunc
 
@@ -138,41 +142,15 @@ def to_A_x(fx_over_F):
     return primitive_part(PolyRing(F.ring, "x").from_coeffs(coeffs))
 
 
-def _swap_to_t_outer(f):
-    """View f in A[x] as a polynomial in t with F_q[x]-coefficients."""
-    A = f.ring.base
-    Fq = A.base
-    xring = PolyRing(Fq, "x")
-    tring = PolyRing(xring, "t")
-    max_t = max((len(c.coeffs) for c in f.coeffs if not c.is_zero), default=0)
-    rows = []
-    for k in range(max_t):
-        rows.append(xring.from_coeffs([c.coeff(k) for c in f.coeffs]))
-    return tring.from_coeffs(rows)
-
-def _monic_divisors(a):
-    """All monic divisors of nonzero a in A."""
-    _, facs = factor(a)
-    divisors = [a.ring.one]
-    for p, mult in facs:
-        new = []
-        for d in divisors:
-            cur = d
-            for _ in range(mult + 1):
-                new.append(cur)
-                cur = cur * p
-        divisors = new
-    return divisors
-
-
 def rational_roots(f_in_Ax, F):
-    """All roots in F of a nonzero polynomial in A[x], found by the
-    rational root test: a root u a / b in lowest terms, with a and b monic
-    and u a unit, has a | f(0) and b | lead(f).  Each candidate is decided
-    in A: f(u a / b) = 0 iff sum_i u^i c_i a^i b^(d-i) = 0 for
-    f = sum_i c_i x^i of degree d.  The test holds for any nonzero f in
-    A[x], primitive or not, so the content is not taken here: to_A_x
-    already returns a primitive f."""
+    """All roots in F of a nonzero polynomial in A[x] by the rational root
+    test on Newton polygons.  A root u a / b in lowest terms (a | f(0) and
+    b | lead(f) monic, u a unit) has deg a - deg b among f's slopes at
+    infinity and, at each prime P of f(0) lead(f), an integer v_P-slope
+    that is v_P(a) or -v_P(b).  Each such pair is decided in A: f(u a / b)
+    = 0 iff sum_i u^i c_i a^i b^(d-i) = 0 for f = sum_i c_i x^i of degree
+    d.  Roots come by the exponent vectors of a and b over factor's primes,
+    then by u.  The test needs no primitive f, so the content is kept."""
     f = f_in_Ax
     roots = []
     if f.constant.is_zero:
@@ -185,21 +163,28 @@ def rational_roots(f_in_Ax, F):
     units = [u for u in F.base_field.elements() if not u.is_zero]
     # u^(q-1) = 1, so the sum folds by i mod (q-1) before u is chosen
     period = len(units)
-    b_pows = [(b, _powers(b, d)) for b in _monic_divisors(f.lead)]
-    for a in _monic_divisors(f.constant):
-        a_pows = _powers(a, d)
-        for b, bp in b_pows:
-            # a pair with a common factor g gives the values of
-            # (a/g, b/g), which _monic_divisors lists first
-            if a.degree > 0 and b.degree > 0 and poly_gcd(a, b).degree > 0:
-                continue
-            folded = [A.zero] * period
-            for i, c in enumerate(f.coeffs):
-                folded[i % period] += c * a_pows[i] * bp[d - i]
-            for u in units:
-                if not sum([s.scale(u**r) for r, s in enumerate(folded)], A.zero):
-                    # b is monic and coprime to a: already canonical
-                    roots.append(RatFunc(F, a.scale(u), b))
+    const, lead = factor(f.constant)[1], factor(f.lead)[1]
+    primes = list(dict.fromkeys(P for P, _ in const + lead))
+    # v_P(u a / b) = -s / deg P for a slope s at P
+    slopes = [[-s / P.degree for s, _ in newton_slopes(f, Place(P))] for P in primes]
+    at_infinity = {s for s, _ in newton_slopes(f, Place.infinity())}
+    pairs = []
+    for vs in product(*[[int(v) for v in vP if v.denominator == 1] for vP in slopes]):
+        v = dict(zip(primes, vs))
+        ea, eb = [max(v[P], 0) for P, _ in const], [max(-v[P], 0) for P, _ in lead]
+        a = prod([P**e for (P, _), e in zip(const, ea)], start=A.one)
+        b = prod([P**e for (P, _), e in zip(lead, eb)], start=A.one)
+        if a.degree - b.degree in at_infinity:
+            pairs.append((ea, eb, a, b))
+    for _, _, a, b in sorted(pairs, key=lambda p: p[:2]):
+        a_pows, b_pows = _powers(a, d), _powers(b, d)
+        folded = [A.zero] * period
+        for i, c in enumerate(f.coeffs):
+            folded[i % period] += c * a_pows[i] * b_pows[d - i]
+        for u in units:
+            if not sum([s.scale(u**r) for r, s in enumerate(folded)], A.zero):
+                # b is monic and coprime to a: already canonical
+                roots.append(RatFunc(F, a.scale(u), b))
     return roots
 
 
@@ -215,43 +200,28 @@ def irreducible_over_F(f_in_Ax):
     """Certified irreducibility of a primitive polynomial in A[x] over F.
 
     Certificates, in order: linear in x; degree <= 3 with no rational
-    root; linear in t with coprime t-coefficients (Gauss); Eisenstein at
-    a prime of A.  Raises IrreducibilityUncertain when none applies.
+    root; f = g + t h with g, h coprime in F_q[x] (Gauss); Dumas at
+    infinity or at a prime of f(0): one Newton segment, of length
+    d = deg f and v-slope of denominator d, leaves f irreducible over the
+    completion, which includes every Eisenstein case.  Raises
+    IrreducibilityUncertain when none applies.
     """
     f = f_in_Ax
-    if f.degree < 1:
-        return False
-    if content(f).degree != 0:
+    if f.degree < 1 or content(f).degree != 0:
         return False
     if f.degree == 1:
         return True
-    A = f.ring.base
-    F_roots_decidable = f.degree <= 3
-    if F_roots_decidable:
-        F = rational_function_field(A.base.q)
-        return not rational_roots(f, F)
-    swapped = _swap_to_t_outer(f)
-    if swapped.degree == 1:
-        c0, c1 = swapped.coeff(0), swapped.coeff(1)
-        if poly_gcd(c0, c1).degree == 0:
+    A, d = f.ring.base, int(f.degree)
+    if d <= 3:
+        return not rational_roots(f, rational_function_field(A.base.q))
+    if max(c.degree for c in f.coeffs) == 1:
+        Fqx = PolyRing(A.base, "x")
+        g, h = [Fqx.from_coeffs([c.coeff(k) for c in f.coeffs]) for k in (0, 1)]
+        if poly_gcd(g, h).degree == 0:
             return True
-    if _eisenstein(f):
-        return True
-    raise IrreducibilityUncertain(
-        "no applicable irreducibility certificate for this polynomial"
-    )
-
-
-def _eisenstein(f):
-    const = f.constant
-    if const.is_zero:
-        return False
-    _, facs = factor(const)
-    for P, mult in facs:
-        if mult >= 2:
-            continue
-        if divmod(f.lead, P)[1].is_zero:
-            continue
-        if all(divmod(f.coeff(i), P)[1].is_zero for i in range(int(f.degree))):
+    primes = [] if f.constant.is_zero else factor(f.constant)[1]
+    for place in [Place.infinity()] + [Place(P) for P, _ in primes]:
+        # a slope of denominator d needs a segment of length d: all of f
+        if any((s / place.degree).denominator == d for s, _ in newton_slopes(f, place)):
             return True
-    return False
+    raise IrreducibilityUncertain("no applicable irreducibility certificate for this polynomial")

@@ -6,7 +6,8 @@ The grammar is the usual one: `t^3+2*t+1`, `(t+1)/(t^2+t+1)`,
 polynomials.  Printing and parsing round-trip: parse(print(v)) == v.
 A literal nested past the recursion limit, or one operation whose degree
 bound (the sum of its operands', or deg x n for x^n) passes MAX_DEGREE,
-is a ParseError.
+is a ParseError; so is a skew operation whose T-degree bound d passes
+log_q MAX_DEGREE, since f phi_t carries t^(q^d) for d = tau-deg f.
 """
 
 import re
@@ -36,9 +37,9 @@ def _degree(v):
     return 0
 
 
-def _bound(degree):
-    if degree > MAX_DEGREE:
-        raise ParseError(f"literal may reach degree {degree}, past MAX_DEGREE = {MAX_DEGREE}")
+def _top(v):
+    """v's degree in the variable of its own polynomial ring, else 0."""
+    return max(v.degree, 0) if isinstance(v, Poly) else 0
 
 
 def tokenize(text):
@@ -57,11 +58,20 @@ def tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens, ring, variables):
+    def __init__(self, tokens, ring, variables, max_top=None):
         self.tokens = tokens
         self.i = 0
         self.ring = ring
         self.vars = variables
+        self.max_top = max_top
+
+    def bound(self, degree, top):
+        """Refuse an operation before it runs, by its degree bound and the
+        bound top on its degree in the ring's own variable."""
+        if degree > MAX_DEGREE:
+            raise ParseError(f"literal may reach degree {degree}, past MAX_DEGREE = {MAX_DEGREE}")
+        if self.max_top is not None and top > self.max_top:
+            raise ParseError(f"literal may reach T-degree {top}: q^{top} passes MAX_DEGREE = {MAX_DEGREE}")
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -82,7 +92,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.next()
             rhs = self.term()
-            _bound(_degree(value) + _degree(rhs))
+            self.bound(_degree(value) + _degree(rhs), max(_top(value), _top(rhs)))
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -91,7 +101,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.next()
             rhs = self.factor()
-            _bound(_degree(value) + _degree(rhs))
+            self.bound(_degree(value) + _degree(rhs), _top(value) + (_top(rhs) if op == "*" else 0))
             if op == "*":
                 value = value * rhs
             elif rhs.is_zero:
@@ -113,7 +123,7 @@ class _Parser:
             tok = self.next()
             if tok is None or not tok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer")
-            _bound(_degree(value) * int(tok))
+            self.bound(_degree(value) * int(tok), _top(value) * int(tok))
             value = value ** int(tok)
         return value
 
@@ -133,9 +143,9 @@ class _Parser:
         raise ParseError(f"unknown symbol {tok!r}")
 
 
-def parse_in_ring(text, ring, variables):
+def parse_in_ring(text, ring, variables, max_top=None):
     try:
-        return _Parser(tokenize(text), ring, variables).parse()
+        return _Parser(tokenize(text), ring, variables, max_top).parse()
     except RecursionError:
         raise ParseError("literal nests too deeply") from None
 
@@ -178,7 +188,9 @@ def parse_skew(text, skew_ring):
     variables = standard_vars(R)
     variables = {k: commutative(v) for k, v in variables.items()}
     variables["T"] = commutative.gen()
-    value = parse_in_ring(text, commutative, variables)
+    q = skew_ring.q
+    max_top = max(d for d in range(MAX_DEGREE.bit_length()) if q**d <= MAX_DEGREE)
+    value = parse_in_ring(text, commutative, variables, max_top)
     return skew_ring(list(value.coeffs))
 
 

@@ -8,7 +8,8 @@ attached to a monic irreducible P, |x| = q^(-deg(P) v_P(x)).
 b by gcds and exact divisions, never testing a pair it has proved
 coprime; a module's heights read b with weight deg b, and its per-place
 view factors each b once.  `valuation` and `log_abs` divide by one
-given P.
+given P.  `newton_slopes` reads the sizes of the roots of f in A[x] at
+one place off the upper hull of the points (i, log_q |c_i|_v).
 
 Only places of F itself occur, so every local degree n_v is 1 and the
 e_v/f_v bookkeeping of finite extensions never enters.
@@ -58,21 +59,19 @@ class Place:
         return "infinity" if self.is_infinite else f"Finite({self.prime!r})"
 
 
+def _order(f, prime):
+    """v_P(f) for nonzero f in A."""
+    v, (q, r) = 0, divmod(f, prime)
+    while r.is_zero:
+        v, (q, r) = v + 1, divmod(q, prime)
+    return v
+
+
 def valuation(x, prime):
     """v_P(x) for nonzero x in F."""
     if x.is_zero:
         raise ValueError("zero has no valuation")
-
-    def poly_val(f):
-        v = 0
-        while True:
-            q, r = divmod(f, prime)
-            if not r.is_zero:
-                return v
-            f = q
-            v += 1
-
-    return poly_val(x.num) - poly_val(x.den)
+    return _order(x.num, prime) - _order(x.den, prime)
 
 
 def log_abs(x, place):
@@ -82,6 +81,27 @@ def log_abs(x, place):
     if place.is_infinite:
         return Fraction(x.deg_infinity())
     return Fraction(-place.degree * valuation(x, place.prime))
+
+
+def newton_slopes(f, place):
+    """[(s, m)] for nonzero f in A[x]: f has m roots x != 0, with
+    multiplicity, in an algebraic closure of the completion at place with
+    log_abs(x, place) = s, and s runs up (Neukirch II 6.3).  The points
+    (i, log_q |c_i|) of f's nonzero coefficients have an upper hull; a
+    segment of slope -s and length m gives (s, m)."""
+    hull = []
+    for i, c in enumerate(f.coeffs):
+        if c.is_zero:
+            continue
+        y = c.degree if place.is_infinite else -place.degree * _order(c, place.prime)
+        # drop the last vertex while it lies on or below the chord to (i, y)
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+            >= (hull[-1][1] - hull[-2][1]) * (i - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((i, y))
+    return [(Fraction(y0 - y1, i1 - i0), i1 - i0) for (i0, y0), (i1, y1) in zip(hull, hull[1:])]
 
 
 def coprime_base(pieces):

@@ -2,14 +2,18 @@
 irreducibility / rational-root machinery."""
 
 import random
+import time
 
 import pytest
 
 from drinfeld import GF, QuotientField, skew_ring
 from drinfeld.base import poly_ring_A, rational_function_field, x_ring_over_A, x_ring_over_F
 from drinfeld.errors import BadReduction, IrreducibilityUncertain
-from drinfeld.extfield import _monic_divisors, irreducible_over_F, rational_roots, to_A_x
-from drinfeld.isogeny import random_isogenous_pair
+from drinfeld.extfield import irreducible_over_F, rational_roots, to_A_x
+from drinfeld.factor import factor
+from drinfeld.dmod import random_module
+from drinfeld.isogeny import random_isogenous_pair, rank2_t_isogenies
+from drinfeld.modpoly import compute_phi_t
 from drinfeld.poly import PolyRing, content
 
 
@@ -220,6 +224,11 @@ def test_irreducibility_certificates():
     assert irreducible_over_F(x**5 - Ax.constant(t))
     # quadratic in t, so only Eisenstein at the prime t decides it
     assert irreducible_over_F(x**5 + Ax.constant(t**2) * x + Ax.constant(t))
+    # one Newton segment of slope 2/5 at t and at infinity (Dumas; t^2 is
+    # no Eisenstein constant)
+    assert irreducible_over_F(x**5 + Ax.constant(t**2))
+    # slope 4/5 at infinity alone: at t and t + 1 the polygon has two segments
+    assert irreducible_over_F(x**5 + Ax.monomial(t, 1) + Ax.constant(t**2 * (t + A.one) ** 2))
     # content not 1 is rejected
     assert not irreducible_over_F(Ax.monomial(t, 1) + Ax.constant(t))
 
@@ -229,10 +238,33 @@ def test_irreducibility_uncertain():
     A = Ax.base
     t = A.gen()
     x = Ax.gen()
-    # degree 4 in x, quadratic in t, neither Gauss nor Eisenstein applies
+    # degree 4 in x, quadratic in t: neither Gauss nor Dumas at infinity or
+    # at t + 1, where each polygon has two segments, applies
     f = x**4 + Ax.constant(t**2) * x + Ax.constant(t**2 + A.one)
     with pytest.raises(IrreducibilityUncertain):
         irreducible_over_F(f)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_no_certificate_for_a_product(q):
+    """A primitive product of two factors of degree >= 2 in x is never
+    certified irreducible: it is reported reducible or uncertain."""
+    Ax = x_ring_over_A(q)
+    t, x = Ax.constant(Ax.base.gen()), Ax.gen()
+    rng = random.Random(260 + q)
+    # (x^2 + t)^2 is one Newton segment, of slope 1/2 and not 1/4;
+    # (x^2 + t)(x^3 + t^2) has slopes of denominators 2 and 3
+    products = [(x**2 + t, x**2 + t), (x**2 + t, x**3 + t * t)]
+    for _ in range(40):
+        products.append([
+            Ax.from_coeffs([Ax.base.random_element(rng, 2) for _ in range(k)] + [Ax.base.one])
+            for k in (2, rng.randint(2, 3))
+        ])
+    for g, h in products:
+        try:
+            assert not irreducible_over_F(g * h), g * h
+        except IrreducibilityUncertain:
+            pass
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -243,6 +275,23 @@ def test_to_A_x_lands_in_the_shared_ring(q):
     f = to_A_x(Fx.gen() ** 2 + Fx.constant(F.t))
     assert f.ring is Ax
     assert f == Ax.gen() ** 2 + Ax.constant(Ax.base.gen())
+
+
+def _monic_divisors(a):
+    """All monic divisors of nonzero a in A, lexicographic in the exponent
+    vector over factor's primes: the reference enumeration of the
+    rational root test."""
+    _, facs = factor(a)
+    divisors = [a.ring.one]
+    for p, mult in facs:
+        new = []
+        for d in divisors:
+            cur = d
+            for _ in range(mult + 1):
+                new.append(cur)
+                cur = cur * p
+        divisors = new
+    return divisors
 
 
 def _rational_roots_oracle(f, F):
@@ -316,6 +365,43 @@ def test_rational_roots_match_the_F_level_oracle(q):
     assert any(len(rational_roots(f, F)) > 1 for f in inputs)
     for f in inputs:
         assert rational_roots(f, F) == _rational_roots_oracle(f, F), f
+
+
+def _phi_t_slices(q, rng, count):
+    """(phi, Phi_t(X, j(phi)) in A[x]) for count random rank-2 modules."""
+    F = rational_function_field(q)
+    Phi, FX = compute_phi_t(q), PolyRing(F, "X")
+    out = []
+    for _ in range(count):
+        phi = random_module(F, q, 2, rng)
+        out.append((phi, to_A_x(Phi.eval_y(FX, phi.j_invariants()[0]))))
+    return out
+
+
+def test_rational_roots_of_phi_t_slices_match_the_oracle():
+    """On Phi_t(X, j) at q = 2, where the slopes leave few of the divisor
+    pairs, the roots and their order are the oracle's."""
+    F = rational_function_field(2)
+    slices = [f for _, f in _phi_t_slices(2, random.Random(270), 10)]
+    assert sum(len(rational_roots(f, F)) for f in slices) >= 3
+    for f in slices:
+        assert rational_roots(f, F) == _rational_roots_oracle(f, F), f
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_rank2_targets_are_rational_roots_of_phi_t(q):
+    """Every target j' of a rational t-isogeny from phi is a root in F of
+    Phi_t(X, j(phi)), for 200 random modules; at q = 3 within 5 s."""
+    F = rational_function_field(q)
+    slices = _phi_t_slices(q, random.Random(280 + q), 200)
+    start = time.perf_counter()
+    found = 0
+    for phi, f in slices:
+        roots = rational_roots(f, F)
+        targets = [iso.target.j_invariants()[0] for iso in rank2_t_isogenies(phi)]
+        assert all(j in roots for j in targets), phi
+        found += len(targets)
+    assert found >= 10 and time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -1,6 +1,7 @@
 """Round-trips between the text syntax and elements of each ring."""
 
 import random
+import time
 
 import pytest
 
@@ -78,6 +79,22 @@ def test_degree_bound_admits_up_to_max_degree():
     for text in ("1/t^2500+1/(t+1)^2501", "(t+1)^5001", "t^2500*t^2501"):
         with pytest.raises(ParseError, match="MAX_DEGREE"):
             parse_element(text, F)
+
+
+def test_skew_T_degree_bound_refuses_at_once():
+    """f phi_t carries t^(q^d) for d = tau-deg f, so a skew operation whose
+    T-degree bound passes log_q MAX_DEGREE (3 at q = 9) is refused before
+    it runs: (T+1/(t+1))^2400, within the degree bound, ran for minutes."""
+    S = skew_ring(rational_function_field(9), 9)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="MAX_DEGREE"):
+        parse_skew("(T+1/(t+1))^2400", S)
+    assert time.perf_counter() - start < 0.5
+    assert parse_skew("T^3+t*T^2+T", S).tau_degree == 3
+    assert parse_skew("(T^3+T)/T", S).tau_degree == 2
+    for text in ("T^4", "T^2*T^2", "(T^2)^2", "T^3*T+1"):
+        with pytest.raises(ParseError, match="MAX_DEGREE"):
+            parse_skew(text, S)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])

@@ -16,8 +16,8 @@ from drinfeld import (
     valuation,
     weil_height,
 )
-from drinfeld.places import coprime_base, valuation_base
-from drinfeld.base import poly_ring_A
+from drinfeld.places import coprime_base, newton_slopes, valuation_base
+from drinfeld.base import poly_ring_A, x_ring_over_A
 from drinfeld.factor import factor
 from drinfeld.poly import poly_gcd
 
@@ -231,3 +231,62 @@ def test_weil_height_matches_place_sum(q):
         assert weil_height(coords) == _place_sum_height(coords)
     with pytest.raises(ValueError):
         weil_height([F.zero, F.zero])
+
+
+def test_newton_slopes_examples():
+    """Hand cases: a polynomial in x^2 at q = 2, a repeated root and the
+    root 0 at q = 3; the slopes are log_abs of the roots, at infinity and
+    at a finite P."""
+    Ax = x_ring_over_A(2)
+    A = Ax.base
+    t, x = A.gen(), Ax.gen()
+    inf, at_t, at_t1 = Place.infinity(), Place(t), Place(t + A.one)
+    # x^2 + t^3 has zero interior coefficient and roots t^(3/2)
+    f = x**2 + Ax.constant(t**3)
+    assert newton_slopes(f, inf) == [(Fraction(3, 2), 2)]
+    assert newton_slopes(f, at_t) == [(Fraction(-3, 2), 2)]
+    assert newton_slopes(f, at_t1) == [(0, 2)]
+    # (t x + 1)^2 (x^2 + t) lies in A[x^2]: roots 1/t twice and sqrt(t)
+    # twice, of sizes -1 and 1/2 at infinity
+    g = (Ax.monomial(t, 1) + Ax.one) ** 2 * (x**2 + Ax.constant(t))
+    assert all(c.is_zero for c in g.coeffs[1::2])
+    assert newton_slopes(g, inf) == [(-1, 2), (Fraction(1, 2), 2)]
+    assert newton_slopes(g, at_t) == [(Fraction(-1, 2), 2), (1, 2)]
+
+    Ax = x_ring_over_A(3)
+    A = Ax.base
+    t, x = A.gen(), Ax.gen()
+    inf, at_t, at_t1 = Place.infinity(), Place(t), Place(t + A.one)
+    # (x - t)^2 (t x - 1) x: t twice and 1/t; the root 0 has no slope
+    h = (x - Ax.constant(t)) ** 2 * (Ax.monomial(t, 1) - Ax.one) * x
+    assert newton_slopes(h, inf) == [(-1, 1), (1, 2)]
+    assert newton_slopes(h, at_t) == [(-1, 2), (1, 1)]
+    assert newton_slopes(h, at_t1) == [(0, 3)]
+    # a nonzero constant has no roots; at P^2 | c the slopes scale by deg P
+    assert newton_slopes(Ax.constant(t), inf) == []
+    P = t**2 + A.one
+    assert newton_slopes(x - Ax.constant(P**3), Place(P)) == [(-6, 1)]
+
+
+@pytest.mark.parametrize("q", QS)
+def test_newton_slopes_are_the_sizes_of_the_roots(q):
+    """For f = prod (b_i x - a_i), the slopes with multiplicity are the
+    multiset of log_abs(a_i / b_i) at infinity and at every prime of
+    f(0) lead(f), with repeated factors and p-th powers among the f."""
+    F = rational_function_field(q)
+    A = F.ring
+    Ax = x_ring_over_A(q)
+    rng = random.Random(250 + q)
+    for _ in range(20):
+        pairs = [
+            (A.random_element(rng, 3, nonzero=True), A.random_element(rng, 2, nonzero=True))
+            for _ in range(rng.randint(1, 3))
+        ]
+        pairs += pairs[:1] * rng.choice([0, 1, F.characteristic - 1])
+        f = Ax.one
+        for a, b in pairs:
+            f = f * (Ax.monomial(b, 1) - Ax.constant(a))
+        places = [Place.infinity()] + [Place(P) for P, _ in factor(f.constant * f.lead)[1]]
+        for place in places:
+            slopes = [s for s, m in newton_slopes(f, place) for _ in range(m)]
+            assert slopes == sorted(log_abs(F.make(a, b), place) for a, b in pairs), (f, place)

@@ -31,6 +31,11 @@ every real bound is evaluated and rounded up in one place.  Verdicts live
 there too: only ``bounds.py`` builds a ``BoundReport``, so no other
 module decides a real bound on a payload float.
 
+Newton polygons have one primitive, ``places.newton_slopes``: only
+``places.py`` builds a hull, and ``extfield`` reads rational roots and
+irreducibility certificates off it, with no divisor-pair enumeration
+(``_monic_divisors``) or Eisenstein test (``_eisenstein``) of its own.
+
 Every name in ``drinfeld.__all__`` is an attribute of the package, so an
 entry left behind by a deletion cannot break ``from drinfeld import *``.
 """
@@ -358,6 +363,40 @@ def test_bound_report_guard_sees_each_form():
         "    return drinfeld.bounds.BoundReport(0, 1, {})\n"
     )
     assert list(_bound_report_calls(tree)) == [1, 2, 7]
+
+
+def _hulls(tree):
+    """Lines of functions defined, and of names bound, that mention a
+    Newton polygon or a hull."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        else:
+            continue
+        if "newton" in name.lower() or "hull" in name.lower():
+            yield node.lineno
+
+
+def test_one_newton_polygon_primitive():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    found = [f"{name}:{line}" for name, tree in trees.items() if name != "places.py" for line in _hulls(tree)]
+    extfield = {n.name for n in trees["extfield.py"].body if isinstance(n, ast.FunctionDef)}
+    assert list(_hulls(trees["places.py"])) and not found, found
+    assert "rational_roots" in extfield and not extfield & {"_monic_divisors", "_eisenstein"}
+
+
+def test_hull_guard_sees_each_form():
+    tree = ast.parse(
+        "def newton_polygon(f): pass\n"
+        "def _upper_Hull(points): pass\n"
+        "hull = []\n"
+        "for newton_pt in pts: pass\n"
+        "x = hull\n"
+        "def slopes(f): pass\n"
+    )
+    assert list(_hulls(tree)) == [1, 2, 3, 4]
 
 
 def _missing_exports(module):
