@@ -15,8 +15,8 @@ Every field element of the tower is a ``FieldElem``.
 A polynomial over F_q is a list of codes, lowest degree first, with no
 trailing zero.  The kernels below add, subtract, multiply, divide and take
 gcds of such lists through the tables: ``poly.FqPoly``, the elements of
-A = F_q[t], runs every operation on them, and so do the tables of F_q
-with e > 1, over F_p.
+A = F_q[t], runs every operation on them, so does ``ratfunc.RatFunc`` on
+its num and den, and so do the tables of F_q with e > 1, over F_p.
 """
 
 from functools import lru_cache
@@ -147,6 +147,15 @@ def _poly_divmod(a, b, F):
         while rem and not rem[-1]:
             rem.pop()
     return quot, rem
+
+
+def _poly_exact_div(a, b, F):
+    """Quotient code list of a by b over the field F; raises ValueError
+    when b does not divide a."""
+    quot, rem = _poly_divmod(a, b, F)
+    if rem:
+        raise ValueError("exact_div: division is not exact")
+    return quot
 
 
 def _poly_rem(a, b, F):

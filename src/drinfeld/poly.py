@@ -33,7 +33,7 @@ import array
 import sys
 
 from .ff import GaloisField, _poly_add, _poly_divmod, _poly_gcd, _poly_monic, power
-from .ff import _poly_mul, _poly_rem, _poly_sub
+from .ff import _poly_exact_div, _poly_mul, _poly_rem, _poly_sub
 
 NEG_INF = float("-inf")
 
@@ -397,10 +397,7 @@ class FqPoly(Poly):
         return FqPoly(self.ring, tuple(_poly_rem(self.codes, other.codes, self.ring.base)))
 
     def exact_div(self, other):
-        quot, rem = _poly_divmod(self.codes, other.codes, self.ring.base)
-        if rem:
-            raise ValueError("exact_div: division is not exact")
-        return FqPoly(self.ring, tuple(quot))
+        return FqPoly(self.ring, tuple(_poly_exact_div(self.codes, other.codes, self.ring.base)))
 
     def scale(self, c):
         """Multiply by a field element."""

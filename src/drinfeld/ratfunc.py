@@ -1,13 +1,16 @@
-"""Rational function fields F = Frac(k[t]) in canonical form.
+"""Rational function fields F = Frac(F_q[t]) in canonical form.
 
 Every element is stored with coprime numerator and denominator and a
 monic denominator, so structural equality is mathematical equality.
 ``RatFunc`` is an ``ff.FieldElem`` that defines ``+``, negation, ``*`` and
-``inverse``.
+``inverse``.  Its ``num`` and ``den`` are ``poly.FqPoly``s, and F's
+arithmetic runs on their code lists through the kernels of ``ff`` and
+``poly._mul_codes``, the way A's does: an operation builds one ``FqPoly``
+per numerator and denominator it returns.
 """
 
-from .ff import FieldElem
-from .poly import Poly, poly_gcd
+from .ff import FieldElem, _poly_add, _poly_exact_div, _poly_gcd
+from .poly import FqPoly, Poly, _is_power_of, _mul_codes, poly_gcd
 
 
 class RatFunc(FieldElem):
@@ -21,7 +24,7 @@ class RatFunc(FieldElem):
 
     @property
     def is_zero(self):
-        return self.num.is_zero
+        return not self.num.codes
 
     def __eq__(self, other):
         return (
@@ -35,16 +38,20 @@ class RatFunc(FieldElem):
         return hash((id(self.field), self.num, self.den))
 
     def __add__(self, other):
-        other = self.field(other)
-        a, b = self.num, self.den
-        c, d = other.num, other.den
+        field = self.field
+        if other.__class__ is not RatFunc or other.field is not field:
+            other = field(other)
+        F, ring = field.base_field, field.ring
+        a, b = self.num.codes, self.den.codes
+        c, d = other.num.codes, other.den.codes
         # a constant (monic, so 1) denominator needs no gcd: (a d + c)/d is
         # reduced, as gcd(a d + c, d) = gcd(c, d) = 1, and d is monic
-        if b.degree == 0:
-            return RatFunc(self.field, a * d + c, d)
-        if d.degree == 0:
-            return RatFunc(self.field, a + c * b, b)
-        return self.field.make(a * d + c * b, b * d)
+        if len(b) == 1:
+            ad = _mul_codes(a, d, F) if len(d) > 1 else a
+            return RatFunc(field, FqPoly(ring, tuple(_poly_add(ad, c, F))), other.den)
+        if len(d) == 1:
+            return RatFunc(field, FqPoly(ring, tuple(_poly_add(a, _mul_codes(c, b, F), F))), self.den)
+        return field._reduced(_poly_add(_mul_codes(a, d, F), _mul_codes(c, b, F), F), _mul_codes(b, d, F))
 
     __radd__ = __add__
 
@@ -52,42 +59,44 @@ class RatFunc(FieldElem):
         return RatFunc(self.field, -self.num, self.den)
 
     def __mul__(self, other):
-        other = self.field(other)
-        if self.is_zero or other.is_zero:
-            return self.field.zero
+        field = self.field
+        if other.__class__ is not RatFunc or other.field is not field:
+            other = field(other)
+        a, b = self.num.codes, self.den.codes
+        c, d = other.num.codes, other.den.codes
+        if not a or not c:
+            return field.zero
+        F = field.base_field
         # cross-cancel first: both fractions are already reduced, so only
-        # num/den pairs across the factors can share divisors
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        # a constant numerator or denominator is a unit and shares nothing:
-        # skip its gcd
-        if a.degree > 0 and d.degree > 0 and (g1 := poly_gcd(a, d)).degree > 0:
-            a, d = a.exact_div(g1), d.exact_div(g1)
-        if c.degree > 0 and b.degree > 0 and (g2 := poly_gcd(c, b)).degree > 0:
-            c, b = c.exact_div(g2), b.exact_div(g2)
+        # num/den pairs across the factors can share divisors; a constant
+        # numerator or denominator is a unit and shares nothing
+        if len(a) > 1 and len(d) > 1 and len(g := _poly_gcd(a, d, F)) > 1:
+            a, d = _poly_exact_div(a, g, F), _poly_exact_div(d, g, F)
+        if len(c) > 1 and len(b) > 1 and len(g := _poly_gcd(c, b, F)) > 1:
+            c, b = _poly_exact_div(c, g, F), _poly_exact_div(b, g, F)
         # b, d and the gcds cancelled from them are monic, so b*d is monic
-        return RatFunc(self.field, a * c, b * d)
+        ring = field.ring
+        den = FqPoly(ring, tuple(_mul_codes(b, d, F))) if len(b) > 1 or len(d) > 1 else ring.one
+        return RatFunc(field, FqPoly(ring, tuple(_mul_codes(a, c, F))), den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero:
+        if not self.num.codes:
             raise ZeroDivisionError("division by zero rational function")
-        num, den = self.den, self.num
-        if not den.is_monic:
-            lead = den.lead
-            num = num.scale(self.field.base_field.one / lead)
-            den = den.monic()
-        return RatFunc(self.field, num, den)
+        return self.field._monic_den(self.den.codes, self.num.codes)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
             return self.field.one
-        if self.is_zero:
+        if n == 1 or not self.num.codes:
             return self
-        # num and den are coprime, so their powers are too: no gcd needed
+        # num and den are coprime, so their powers are too: no gcd needed;
+        # at a power of p that is Frobenius on the codes of both
+        if _is_power_of(n, self.field.characteristic):
+            return RatFunc(self.field, self.num._frobenius(n), self.den._frobenius(n))
         return RatFunc(self.field, self.num**n, self.den**n)
 
     def deg_infinity(self):
@@ -122,19 +131,28 @@ class FractionField:
 
     def make(self, num, den):
         """Canonicalize num/den: reduce and make the denominator monic."""
+        for p in (num, den):
+            if p.ring is not self.ring:
+                raise ValueError(f"element of {p.ring!r}, not of {self.ring!r}")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
+        return self._reduced(num.codes, den.codes)
+
+    def _reduced(self, num, den):
+        """num/den in canonical form, from code lists with den nonzero."""
+        if not num:
             return self.zero
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        if not den.is_monic:
-            lead = den.lead
-            num = num.scale(self.base_field.one / lead)
-            den = den.monic()
-        return RatFunc(self, num, den)
+        F = self.base_field
+        if len(den) > 1 and len(g := _poly_gcd(num, den, F)) > 1:
+            num, den = _poly_exact_div(num, g, F), _poly_exact_div(den, g, F)
+        return self._monic_den(num, den)
+
+    def _monic_den(self, num, den):
+        """num/den from coprime code lists, scaled to a monic denominator."""
+        if den[-1] != 1:
+            row = self.base_field.mul_table[self.base_field.inv_table[den[-1]]]
+            num, den = [row[c] for c in num], [row[c] for c in den]
+        return RatFunc(self, FqPoly(self.ring, tuple(num)), FqPoly(self.ring, tuple(den)))
 
     def clear_denominators(self, xs):
         """(polys, den): den the monic lcm of the denominators of xs and
@@ -157,7 +175,7 @@ class FractionField:
         return RatFunc(self, self.ring(value), self.ring.one)
 
     def from_poly(self, p):
-        return RatFunc(self, p, self.ring.one)
+        return self.make(p, self.ring.one)
 
     def random_element(self, rng, max_degree, nonzero=False):
         while True:

@@ -86,11 +86,15 @@ def test_unrelated_polynomial_rings_raise(q, op):
     A = poly_ring_A(q)
     other = poly_ring_A(2 if q != 2 else 3)
     Ax, Ay = x_ring_over_A(q), PolyRing(A, "y")
+    F, F_other = rational_function_field(q), rational_function_field(other.q)
     for a, b in (
         (A.gen(), other.gen()),
         (Ax.gen(), Ay.gen()),
         (Ax.gen(), PolyRing(other, "x").gen()),
         (A.gen(), PolyRing(other, "x").gen()),
+        # the rational function fields, on the fast path of RatFunc's ops
+        (F.t / (F.t + 1), F_other.t),
+        (F.t / (F.t + 1), other.gen()),
     ):
         for x, y in ((a, b), (b, a)):
             with pytest.raises(TypeError):

@@ -1,14 +1,15 @@
 """Canonical-form rational functions: field axioms and normalization."""
 
 import random
+import re
 
 import pytest
 
-from drinfeld.base import rational_function_field
+from drinfeld.base import poly_ring_A, rational_function_field
 from drinfeld.poly import poly_gcd
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
 def test_field_axioms_random(q):
     F = rational_function_field(q)
     rng = random.Random(111)
@@ -48,6 +49,19 @@ def test_pow_and_structure():
     assert x**3 == x * x * x
     assert x**-2 == (x * x).inverse()
     assert x.deg_infinity() == -1
+
+
+@pytest.mark.parametrize("q_ring, q_field", [(2, 3), (2, 4), (4, 2)])
+def test_make_and_from_poly_refuse_another_ring(q_ring, q_field):
+    A, F = poly_ring_A(q_ring), rational_function_field(q_field)
+    t = A.gen()
+    message = re.escape(f"element of {A!r}, not of {F.ring!r}")
+    with pytest.raises(ValueError, match=message):
+        F.make(t, t + A.one)
+    with pytest.raises(ValueError, match=message):
+        F.make(F.ring.gen(), t)
+    with pytest.raises(ValueError, match=message):
+        F.from_poly(t)
 
 
 def test_zero_division():
