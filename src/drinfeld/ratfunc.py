@@ -10,7 +10,7 @@ per numerator and denominator it returns.
 """
 
 from .ff import FieldElem, _poly_add, _poly_exact_div, _poly_gcd
-from .poly import FqPoly, Poly, _is_power_of, _mul_codes, poly_gcd
+from .poly import FqPoly, Poly, _mul_codes, poly_gcd
 
 
 class RatFunc(FieldElem):
@@ -91,12 +91,10 @@ class RatFunc(FieldElem):
             return self.inverse() ** (-n)
         if n == 0:
             return self.field.one
-        if n == 1 or not self.num.codes:
+        if self.is_zero:
             return self
         # num and den are coprime, so their powers are too: no gcd needed;
-        # at a power of p that is Frobenius on the codes of both
-        if _is_power_of(n, self.field.characteristic):
-            return RatFunc(self.field, self.num._frobenius(n), self.den._frobenius(n))
+        # FqPoly's ** at a power of p is Frobenius on the codes
         return RatFunc(self.field, self.num**n, self.den**n)
 
     def deg_infinity(self):
