@@ -2,10 +2,11 @@
 irreducibility certificates for polynomials over F = F_q(t).
 
 ``QuotientField`` is the one quotient core and ``ExtElem``, an
-``ff.FieldElem`` that defines ``+``, negation, ``*`` and ``inverse``, its
-one element class.  R = F[x] gives L = F[x]/(m); K = F_q and R = A give
-the residue field A/l, generated by t, which reduces a/b in F to a * b^-1
-and raises ``BadReduction`` when l divides b.
+``ff.FieldElem`` that defines ``+`` and ``*`` (through
+``FieldElem._coerce``), negation and ``inverse``, its one element class.
+R = F[x] gives L = F[x]/(m); K = F_q and R = A give the residue field
+A/l, generated by t, which reduces a/b in F to a * b^-1 and raises
+``BadReduction`` when l divides b.
 
 Polynomials over A = F_q[t] in the variable x are represented in the
 nested ring A[x] = PolyRing(PolyRing(F_q, 't'), 'x').
@@ -47,7 +48,8 @@ class ExtElem(FieldElem):
         return hash((id(self.field), self.poly))
 
     def __add__(self, other):
-        other = self.field(other)
+        if (other := self._coerce(other)) is NotImplemented:
+            return other
         return ExtElem(self.field, self.poly + other.poly)
 
     __radd__ = __add__
@@ -56,7 +58,8 @@ class ExtElem(FieldElem):
         return ExtElem(self.field, -self.poly)
 
     def __mul__(self, other):
-        other = self.field(other)
+        if (other := self._coerce(other)) is NotImplemented:
+            return other
         return ExtElem(self.field, (self.poly * other.poly) % self.field.modulus)
 
     __rmul__ = __mul__

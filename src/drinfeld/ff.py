@@ -197,21 +197,37 @@ class FieldElem:
     """Field-element arithmetic derived from the parent ``field``'s
     coercion and the element's ``is_zero``, ``+``, negation, ``*`` and
     ``inverse``: truth, ``-`` and ``/`` in either order, and ``exact_div``,
-    which in a field is ``/``."""
+    which in a field is ``/``.
+
+    ``_coerce`` is the one operand rule of every field of the tower: a
+    binary op takes its operand through the field, and an operand the
+    field cannot coerce is from a higher level (A, F and A/l over F_q;
+    F[x], L = F[x]/(m) and A/l over F; L[y] over L): NotImplemented
+    hands it its reflected op.  An element of another field still
+    raises."""
 
     __slots__ = ()
+
+    def _coerce(self, other):
+        """other as an element of this field, or NotImplemented."""
+        try:
+            return self.field(other)
+        except TypeError:
+            return NotImplemented
 
     def __bool__(self):
         return not self.is_zero
 
     def __sub__(self, other):
-        return self + (-self.field(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         return self.field(other) + (-self)
 
     def __truediv__(self, other):
-        return self * self.field(other).inverse()
+        other = self._coerce(other)
+        return other if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
         return self.field(other) / self
@@ -233,9 +249,6 @@ class FFElem(FieldElem):
     def is_zero(self):
         return self.code == 0
 
-    def __bool__(self):
-        return self.code != 0
-
     def __hash__(self):
         return hash((self.field.q, self.code))
 
@@ -255,14 +268,6 @@ class FFElem(FieldElem):
         f = self.field
         return f._elems[f.neg_table[self.code]]
 
-    def __sub__(self, other):
-        f = self.field
-        try:
-            b = other if other.field is f else f(other)
-            return f._elems[f.add_table[self.code][f.neg_table[b.code]]]
-        except (AttributeError, TypeError):
-            return self - f(other) if isinstance(other, int) else NotImplemented
-
     def __mul__(self, other):
         f = self.field
         try:
@@ -271,16 +276,6 @@ class FFElem(FieldElem):
             return self * f(other) if isinstance(other, int) else NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        f = self.field
-        try:
-            code = (other if other.field is f else f(other)).code
-        except (AttributeError, TypeError):
-            return self / f(other) if isinstance(other, int) else NotImplemented
-        if code == 0:
-            raise ZeroDivisionError("division by zero in F_q")
-        return f._elems[f.mul_table[self.code][f.inv_table[code]]]
 
     def inverse(self):
         f = self.field

@@ -140,19 +140,10 @@ def det(field, columns):
 # -- reduction ---------------------------------------------------------------
 
 
-def _col_degree(col):
-    degs = [int(p.degree) for p in col if not p.is_zero]
-    return max(degs) if degs else None
-
-
 def _pivot(col):
-    d = _col_degree(col)
-    if d is None:
-        return None
-    for i in range(len(col) - 1, -1, -1):
-        if not col[i].is_zero and col[i].degree == d:
-            return i
-    return None
+    """(d, i): the degree d of a nonzero column and the last row i whose
+    entry reaches it; None for a zero column."""
+    return max(((p.degree, i) for i, p in enumerate(col) if not p.is_zero), default=None)
 
 
 def weak_popov(cols):
@@ -162,25 +153,23 @@ def weak_popov(cols):
     changed = True
     while changed:
         changed = False
+        # pivot row -> (column, column degree)
         by_pivot = {}
         for j, col in enumerate(cols):
-            piv = _pivot(col)
-            if piv is None:
+            pivot = _pivot(col)
+            if pivot is None:
                 raise ValueError("singular matrix in reduction")
+            dj, piv = pivot
             if piv in by_pivot:
-                k = by_pivot[piv]
-                dj, dk = _col_degree(cols[j]), _col_degree(cols[k])
+                k, dk = by_pivot[piv]
                 if dj < dk:
-                    j, k = k, j
-                    dj, dk = dk, dj
+                    j, k, dj, dk = k, j, dk, dj
                 cj, ck = cols[j], cols[k]
-                ratio = cj[piv].lead / ck[piv].lead
-                shift = dj - dk
-                factor = A.monomial(A.base(ratio), shift)
+                factor = A.monomial(cj[piv].lead / ck[piv].lead, dj - dk)
                 cols[j] = [a - factor * b for a, b in zip(cj, ck)]
                 changed = True
                 break
-            by_pivot[piv] = j
+            by_pivot[piv] = (j, dj)
     return cols
 
 
@@ -190,7 +179,7 @@ def reduce(L):
     cols = weak_popov(list(L.integral))
     shift = int(L.den.degree)
     pairs = sorted(
-        ((_col_degree(col) - shift, col) for col in cols),
+        ((_pivot(col)[0] - shift, col) for col in cols),
         key=lambda p: -p[0],
     )
     red = ReducedBasis([col for _, col in pairs], L.den, [m for m, _ in pairs])

@@ -31,6 +31,7 @@ Division helpers:
 
 import array
 import sys
+from functools import reduce
 
 from .ff import GaloisField, _poly_add, _poly_divmod, _poly_gcd, _poly_monic, power
 from .ff import _poly_exact_div, _poly_mul, _poly_rem, _poly_sub
@@ -388,16 +389,17 @@ class FqPoly(Poly):
         out[::n] = codes
         return FqPoly(self.ring, tuple(out))
 
+    __mod__ = _on_codes(_poly_rem)
+
     def __divmod__(self, other):
         ring = self.ring
-        quot, rem = _poly_divmod(self.codes, other.codes, ring.base)
+        quot, rem = _poly_divmod(self.codes, ring(other).codes, ring.base)
         return FqPoly(ring, tuple(quot)), FqPoly(ring, tuple(rem))
 
-    def __mod__(self, other):
-        return FqPoly(self.ring, tuple(_poly_rem(self.codes, other.codes, self.ring.base)))
-
+    # not an operator, so no reflected op: NotImplemented would be a value
     def exact_div(self, other):
-        return FqPoly(self.ring, tuple(_poly_exact_div(self.codes, other.codes, self.ring.base)))
+        ring = self.ring
+        return FqPoly(ring, tuple(_poly_exact_div(self.codes, ring(other).codes, ring.base)))
 
     def scale(self, c):
         """Multiply by a field element."""
@@ -541,11 +543,7 @@ def poly_xgcd(a, b):
 def content(f):
     """Gcd of the coefficients (for Poly whose base is itself a PolyRing
     over a field); returns a monic base element, or base zero for f = 0."""
-    base = f.ring.base
-    g = base.zero
-    for c in f.coeffs:
-        g = poly_gcd(g, c) if not g.is_zero else (c.monic() if not c.is_zero else g)
-    return g
+    return reduce(poly_gcd, f.coeffs, f.ring.base.zero)
 
 
 def primitive_part(f):

@@ -3,10 +3,11 @@
 Every element is stored with coprime numerator and denominator and a
 monic denominator, so structural equality is mathematical equality.
 ``RatFunc`` is an ``ff.FieldElem`` that defines ``+``, negation, ``*`` and
-``inverse``.  Its ``num`` and ``den`` are ``poly.FqPoly``s, and F's
-arithmetic runs on their code lists through the kernels of ``ff`` and
-``poly._mul_codes``, the way A's does: an operation builds one ``FqPoly``
-per numerator and denominator it returns.
+``inverse``, and whose ``+`` and ``*`` take any operand from outside F
+through ``FieldElem._coerce``.  Its ``num`` and ``den`` are
+``poly.FqPoly``s, and F's arithmetic runs on their code lists through
+the kernels of ``ff`` and ``poly._mul_codes``, the way A's does: an
+operation builds one ``FqPoly`` per numerator and denominator it returns.
 """
 
 from .ff import FieldElem, _poly_add, _poly_exact_div, _poly_gcd
@@ -40,7 +41,8 @@ class RatFunc(FieldElem):
     def __add__(self, other):
         field = self.field
         if other.__class__ is not RatFunc or other.field is not field:
-            other = field(other)
+            if (other := self._coerce(other)) is NotImplemented:
+                return other
         F, ring = field.base_field, field.ring
         a, b = self.num.codes, self.den.codes
         c, d = other.num.codes, other.den.codes
@@ -61,7 +63,8 @@ class RatFunc(FieldElem):
     def __mul__(self, other):
         field = self.field
         if other.__class__ is not RatFunc or other.field is not field:
-            other = field(other)
+            if (other := self._coerce(other)) is NotImplemented:
+                return other
         a, b = self.num.codes, self.den.codes
         c, d = other.num.codes, other.den.codes
         if not a or not c:

@@ -32,17 +32,6 @@ class SkewPoly(Dense):
     # (quot, rem) with self = quot * b + rem, tau-deg rem < tau-deg b
     right_divmod = Dense._divmod
 
-    def evaluate(self, x):
-        """Value of the additive polynomial sum a_i x^(q^i)."""
-        total = None
-        q = self.ring.q
-        for i, c in enumerate(self.coeffs):
-            term = c * x ** (q**i)
-            total = term if total is None else total + term
-        if total is None:
-            return x - x
-        return total
-
     def __repr__(self):
         from .parsing import format_skew
 

@@ -1,5 +1,6 @@
 """Mixed-level arithmetic on the tower F_q -> A = F_q[t] -> F = F_q(t),
-and on the nested polynomial rings A -> A[x] -> A[x][y].
+on the nested polynomial rings A -> A[x] -> A[x][y], and on the levels
+built over a field: F[x], L = F[x]/(m), A/l and L[y].
 
 A binary operation on a lower level returns NotImplemented for an
 operand from a higher level, so the higher level's reflected method
@@ -13,14 +14,17 @@ import operator
 import pytest
 
 from drinfeld import GF
-from drinfeld.base import poly_ring_A, rational_function_field, x_ring_over_A
+from drinfeld.base import poly_ring_A, rational_function_field, x_ring_over_A, x_ring_over_F
+from drinfeld.extfield import ExtElem, QuotientField
+from drinfeld.factor import is_irreducible, monic_polys_of_degree
 from drinfeld.ff import FFElem
-from drinfeld.poly import FqPoly, PolyRing
+from drinfeld.poly import FqPoly, Poly, PolyRing
 from drinfeld.ratfunc import RatFunc
 
 QS = (2, 3, 4, 9)
 LEVELS = ("F_q", "A", "F")
 OPS = (operator.add, operator.sub, operator.mul)
+FIELD_OPS = OPS + (operator.truediv,)
 
 
 def _elements(q):
@@ -78,6 +82,75 @@ def test_mixed_nested_operands(q, op, pair):
     result = op(a, b)
     assert result.ring is top
     assert result == op(top(a), top(b))
+
+
+def _over_fields(q):
+    """Level name -> (element, element type, lift into the level) for F,
+    F[x], L = F[x]/(x^2 - t), A/l with l the first monic irreducible of
+    degree 2, and L[y]."""
+    k, A = GF(q), poly_ring_A(q)
+    F, Fx = rational_function_field(q), x_ring_over_F(q)
+    L = QuotientField(F, Fx.gen() ** 2 - Fx(F.t))
+    ell = next(m for m in monic_polys_of_degree(A, 2) if is_irreducible(m))
+    R = QuotientField(k, ell)
+    Ly = PolyRing(L, "y")
+    c = k.elements()[-1]
+    return {
+        "F": (F.make(A.gen() + A.one, A.gen()), RatFunc, F),
+        "F[x]": (Fx.gen() * Fx(F.t) + Fx(c), Poly, Fx),
+        "L": (L.gen() + L(F.t), ExtElem, L),
+        "A/l": (R.gen() + R(c), ExtElem, R),
+        "L[y]": (Ly.gen() * Ly(L.gen()) + Ly.one, Poly, Ly),
+    }
+
+
+# (lower level, higher level, op): / only where the higher level is a field
+_FIELD_CASES = [
+    (low, high, op)
+    for low, high, ops in [("F", "F[x]", OPS), ("F", "L", FIELD_OPS), ("F", "A/l", FIELD_OPS), ("L", "L[y]", OPS)]
+    for op in ops
+]
+
+
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("case", _FIELD_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2].__name__}")
+@pytest.mark.parametrize("reverse", (False, True), ids=("low-first", "high-first"))
+def test_mixed_levels_over_fields(q, case, reverse):
+    """An element of a field and one of a polynomial ring or a quotient
+    field built on it, in either order: the result has the higher level's
+    type and is the op on both operands lifted there."""
+    low, high, op = case
+    elems = _over_fields(q)
+    _, top_type, lift = elems[high]
+    a, b = elems[low][0], elems[high][0]
+    if reverse:
+        a, b = b, a
+    result = op(a, b)
+    assert type(result) is top_type
+    assert result == op(lift(a), lift(b))
+
+
+@pytest.mark.parametrize("q", QS)
+def test_division_of_fq_polys_by_constants(q):
+    """divmod, %, // and exact_div of an element of A by an integer or an
+    element of F_q equal those by its constant polynomial, and raise
+    ZeroDivisionError, as by A's zero, for an operand that is 0 in F_q.
+    ``exact_div``, a method with no reflected op, raises TypeError for an
+    operand A cannot coerce."""
+    k, A = GF(q), poly_ring_A(q)
+    t = A.gen()
+    f = t**3 + A(k.elements()[-1]) * t + A.one
+    ops = (divmod, operator.mod, operator.floordiv, lambda a, b: a.exact_div(b))
+    for n in (-1, 0, 1, k.p, k.p + 1) + tuple(k.elements()):
+        for op in ops:
+            if A(n).is_zero:
+                with pytest.raises(ZeroDivisionError):
+                    op(f, n)
+            else:
+                assert op(f, n) == op(f, A(n))
+    for other in (rational_function_field(q).t, poly_ring_A(2 if q != 2 else 3).gen()):
+        with pytest.raises(TypeError):
+            f.exact_div(other)
 
 
 @pytest.mark.parametrize("q", QS)

@@ -20,6 +20,12 @@ def _setup(q):
     return F, skew_ring(F, q)
 
 
+def _evaluate(f, x):
+    """Value at x of f's additive polynomial sum a_i x^(q^i)."""
+    q = f.ring.q
+    return sum([c * x ** (q**i) for i, c in enumerate(f.coeffs)], x - x)
+
+
 def test_commutation_rule():
     F, S = _setup(2)
     t = F.t
@@ -50,7 +56,7 @@ def test_multiplication_is_composition(q):
         a = S([F.random_element(rng, 1) for _ in range(rng.randrange(1, 4))])
         b = S([F.random_element(rng, 1) for _ in range(rng.randrange(1, 4))])
         x = F.random_element(rng, 2)
-        assert (a * b).evaluate(x) == a.evaluate(b.evaluate(x))
+        assert _evaluate(a * b, x) == _evaluate(a, _evaluate(b, x))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -61,7 +67,7 @@ def test_additive_action(q):
         f = S([F.random_element(rng, 1) for _ in range(rng.randrange(1, 4))])
         x = F.random_element(rng, 2)
         y = F.random_element(rng, 2)
-        assert f.evaluate(x + y) == f.evaluate(x) + f.evaluate(y)
+        assert _evaluate(f, x + y) == _evaluate(f, x) + _evaluate(f, y)
 
 
 def test_right_divmod_cases():

@@ -14,13 +14,14 @@ second F_q path that unwraps or rewraps codes.
 class body defines again a name the core defines.  The core is also the
 one Ore-ring loop for R[x] and R{tau}: neither class body holds a loop
 for its sums, products or division, and ``Poly.__divmod__`` and
-``SkewPoly.right_divmod`` are one function.  Likewise ``RatFunc``
-and ``ExtElem`` inherit ``ff.FieldElem``, and ``PolyRing`` and
+``SkewPoly.right_divmod`` are one function.  Likewise ``FFElem``,
+``RatFunc`` and ``ExtElem`` inherit ``ff.FieldElem``, with its truth,
+``-``, ``/`` and operand rule ``_coerce``, and ``PolyRing`` and
 ``SkewPolyRing`` inherit ``poly.DenseRing``, and define none of its
-names.  ``FqPoly``, ``FFElem`` and ``FqPolyRing`` are exempt, since they
-run on codes.  ``FFElem``, ``RatFunc`` and ``ExtElem`` are the only
-``FieldElem`` classes: ``ExtElem`` is the one quotient element, of
-F[x]/(m) and of A/l alike.
+names.  ``FqPoly`` and ``FqPolyRing`` are exempt from the ``Dense``
+guards, since they run on codes.  ``FFElem``, ``RatFunc`` and
+``ExtElem`` are the only ``FieldElem`` classes: ``ExtElem`` is the one
+quotient element, of F[x]/(m) and of A/l alike.
 
 Invariant checks raise ``InvariantViolation`` (a ``DrinfeldError``):
 ``python -O`` strips an ``assert``, and a bare ``AssertionError`` or
@@ -211,9 +212,9 @@ def _core_strays(classes, core):
 def test_fields_and_rings_inherit_their_cores():
     classes = _classes("ff.py", "poly.py", "skew.py", "ratfunc.py", "extfield.py")
     elem, ring = classes["FieldElem"], classes["DenseRing"]
-    assert _defined_names(elem) >= {"__sub__", "__rtruediv__", "exact_div"}
+    assert _defined_names(elem) >= {"_coerce", "__sub__", "__rtruediv__", "exact_div"}
     assert _defined_names(ring) >= {"from_coeffs", "gen", "monomial", "constant"}
-    assert not _core_strays([classes["RatFunc"], classes["ExtElem"]], elem)
+    assert not _core_strays([classes["FFElem"], classes["RatFunc"], classes["ExtElem"]], elem)
     assert not _core_strays([classes["PolyRing"], classes["SkewPolyRing"]], ring)
 
 
