@@ -2,12 +2,7 @@
 lattice covolumes and rank-2 modular polynomials, with evaluators and
 randomized harnesses for the explicit height inequalities."""
 
-from .base import (
-    poly_ring_A,
-    rational_function_field,
-    x_ring_over_A,
-    x_ring_over_F,
-)
+from .base import poly_ring_A, rational_function_field
 from .bounds import (
     BoundReport,
     dd_corollary_bound,
@@ -45,9 +40,7 @@ from .isogeny import (
 from .lattice import (
     LatticeBasis,
     analytic_isogeny_check,
-    covolume,
     gekeler_j_log,
-    is_reduced,
     log_index,
     reduce,
 )
@@ -81,14 +74,12 @@ __all__ = [
     "build_Sn",
     "compute_phi_t",
     "compute_phi_t_interpolated",
-    "covolume",
     "dd_corollary_bound",
     "dual",
     "factor",
     "gekeler_j_log",
     "hsia_main_term",
     "is_irreducible",
-    "is_reduced",
     "kappa",
     "lagrange_reconstruct",
     "lemma54_window",
@@ -116,6 +107,4 @@ __all__ = [
     "valuation",
     "verify",
     "weil_height",
-    "x_ring_over_A",
-    "x_ring_over_F",
 ]

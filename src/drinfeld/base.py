@@ -22,12 +22,3 @@ def rational_function_field(q):
     """F = F_q(t)."""
     return FractionField(poly_ring_A(q))
 
-
-def x_ring_over_A(q):
-    """A[x], for minimal polynomials."""
-    return PolyRing(poly_ring_A(q), "x")
-
-
-def x_ring_over_F(q):
-    """F[x], for quotient-field moduli."""
-    return PolyRing(rational_function_field(q), "x")

@@ -160,13 +160,14 @@ def _resolved_iv(a, q):
 
 
 def _modulus(m):
-    """(q, deg m, psi(m), kappa(m)) of a monic nonconstant m, factored once."""
+    """(q, deg m, psi, kappa, Hsia's main term) of monic nonconstant m, factored once."""
     if not m.is_monic or m.degree < 1:
         raise ValueError("modulus must be monic nonconstant")
     q, deg_m = m.ring.q, int(m.degree)
     degs = [int(p.degree) for p, _ in factor(m)[1]]
     psi_m = q ** (deg_m - sum(degs)) * math.prod(q**k + 1 for k in degs)
-    return q, deg_m, psi_m, sum((Fraction(k, q**k) for k in degs), Fraction(0))
+    kappa_m = sum((Fraction(k, q**k) for k in degs), Fraction(0))
+    return q, deg_m, psi_m, kappa_m, Fraction(q * q - 1, 2) * psi_m * (deg_m - 2 * kappa_m)
 
 
 def psi(m):
@@ -181,8 +182,7 @@ def kappa(m):
 
 def hsia_main_term(m):
     """((q^2-1)/2) psi(m) (deg m - 2 kappa(m)), exact."""
-    q, deg_m, psi_m, kappa_m = _modulus(m)
-    return Fraction(q * q - 1, 2) * psi_m * (deg_m - 2 * kappa_m)
+    return _modulus(m)[4]
 
 
 def _prop65_iv(q, deg_m, psi_m):
@@ -205,25 +205,29 @@ def asymptotic_bound(m, eps):
     """((q^2+4)/2 + eps) psi(m) deg m, rounded up."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    q, deg_m, psi_m, _ = _modulus(m)
+    return _asymptotic(eps, *_modulus(m)[:3])
+
+
+def _asymptotic(eps, q, deg_m, psi_m):
     return _upper_float((_frac_iv(Fraction(q * q + 4, 2)) + _frac_iv(eps)) * psi_m * deg_m)
 
 
 def bounds_row(m, phi_height=None):
     """One row of the height table: m, psi, kappa, h(Phi_m) when known,
-    and the three bounds.
+    and the three bounds, all read off one factorization of m.
 
     The asymptotic bound ((q^2+4)/2 + eps) psi(m) deg m, here at eps =
     0.01, holds only as deg m grows: h(Phi_t) = q^2 (q+1) lies above it
     at every q >= 3, so the column is informational and never a verdict."""
+    q, deg_m, psi_m, kappa_m, hsia = _modulus(m)
     return {
         "m": repr(m),
-        "psi": psi(m),
-        "kappa": str(kappa(m)),
+        "psi": psi_m,
+        "kappa": str(kappa_m),
         "h_phi": None if phi_height is None else str(phi_height),
-        "prop65_bound": prop65_bound(m),
-        "hsia_main_term": str(hsia_main_term(m)),
-        "asymptotic_bound": asymptotic_bound(m, 0.01),
+        "prop65_bound": _upper_float(_prop65_iv(q, deg_m, psi_m)),
+        "hsia_main_term": str(hsia),
+        "asymptotic_bound": _asymptotic(0.01, q, deg_m, psi_m),
     }
 
 
@@ -241,5 +245,5 @@ def thm1_part2_report(h_j, h_jprime, deg_f_log, q, extra=None):
 
 def prop65_report(m, h_phi):
     """h(Phi_m) against the Prop. 6.5 bound on it."""
-    q, deg_m, psi_m, _ = _modulus(m)
+    q, deg_m, psi_m, *_ = _modulus(m)
     return BoundReport(h_phi, lambda: _prop65_iv(q, deg_m, psi_m), {"m": repr(m), "q": q})

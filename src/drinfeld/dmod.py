@@ -6,9 +6,9 @@ not a runtime option).  Heights are exact rationals, all read off one
 per-module table: a row at infinity and one per element b of the coprime
 base of the numerators and denominators of the g_i (`places.valuation_base`,
 gcds only), with weight 1 at infinity and deg b at b.  h_G, h_J and the
-naive height factor nothing and never expand the J-invariant tuple; the
-local height at P reads the row of the b that P divides, and the
-per-place table factors each b once.
+naive height factor nothing and never expand the J-invariant tuple.
+Every local height h_G^v, and `height_G_split`, reads one cached
+per-place table, which factors each b once.
 """
 
 from fractions import Fraction
@@ -18,7 +18,7 @@ from math import lcm
 from .base import rational_function_field
 from .factor import factor
 from .parsing import parse_element
-from .places import Place, valuation, valuation_base
+from .places import Place, valuation_base
 from .ratfunc import FractionField
 from .skew import skew_ring
 
@@ -132,30 +132,29 @@ class DrinfeldModule:
     def _row_max(self, logs):
         return max(Fraction(a, self.q**i - 1) for i, a in logs)
 
+    @cached_property
+    def _local_heights(self):
+        """{place: h_G^v} at infinity and at every prime P of a row's b, from
+        one `factor(b)` per row: h_G^P = v_P(b) deg P times the row's max."""
+        (_, _, logs), *finite = self._rows
+        table = {Place.infinity(): self._row_max(logs)}
+        for _, b, logs in finite:
+            h = self._row_max(logs)
+            table.update((Place(p), m * p.degree * h) for p, m in factor(b)[1])
+        return table
+
     def local_height_G(self, place):
         """h_G^v = log max_i |g_i|_v^(1/(q^i - 1)); 0 where every g_i is a
-        unit.  At a finite P only the row of the one base element b that
-        P divides counts: h_G^P = v_P(b) deg P times its max."""
-        if place.is_infinite:
-            return self._row_max(self._rows[0][2])
-        for _, b, logs in self._rows[1:]:
-            m = valuation(self.field.from_poly(b), place.prime)
-            if m:
-                return m * place.degree * self._row_max(logs)
-        return Fraction(0)
+        unit, which is every place off the table."""
+        return self._local_heights.get(place, Fraction(0))
 
     def height_G(self):
         return sum((w * self._row_max(logs) for w, _, logs in self._rows), Fraction(0))
 
     def height_G_split(self):
-        """(finite part, infinite part, per-place table), the table from
-        one `factor(b)` per row."""
-        (_, _, logs), *finite = self._rows
-        inf = self._row_max(logs)
-        table = {Place.infinity(): inf}
-        for _, b, logs in finite:
-            h = self._row_max(logs)
-            table.update((Place(p), m * p.degree * h) for p, m in factor(b)[1])
+        """(finite part, infinite part, per-place table)."""
+        table = dict(self._local_heights)
+        inf = table[Place.infinity()]
         return sum(table.values(), Fraction(0)) - inf, inf, table
 
     def height_J(self):

@@ -84,11 +84,6 @@ class ReducedBasis:
         return min(self.minima_logs) == 0
 
 
-class Covolume:
-    def __init__(self, log_value):
-        self.log_value = log_value
-
-
 # -- fraction-free elimination over A ----------------------------------------
 
 
@@ -186,15 +181,6 @@ def reduce(L):
     if red.log_covolume != L.log_det:
         raise InvariantViolation("covolume differs from the degree of det")
     return red
-
-
-def covolume(L):
-    """log D(Lambda) = sum of successive minima = deg det."""
-    return Covolume(reduce(L).log_covolume)
-
-
-def is_reduced(L):
-    return reduce(L).is_reduced
 
 
 # -- indices and the Smith form ---------------------------------------------

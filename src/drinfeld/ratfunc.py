@@ -11,7 +11,7 @@ operation builds one ``FqPoly`` per numerator and denominator it returns.
 """
 
 from .ff import FieldElem, _poly_add, _poly_exact_div, _poly_gcd
-from .poly import FqPoly, Poly, _mul_codes, poly_gcd
+from .poly import FqPoly, FqPolyRing, Poly, _mul_codes, poly_gcd
 
 
 class RatFunc(FieldElem):
@@ -113,9 +113,11 @@ class RatFunc(FieldElem):
 
 
 class FractionField:
-    """Fraction field of a univariate polynomial ring over a field."""
+    """Fraction field of A = F_q[var], an ``FqPolyRing``, on whose codes it runs."""
 
     def __init__(self, polyring):
+        if not isinstance(polyring, FqPolyRing):
+            raise ValueError(f"fraction fields are of F_q[t], not of {polyring!r}")
         self.ring = polyring
         self.base_field = polyring.base
         self.q, self.characteristic = polyring.q, polyring.characteristic

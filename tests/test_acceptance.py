@@ -29,14 +29,13 @@ from drinfeld import (
     tk_bounds,
     weil_height,
 )
-from drinfeld.base import poly_ring_A, rational_function_field, x_ring_over_F
+from drinfeld.base import poly_ring_A, rational_function_field
 from drinfeld.bounds import thm1_part1_report, thm1_part2_report
 from drinfeld.cli import main as cli_main
 from drinfeld.factor import factor
 from drinfeld.lattice import (
     LatticeBasis,
     analytic_isogeny_check,
-    covolume,
     det,
     random_containment_instance,
     random_lattice,
@@ -174,7 +173,7 @@ def test_criterion_06_rank3_remark():
             ok = False
         seen += 1
     # quotient-field root case: L = F[x]/(x^7 + x - t), g_1 = 1
-    Fx = x_ring_over_F(2)
+    Fx = PolyRing(rational_function_field(2), "x")
     x = Fx.gen()
     L = QuotientField(F, x**7 + x - Fx.constant(F.t))
     if not remark_rank3_check(2, L.gen(), g1=L.one)["ok"]:
@@ -197,7 +196,7 @@ def test_criterion_07_lattice_calculus():
         if base != Fraction(det(F, L.columns).deg_infinity()):
             ok = False
         c = F.random_element(rng, 1, nonzero=True)
-        if covolume(L.scaled(c)).log_value != base + r * c.deg_infinity():
+        if lattice_reduce(L.scaled(c)).log_covolume != base + r * c.deg_infinity():
             ok = False
         # GL_r action: transform by a second random basis
         G = random_lattice(F, r, rng, max_degree=1)
@@ -209,7 +208,7 @@ def test_criterion_07_lattice_calculus():
                     vec[k] = vec[k] + L.columns[j][k] * coeff
             cols.append(vec)
         moved = LatticeBasis(F, cols)
-        if covolume(moved).log_value != base + Fraction(
+        if lattice_reduce(moved).log_covolume != base + Fraction(
             det(F, G.columns).deg_infinity()
         ):
             ok = False
@@ -231,7 +230,7 @@ def test_criterion_07_lattice_calculus():
                 subcols.append(vec)
             sub = LatticeBasis(F, subcols)
             idx = log_index(sub, L)
-            if idx != covolume(sub).log_value - base:
+            if idx != lattice_reduce(sub).log_covolume - base:
                 ok = False
     _report(7, "covolume calculus, 500 lattices", ok, time.time() - start, 300)
 

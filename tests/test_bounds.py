@@ -3,6 +3,7 @@ the exact verdicts of the reports."""
 
 import inspect
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from drinfeld.bounds import (
     thm1_part1_report,
     thm1_part2_report,
 )
+from drinfeld.cli import main
 from drinfeld.errors import InvariantViolation
 from drinfeld.factor import factor, monic_polys_of_degree
 
@@ -353,6 +355,23 @@ def test_psi_at_prime_powers():
     t = poly_ring_A(2).gen()
     assert [psi(m) for m in (t**2, t**3, t**2 * (t + 1))] == [6, 12, 18]
     assert [kappa(m) for m in (t**2, t**3, t**2 * (t + 1))] == [Fraction(1, 2)] * 2 + [1]
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_each_table_row_factors_m_once(monkeypatch, capsys, q):
+    """A `modpoly table` row reads psi, kappa, Hsia's main term and the two
+    bounds off one factorization of its m: one factor call per row, in
+    row order."""
+    calls = []
+
+    def counted(m):
+        calls.append(repr(m))
+        return factor(m)
+
+    monkeypatch.setattr(bounds, "factor", counted)
+    assert main(["modpoly", "table", "--q", str(q)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == q + q * q and calls == [row["m"] for row in rows]
 
 
 def test_bounds_on_phi_m_read_q_off_m():

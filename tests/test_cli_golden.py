@@ -115,6 +115,40 @@ GOLDEN = [
         '77460111f25d6a30c529b287b18854a68e2bb391f2d421730ab42d5711d9aca3',
     ),
     (
+        # the target is the pushforward report's own
+        'isogeny-verify',
+        ['isogeny', 'verify', '--module', '{"q":2,"r":2,"g":["t+1","1"]}', '--f', '1*T^0 + T^1',
+         '--target', '{"g":["t^2+1","1"],"q":2,"r":2}'],
+        0,
+        'a097e2a718be9abf4cff42a3b37c0cd946511e985577a77c09d0fd3ff6d8ab2c',
+    ),
+    (
+        # 1 + tau maps phi to its pushforward, not to phi itself
+        'isogeny-verify-wrong-target',
+        ['isogeny', 'verify', '--module', '{"q":2,"r":2,"g":["t+1","1"]}', '--f', '1*T^0 + T^1',
+         '--target', '{"q":2,"r":2,"g":["t+1","1"]}'],
+        2,
+        '69670e8884f9cf3d10168e065275f5dfa93a6c593700d2dce06daeba2f55f3a9',
+    ),
+    (
+        'isogeny-pushforward',
+        ['isogeny', 'pushforward', '--module', '{"q":2,"r":2,"g":["t+1","1"]}', '--f', '1*T^0 + T^1'],
+        0,
+        '26875288d10cd25064b04aaf8093164e23300388cfe68afa3957a82dc33f4ca2',
+    ),
+    (
+        'isogeny-minimal-N',
+        ['isogeny', 'minimal-N', '--module', '{"q":2,"r":2,"g":["t+1","1"]}', '--f', '1*T^0 + T^1'],
+        0,
+        '339bfbdec43a7c91713d50e836341658d9418edc0994fe6c8bdfc46adbbd1349',
+    ),
+    (
+        'isogeny-remark3',
+        ['isogeny', 'remark3', '--module', '{"q":2,"r":3,"g":["t+1","0","1"]}', '--f0', '1'],
+        0,
+        '472a068bf627748a5be38aa553aaef97fa83808b992f6db793dfa20cd8b750f7',
+    ),
+    (
         'heights',
         ['heights', '--module', '{"q":3,"r":2,"g":["t^2+1","t"]}'],
         0,

@@ -14,7 +14,7 @@ import operator
 import pytest
 
 from drinfeld import GF
-from drinfeld.base import poly_ring_A, rational_function_field, x_ring_over_A, x_ring_over_F
+from drinfeld.base import poly_ring_A, rational_function_field
 from drinfeld.extfield import ExtElem, QuotientField
 from drinfeld.factor import is_irreducible, monic_polys_of_degree
 from drinfeld.ff import FFElem
@@ -57,7 +57,7 @@ def test_mixed_level_operands(q, op, left, right):
 def _nested(q):
     """(t, A), (P, A[x]) and (Y, A[x][y]): each element with its ring."""
     A = poly_ring_A(q)
-    Ax = x_ring_over_A(q)
+    Ax = PolyRing(poly_ring_A(q), "x")
     Axy = PolyRing(Ax, "y")
     t = A.gen()
     c = A.base.elements()[-1]
@@ -89,7 +89,7 @@ def _over_fields(q):
     F[x], L = F[x]/(x^2 - t), A/l with l the first monic irreducible of
     degree 2, and L[y]."""
     k, A = GF(q), poly_ring_A(q)
-    F, Fx = rational_function_field(q), x_ring_over_F(q)
+    F, Fx = rational_function_field(q), PolyRing(rational_function_field(q), "x")
     L = QuotientField(F, Fx.gen() ** 2 - Fx(F.t))
     ell = next(m for m in monic_polys_of_degree(A, 2) if is_irreducible(m))
     R = QuotientField(k, ell)
@@ -158,7 +158,7 @@ def test_division_of_fq_polys_by_constants(q):
 def test_unrelated_polynomial_rings_raise(q, op):
     A = poly_ring_A(q)
     other = poly_ring_A(2 if q != 2 else 3)
-    Ax, Ay = x_ring_over_A(q), PolyRing(A, "y")
+    Ax, Ay = PolyRing(poly_ring_A(q), "x"), PolyRing(A, "y")
     F, F_other = rational_function_field(q), rational_function_field(other.q)
     for a, b in (
         (A.gen(), other.gen()),

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld import DrinfeldModule, Place, log_abs, random_module, weil_height
-from drinfeld.factor import factor
+from drinfeld import DrinfeldModule, Place, log_abs, random_module, valuation, weil_height
+from drinfeld.factor import factor, is_irreducible, monic_polys_of_degree
 from drinfeld.base import poly_ring_A, rational_function_field
 
 
@@ -221,6 +221,39 @@ def test_heights_match_place_sum_oracle(q, r):
         for v, h in table.items():
             assert phi.local_height_G(v) == h
         assert all(phi.stable_at(v) for v in table if not v.is_infinite) == stable
+
+
+def _local_height_by_valuation(phi, place):
+    """h_G^v off the module's rows, dividing by P (the reference route): at
+    a finite P only the row of the one base element b that P divides
+    counts, with h_G^P = v_P(b) deg P times its max."""
+    if place.is_infinite:
+        return phi._row_max(phi._rows[0][2])
+    for _, b, logs in phi._rows[1:]:
+        m = valuation(phi.field.from_poly(b), place.prime)
+        if m:
+            return m * place.degree * phi._row_max(logs)
+    return Fraction(0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("r", [2, 3])
+def test_local_heights_match_valuation_reference(q, r):
+    """local_height_G and height_G_split read one table, which agrees with
+    the valuation reference on its support and off it (every prime of
+    degree <= 2, and <= 3 at q <= 3) and sums to h_G."""
+    A = poly_ring_A(q)
+    degrees = (1, 2, 3) if q <= 3 else (1, 2)
+    primes = [p for d in degrees for p in monic_polys_of_degree(A, d) if is_irreducible(p)]
+    rng = random.Random(68 + 10 * q + r)
+    for phi in _random_modules(q, r, rng, 4) + _shared_factor_modules(q, r, rng, 2):
+        fin, inf, table = phi.height_G_split()
+        assert sum(table.values(), Fraction(0)) == fin + inf == phi.height_G()
+        off = [v for v in map(Place, primes) if v not in table]
+        assert off
+        for v in list(table) + off:
+            assert phi.local_height_G(v) == _local_height_by_valuation(phi, v)
+        assert all(phi.local_height_G(v) == 0 for v in off)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9])

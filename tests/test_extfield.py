@@ -7,7 +7,7 @@ import time
 import pytest
 
 from drinfeld import GF, QuotientField, skew_ring
-from drinfeld.base import poly_ring_A, rational_function_field, x_ring_over_A, x_ring_over_F
+from drinfeld.base import poly_ring_A, rational_function_field
 from drinfeld.errors import BadReduction, IrreducibilityUncertain
 from drinfeld.extfield import irreducible_over_F, rational_roots, to_A_x
 from drinfeld.factor import factor
@@ -19,7 +19,7 @@ from drinfeld.poly import PolyRing, content
 
 def _L(q, build):
     F = rational_function_field(q)
-    Fx = x_ring_over_F(q)
+    Fx = PolyRing(rational_function_field(q), "x")
     return F, QuotientField(F, build(F, Fx))
 
 
@@ -37,7 +37,7 @@ def test_quotient_field_arithmetic():
 
 def test_quotient_field_rejects_reducible():
     F = rational_function_field(2)
-    Fx = x_ring_over_F(2)
+    Fx = PolyRing(rational_function_field(2), "x")
     with pytest.raises(ValueError):
         QuotientField(F, Fx.gen() ** 2 + Fx.constant(F.t**2))
     A2, A4 = poly_ring_A(2), poly_ring_A(4)
@@ -155,7 +155,7 @@ def test_F_q_draws_ignore_max_degree():
 
 def test_rational_roots():
     F = rational_function_field(2)
-    Ax = x_ring_over_A(2)
+    Ax = PolyRing(poly_ring_A(2), "x")
     A = Ax.base
     t = A.gen()
     x = Ax.gen()
@@ -170,7 +170,7 @@ def test_rational_roots_ignore_content(q):
     """The rational root test needs no primitive input: scaling g by a
     nonconstant c in A leaves the root set unchanged."""
     F = rational_function_field(q)
-    Ax = x_ring_over_A(q)
+    Ax = PolyRing(poly_ring_A(q), "x")
     A = Ax.base
     t = A.gen()
     x = Ax.gen()
@@ -190,7 +190,7 @@ def test_rational_roots_of_cleared_product_q4():
     A = F.ring
     t = A.gen()
     u = F.base_field.generator_u()
-    Fx = x_ring_over_F(4)
+    Fx = PolyRing(rational_function_field(4), "x")
     roots = [
         F.make(t.scale(u), t + A.one),
         F.from_poly(t + A.constant(u)),
@@ -209,7 +209,7 @@ def test_rational_roots_of_cleared_product_q4():
 
 def test_irreducibility_certificates():
     F = rational_function_field(2)
-    Ax = x_ring_over_A(2)
+    Ax = PolyRing(poly_ring_A(2), "x")
     A = Ax.base
     t = A.gen()
     x = Ax.gen()
@@ -234,7 +234,7 @@ def test_irreducibility_certificates():
 
 
 def test_irreducibility_uncertain():
-    Ax = x_ring_over_A(2)
+    Ax = PolyRing(poly_ring_A(2), "x")
     A = Ax.base
     t = A.gen()
     x = Ax.gen()
@@ -249,7 +249,7 @@ def test_irreducibility_uncertain():
 def test_no_certificate_for_a_product(q):
     """A primitive product of two factors of degree >= 2 in x is never
     certified irreducible: it is reported reducible or uncertain."""
-    Ax = x_ring_over_A(q)
+    Ax = PolyRing(poly_ring_A(q), "x")
     t, x = Ax.constant(Ax.base.gen()), Ax.gen()
     rng = random.Random(260 + q)
     # (x^2 + t)^2 is one Newton segment, of slope 1/2 and not 1/4;
@@ -270,8 +270,8 @@ def test_no_certificate_for_a_product(q):
 @pytest.mark.parametrize("q", [2, 4])
 def test_to_A_x_lands_in_the_shared_ring(q):
     F = rational_function_field(q)
-    Fx = x_ring_over_F(q)
-    Ax = x_ring_over_A(q)
+    Fx = PolyRing(rational_function_field(q), "x")
+    Ax = PolyRing(poly_ring_A(q), "x")
     f = to_A_x(Fx.gen() ** 2 + Fx.constant(F.t))
     assert f.ring is Ax
     assert f == Ax.gen() ** 2 + Ax.constant(Ax.base.gen())
@@ -328,8 +328,8 @@ def _oracle_inputs(q, rng):
     polynomials in x^p."""
     F = rational_function_field(q)
     A = F.ring
-    Fx = x_ring_over_F(q)
-    Ax = x_ring_over_A(q)
+    Fx = PolyRing(rational_function_field(q), "x")
+    Ax = PolyRing(poly_ring_A(q), "x")
     t = A.gen()
     p = F.characteristic
     out = []

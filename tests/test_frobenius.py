@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from drinfeld.base import rational_function_field, x_ring_over_F
+from drinfeld.base import rational_function_field
+from drinfeld.poly import PolyRing
 from drinfeld.dmod import random_module
 
 QS = (2, 3, 4, 9)
@@ -57,7 +58,7 @@ def test_ratfunc_power_matches_reference(q):
 def test_poly_power_matches_reference(q):
     F = rational_function_field(q)
     A = F.ring
-    Fx = x_ring_over_F(q)
+    Fx = PolyRing(rational_function_field(q), "x")
     rng = random.Random(200 + q)
     p = A.characteristic
     # p-powers take the substitution path, the others square-and-multiply;

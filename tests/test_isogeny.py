@@ -17,7 +17,8 @@ from drinfeld import (
     remark_rank3_check,
     verify,
 )
-from drinfeld.base import poly_ring_A, rational_function_field, x_ring_over_F
+from drinfeld.base import poly_ring_A, rational_function_field
+from drinfeld.poly import PolyRing
 from drinfeld.errors import InvariantViolation, KernelNotStable
 
 
@@ -224,7 +225,7 @@ def test_remark3_quotient_field_root():
     # L = F[x]/(x^7 + x - t) at q = 2: x is a genuine root of the
     # degree q^2+q+1 equation with g_1 = 1
     F = rational_function_field(2)
-    Fx = x_ring_over_F(2)
+    Fx = PolyRing(rational_function_field(2), "x")
     x = Fx.gen()
     mod = x**7 + x - Fx.constant(F.t)
     L = QuotientField(F, mod)

@@ -6,7 +6,8 @@ import time
 import pytest
 
 from drinfeld import GF, QuotientField, parse_element, parse_skew, skew_ring
-from drinfeld.base import poly_ring_A, rational_function_field, x_ring_over_F
+from drinfeld.base import poly_ring_A, rational_function_field
+from drinfeld.poly import PolyRing
 from drinfeld.parsing import MAX_DEGREE, ParseError
 
 
@@ -119,7 +120,7 @@ def test_skew_roundtrip(q):
 
 def test_quotient_field_roundtrip():
     F = rational_function_field(2)
-    Fx = x_ring_over_F(2)
+    Fx = PolyRing(rational_function_field(2), "x")
     mod = Fx.gen() ** 2 + Fx.gen() + Fx.constant(F.t)
     # F[x]/(m), and A/l at l = t^4 + t + 1, t^2 + t + u and t + u over F_q
     fields = [QuotientField(F, mod)] + [

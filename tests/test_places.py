@@ -17,9 +17,9 @@ from drinfeld import (
     weil_height,
 )
 from drinfeld.places import coprime_base, newton_slopes, valuation_base
-from drinfeld.base import poly_ring_A, x_ring_over_A
+from drinfeld.base import poly_ring_A
 from drinfeld.factor import factor
-from drinfeld.poly import poly_gcd
+from drinfeld.poly import PolyRing, poly_gcd
 
 QS = (2, 3, 4, 9)
 
@@ -237,7 +237,7 @@ def test_newton_slopes_examples():
     """Hand cases: a polynomial in x^2 at q = 2, a repeated root and the
     root 0 at q = 3; the slopes are log_abs of the roots, at infinity and
     at a finite P."""
-    Ax = x_ring_over_A(2)
+    Ax = PolyRing(poly_ring_A(2), "x")
     A = Ax.base
     t, x = A.gen(), Ax.gen()
     inf, at_t, at_t1 = Place.infinity(), Place(t), Place(t + A.one)
@@ -253,7 +253,7 @@ def test_newton_slopes_examples():
     assert newton_slopes(g, inf) == [(-1, 2), (Fraction(1, 2), 2)]
     assert newton_slopes(g, at_t) == [(Fraction(-1, 2), 2), (1, 2)]
 
-    Ax = x_ring_over_A(3)
+    Ax = PolyRing(poly_ring_A(3), "x")
     A = Ax.base
     t, x = A.gen(), Ax.gen()
     inf, at_t, at_t1 = Place.infinity(), Place(t), Place(t + A.one)
@@ -275,7 +275,7 @@ def test_newton_slopes_are_the_sizes_of_the_roots(q):
     f(0) lead(f), with repeated factors and p-th powers among the f."""
     F = rational_function_field(q)
     A = F.ring
-    Ax = x_ring_over_A(q)
+    Ax = PolyRing(poly_ring_A(q), "x")
     rng = random.Random(250 + q)
     for _ in range(20):
         pairs = [

@@ -6,7 +6,8 @@ import re
 import pytest
 
 from drinfeld.base import poly_ring_A, rational_function_field
-from drinfeld.poly import poly_gcd
+from drinfeld.poly import PolyRing, poly_gcd
+from drinfeld.ratfunc import FractionField
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
@@ -62,6 +63,20 @@ def test_make_and_from_poly_refuse_another_ring(q_ring, q_field):
         F.make(F.ring.gen(), t)
     with pytest.raises(ValueError, match=message):
         F.from_poly(t)
+
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_fraction_field_of_a_ring_not_over_F_q_is_refused(q):
+    """F's arithmetic runs on the codes of F_q[t], so a fraction field of
+    F[x] or A[x] is refused when it is built, naming the ring."""
+    for ring in (
+        PolyRing(rational_function_field(q), "x"),
+        PolyRing(poly_ring_A(q), "x"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(repr(ring))):
+            FractionField(ring)
+    F = FractionField(poly_ring_A(q))
+    assert (F.t * F.t).num == poly_ring_A(q).gen() ** 2
 
 
 def test_zero_division():

@@ -37,6 +37,10 @@ Newton polygons have one primitive, ``places.newton_slopes``: only
 irreducibility certificates off it, with no divisor-pair enumeration
 (``_monic_divisors``) or Eisenstein test (``_eisenstein``) of its own.
 
+Local heights have one path: ``dmod`` reads every h_G^v off its one
+per-place table, so it imports neither ``valuation`` nor ``log_abs``
+from ``places``, and reads neither off the module.
+
 Every name in ``drinfeld.__all__`` is an attribute of the package, so an
 entry left behind by a deletion cannot break ``from drinfeld import *``.
 """
@@ -398,6 +402,51 @@ def test_hull_guard_sees_each_form():
         "def slopes(f): pass\n"
     )
     assert list(_hulls(tree)) == [1, 2, 3, 4]
+
+
+_PER_PLACE_DIVISIONS = ("valuation", "log_abs", "*")
+
+
+def _per_place_divisions(tree):
+    """Lines that import valuation or log_abs (or *) from a places module,
+    or read either off a name ``places``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "places":
+            if any(alias.name in _PER_PLACE_DIVISIONS for alias in node.names):
+                yield node.lineno
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in _PER_PLACE_DIVISIONS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "places"
+        ):
+            yield node.lineno
+
+
+def test_dmod_has_one_local_height_path():
+    tree = ast.parse((SRC / "dmod.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "places"
+        for alias in node.names
+    }
+    assert "Place" in imported and not list(_per_place_divisions(tree))
+
+
+def test_local_height_guard_sees_each_form():
+    tree = ast.parse(
+        "from .places import Place, valuation\n"
+        "from .places import log_abs as la\n"
+        "from drinfeld.places import valuation_base, valuation\n"
+        "from .places import *\n"
+        "from . import places\n"
+        "m = places.valuation(x, p)\n"
+        "h = places.log_abs(x, v)\n"
+        "from .places import Place, valuation_base\n"
+        "from .valuation import places\n"
+    )
+    assert list(_per_place_divisions(tree)) == [1, 2, 3, 4, 6, 7]
 
 
 def _missing_exports(module):
