@@ -78,9 +78,7 @@ class ExtElem(FieldElem):
         return power(self, n, self.field.one)
 
     def __repr__(self):
-        from .parsing import format_poly
-
-        return format_poly(self.poly)
+        return repr(self.poly)
 
 
 class QuotientField:

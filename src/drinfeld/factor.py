@@ -96,28 +96,21 @@ def equal_degree_split(f, d, rng):
         if a.is_zero:
             continue
         g = poly_gcd(a, f)
-        if 0 < g.degree < n:
-            pieces = [g, f.exact_div(g)]
-        else:
+        if g.degree == 0:
             if q % 2 == 1:
-                b = _powmod(a, (q**d - 1) // 2, f)
-                g = poly_gcd(b - ring.one, f)
+                b = _powmod(a, (q**d - 1) // 2, f) - ring.one
             else:
-                # characteristic 2: use the trace map sum a^(2^i)
-                e = ring.base.e
-                b = ring.zero
-                c = a
-                for _ in range(d * e):
-                    b = (b + c) % f
-                    c = (c * c) % f
-                g = poly_gcd(b, f)
-            if not (0 < g.degree < n):
-                continue
-            pieces = [g, f.exact_div(g)]
-        out = []
-        for piece in pieces:
-            out.extend(equal_degree_split(piece.monic(), d, rng))
-        return out
+                # characteristic 2: the trace map sum a^(2^i)
+                b, c = ring.zero, a
+                for _ in range(d * ring.base.e):
+                    b, c = (b + c) % f, (c * c) % f
+            g = poly_gcd(b, f)
+        if 0 < g.degree < n:
+            break
+    out = []
+    for piece in (g, f.exact_div(g)):
+        out.extend(equal_degree_split(piece.monic(), d, rng))
+    return out
 
 
 def factor(f):

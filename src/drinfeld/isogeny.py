@@ -68,10 +68,11 @@ def pushforward(phi, f):
 
 def minimal_N(phi, f):
     """(N, phi_N, phi_N / f) for the smallest-degree monic N in A with
-    ker f inside phi[N]; ties broken lexicographically.  f divides phi_N,
-    of tau-degree r deg N, only from deg N = ceil(tau-deg f / r) on; the
-    search stops at deg N = tau-deg f.  The quotient comes from the
-    division that found N, so `dual` divides no second time."""
+    ker f inside phi[N]; those N form an ideal of A, so this N is its
+    unique monic generator.  f divides phi_N, of tau-degree r deg N, only
+    from deg N = ceil(tau-deg f / r) on; the search stops at deg N =
+    tau-deg f.  The quotient comes from the division that found N, so
+    `dual` divides no second time."""
     A = poly_ring_A(phi.q)
     bound = int(f.tau_degree)
     for deg in range(-(-bound // phi.r), bound + 1):

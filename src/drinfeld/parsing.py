@@ -4,6 +4,11 @@ The grammar is the usual one: `t^3+2*t+1`, `(t+1)/(t^2+t+1)`,
 `u^2+1` for F_{p^e} elements, `x`-polynomials for elements of F[x]/(m),
 `t`-polynomials for elements of A/l and `T` for the twist in skew
 polynomials.  Printing and parsing round-trip: parse(print(v)) == v.
+Every printed term follows one rule, coefficient times monomial: the
+monomial alone for the coefficient one, and the coefficient in
+parentheses when its text has an operator.  Elements of F_{p^e}, as
+polynomials in u over F_p, and polynomials print from the top term
+down; skew polynomials print from T^0 up, every power of T written.
 A literal nested past the recursion limit, or one operation whose degree
 bound (the sum of its operands', or deg x n for x^n) passes MAX_DEGREE,
 is a ParseError; so is a skew operation whose T-degree bound d passes
@@ -12,17 +17,19 @@ log_q MAX_DEGREE, since f phi_t carries t^(q^d) for d = tau-deg f.
 
 import re
 
+from .errors import DrinfeldError
 from .extfield import ExtElem, QuotientField
 from .ff import GaloisField
 from .poly import Poly, PolyRing
 from .ratfunc import FractionField, RatFunc
 
-TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]\w*|\^|\+|\-|\*|/|\(|\))")
+# a token, or any other non-blank character, which is an error
+TOKEN = re.compile(r"(\d+|[A-Za-z_]\w*|[-+*/^()])|(\S)")
 
 MAX_DEGREE = 5000  # its slowest operation, 1/P^a + 1/Q^b at q = 9, takes ~1 s
 
 
-class ParseError(ValueError):
+class ParseError(DrinfeldError, ValueError):
     pass
 
 
@@ -45,15 +52,11 @@ def _top(v):
 def tokenize(text):
     if not isinstance(text, str):
         raise ParseError(f"expected a string, got {text!r}")
-    pos, out = 0, []
-    while pos < len(text):
-        m = TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"bad token at {text[pos:]!r}")
-        out.append(m.group(1))
-        pos = m.end()
+    out = []
+    for tok, bad in TOKEN.findall(text):
+        if bad:
+            raise ParseError(f"bad character {bad!r}")
+        out.append(tok)
     return out
 
 
@@ -198,75 +201,42 @@ def parse_skew(text, skew_ring):
 # Formatting
 
 
+def _term(c, mono, one):
+    """c times the monomial mono: mono alone when c is one, c alone when
+    mono is empty, and c's text in parentheses when it has an operator."""
+    if mono and c == one:
+        return mono
+    s = repr(c)
+    if "+" in s or "-" in s or "/" in s or "*" in s:
+        s = f"({s})"
+    return f"{s}*{mono}" if mono else s
+
+
+def _dense(coeffs, var, one):
+    """Sum c_k var^k from the top, zero terms left out; `0` when empty."""
+    terms = [
+        _term(coeffs[k], "" if k == 0 else var if k == 1 else f"{var}^{k}", one)
+        for k in range(len(coeffs) - 1, -1, -1)
+        if coeffs[k]
+    ]
+    return "+".join(terms) or "0"
+
+
 def format_ff(elem):
-    field = elem.field
-    if field.e == 1:
-        return str(elem.code)
-    coords = elem.coords()
-    terms = []
-    for k in range(field.e - 1, -1, -1):
-        c = coords[k]
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(str(c))
-        else:
-            head = "" if c == 1 else f"{c}*"
-            terms.append(f"{head}u" + (f"^{k}" if k > 1 else ""))
-    return "+".join(terms) if terms else "0"
-
-
-def _needs_parens(s):
-    return any(op in s for op in "+-/") or "*" in s
+    """An element of F_p as its code, else a polynomial in u over F_p."""
+    return str(elem.code) if elem.field.e == 1 else _dense(elem.coords(), "u", 1)
 
 
 def format_poly(poly):
-    if poly.is_zero:
-        return "0"
-    var = poly.ring.var
-    one = poly.ring.base.one
-    terms = []
-    for k in range(int(poly.degree), -1, -1):
-        c = poly.coeff(k)
-        if c.is_zero:
-            continue
-        cs = repr(c)
-        if k == 0:
-            terms.append(f"({cs})" if _needs_parens(cs) else cs)
-            continue
-        mono = var if k == 1 else f"{var}^{k}"
-        if c == one:
-            terms.append(mono)
-        elif _needs_parens(cs):
-            terms.append(f"({cs})*{mono}")
-        else:
-            terms.append(f"{cs}*{mono}")
-    return "+".join(terms)
+    return _dense(poly.coeffs, poly.ring.var, poly.ring.base.one)
 
 
 def format_ratfunc(x):
-    if x.is_zero:
-        return "0"
     num = format_poly(x.num)
-    if x.den.degree == 0:
-        return num
-    den = format_poly(x.den)
-    return f"({num})/({den})"
+    return num if x.den.degree == 0 else f"({num})/({format_poly(x.den)})"
 
 
 def format_skew(f):
-    if f.is_zero:
-        return "0"
     one = f.ring.base.one
-    terms = []
-    for k, c in enumerate(f.coeffs):
-        if c.is_zero:
-            continue
-        mono = f"T^{k}"
-        if c == one:
-            terms.append(mono)
-        else:
-            cs = repr(c)
-            head = f"({cs})" if _needs_parens(cs) else cs
-            terms.append(f"{head}*{mono}")
-    return " + ".join(terms)
+    terms = [_term(c, f"T^{k}", one) for k, c in enumerate(f.coeffs) if c]
+    return " + ".join(terms) or "0"

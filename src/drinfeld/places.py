@@ -28,8 +28,10 @@ class Place:
     __slots__ = ("prime",)
 
     def __init__(self, prime=None):
-        """Unchecked; `finite` certifies a prime that `factor` did not emit."""
-        self.prime = prime
+        """Keyed by the monic associate of prime, so associates are one
+        place.  Unchecked; `finite` certifies a prime that `factor` did
+        not emit."""
+        self.prime = None if prime is None else prime.monic()
 
     @classmethod
     def infinity(cls):

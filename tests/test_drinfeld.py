@@ -128,6 +128,16 @@ def test_stable_at():
     assert whole.twist(whole.field.t**2 + 1).coeffs[0] == whole.field.one
 
 
+def test_associate_primes_are_one_place():
+    # 2t^2 + 2 and t^2 + 1 generate one prime ideal of A = F_3[t]
+    A = poly_ring_A(3)
+    P = A.gen() ** 2 + A.one
+    v, w = Place(2 * P), Place.finite(P)
+    assert v == w and hash(v) == hash(w) and v.prime == P
+    phi = _mod(3, 2, ["1/(t^2+1)", "1"])
+    assert phi.local_height_G(v) == phi.local_height_G(w) == 1
+
+
 def test_taguchi_finite():
     """The finite part of h_G, which is the finite part of the Taguchi
     height for a module with everywhere stable reduction."""
