@@ -14,7 +14,6 @@ from .bounds import (
     prop65_bound,
     psi,
     thm1_part1_bound,
-    thm1_part2_bound,
 )
 from .dmod import DrinfeldModule, random_module
 from .errors import (
@@ -102,7 +101,6 @@ __all__ = [
     "remark_rank3_check",
     "skew_ring",
     "thm1_part1_bound",
-    "thm1_part2_bound",
     "tk_bounds",
     "valuation",
     "verify",

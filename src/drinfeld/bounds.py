@@ -118,11 +118,6 @@ def _part2(deg_f_log, h_jprime, q):
     return rhs, (half * (deg_f_log + Fraction(k, e) - 1) + q if p**k == n else None)
 
 
-def thm1_part2_bound(deg_f_log, h_jprime, q):
-    """((q^2-1)/2) (log deg f + log(1 + h(j')/q)) + q, rounded up."""
-    return _upper_float(_part2(deg_f_log, h_jprime, q)[0]())
-
-
 def dd_corollary_bound(K_degree, h_G, q, r, c2=1.0):
     """log c2 + 10 (r+1)^7 log(K_degree (q^r - 1) h_G) plus the rank-r
     constant, rounded up."""

@@ -159,7 +159,8 @@ def cmd_isogeny(args):
     elif args.action == "pushforward":
         report["target"] = pushforward(phi, f).to_literal()
     elif args.action == "minimal-N":
-        pushforward(phi, f)  # a non-isogeny raises KernelNotStable at once
+        # stability in one division: on an unstable f, minimal_N's remainders grow like phi_t^k
+        pushforward(phi, f)
         report["N"] = repr(minimal_N(phi, f)[0])
     else:  # dual
         phi2 = pushforward(phi, f)

@@ -67,7 +67,7 @@ class DrinfeldModule:
             "g": [repr(g) for g in self.coeffs],
         }
 
-    @property
+    @cached_property
     def phi_t(self):
         return self.skew([self.field.t] + list(self.coeffs))
 
@@ -78,12 +78,12 @@ class DrinfeldModule:
         otherwise."""
         if a.degree < 1:
             return self.skew([self.field(c) for c in a.coeffs])
-        phit, const = self.phi_t, self.skew.constant
-        c0, *mid, lead = [self.field(c) for c in a.coeffs]
-        result = phit if lead == self.field.one else const(lead) * phit
+        F, phit, const = self.field, self.phi_t, self.skew.constant
+        c0, *mid, lead = a.coeffs
+        result = phit if a.is_monic else const(F(lead)) * phit
         for c in reversed(mid):
-            result = (result + const(c)) * phit
-        return result + const(c0)
+            result = (result + const(F(c))) * phit
+        return result + const(F(c0)) if c0 else result
 
     def __eq__(self, other):
         return (

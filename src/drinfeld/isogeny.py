@@ -1,15 +1,14 @@
 """Isogenies of Drinfeld modules as skew polynomials.
 
-An isogeny f : phi -> phi' satisfies f * phi_t = phi'_t * f.  Duals are
-computed constructively: phi_N right-divided by f, for the minimal monic
-N with ker f contained in phi[N].
+An isogeny f : phi -> phi' satisfies f * phi_t = phi'_t * f.  Its dual is
+phi_N / f for the least monic N with ker f in phi[N], computed, not searched
+for: N is the minimal polynomial of 1 under g -> g phi_t on F{tau}/F{tau}f.
 """
 
-from .base import poly_ring_A, rational_function_field
+from .base import rational_function_field
 from .dmod import DrinfeldModule
 from .errors import InvariantViolation, KernelNotStable
 from .extfield import rational_roots, to_A_x
-from .factor import monic_polys_of_degree
 from .poly import PolyRing
 from .skew import skew_ring
 
@@ -67,21 +66,32 @@ def pushforward(phi, f):
 
 
 def minimal_N(phi, f):
-    """(N, phi_N, phi_N / f) for the smallest-degree monic N in A with
-    ker f inside phi[N]; those N form an ideal of A, so this N is its
-    unique monic generator.  f divides phi_N, of tau-degree r deg N, only
-    from deg N = ceil(tau-deg f / r) on; the search stops at deg N =
-    tau-deg f.  The quotient comes from the division that found N, so
-    `dual` divides no second time."""
-    A = poly_ring_A(phi.q)
-    bound = int(f.tau_degree)
-    for deg in range(-(-bound // phi.r), bound + 1):
-        for N in monic_polys_of_degree(A, deg):
-            phi_N = phi.phi_of(N)
-            fhat, rem = phi_N.right_divmod(f)
-            if rem.is_zero:
-                return N, phi_N, fhat
-    raise InvariantViolation("no N up to the degree bound; f is not an isogeny")
+    """(N, phi_N, phi_N / f) for the least monic N with ker f in phi[N].  With
+    phi_t^k = Q_k f + R_k, the first relation sum c_k R_k = 0 over F gives N =
+    sum c_k t^k and phi_N / f = sum c_k Q_k.  For a phi-stable ker f, g -> g phi_t
+    is precomposition with phi_t on ker f over F-bar, so the c_k are algebraic
+    over F_q, hence in F_q; a c_k outside F_q raises KernelNotStable."""
+    F, S, phit, d = phi.field, phi.skew, phi.phi_t, len(f.coeffs) - 1
+    Q, R = S.one.right_divmod(f) if d == 0 else (S.zero, S.one)
+    quots, rows = [], []  # rows: (pivot, [R-vector | its combination of R_0, R_1, ..])
+    for k in range(d + 1):  # d + 1 vectors of F^d: a relation by k = d
+        quots.append(Q)
+        v = list(R.coeffs) + [F.zero] * (d - len(R.coeffs) + k) + [F.one]
+        for p, w in rows:
+            if a := v[p]:
+                v = [x - a * y for x, y in zip(v, w)] + v[len(w):]
+        p = next((i for i in range(d) if v[i]), None)
+        if p is None:
+            break
+        if (a := v[p]) != F.one:
+            v = [x / a for x in v]
+        rows.append((p, v))
+        S_k, R = (phit * R if k else phit).right_divmod(f)  # phi_t R_k = S_k f + R_{k+1}
+        Q = phit * Q + S_k if k else S_k
+    if any(c.den.degree or c.num.degree > 0 for c in v[d:]):
+        raise KernelNotStable("ker f is not stable under phi")
+    N = F.ring.from_coeffs([c.num.coeff(0) for c in v[d:]])
+    return N, phi.phi_of(N), sum((S.constant(c) * Qk for c, Qk in zip(v[d:-1], quots) if c), Q)
 
 
 def dual(phi, phi2, f):

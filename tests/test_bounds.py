@@ -24,7 +24,6 @@ from drinfeld import (
     psi,
     pushforward,
     thm1_part1_bound,
-    thm1_part2_bound,
 )
 from drinfeld import bounds
 from drinfeld.bounds import (
@@ -101,11 +100,16 @@ def test_part1_attained_with_zero_slack(module, f, bound):
     assert Fraction(payload["rhs"]) >= lhs
 
 
+def _part2_rhs(deg_f, h, q):
+    """The rounded-up rhs of the part 2 report, which does not read its lhs."""
+    return thm1_part2_report(h, h, deg_f, q).to_payload()["rhs"]
+
+
 def test_part2_bound_values():
-    assert thm1_part2_bound(1, 0, 2) == 3.5
+    assert _part2_rhs(1, 0, 2) == 3.5
     # the rhs 13/2, as the harness-q2-r2 golden prints it
-    assert thm1_part2_bound(1, 6, 2) == 6.500000000000001
-    v = thm1_part2_bound(1, 3, 2)
+    assert _part2_rhs(1, 6, 2) == 6.500000000000001
+    v = _part2_rhs(1, 3, 2)
     expect = 1.5 + 1.5 * math.log2(2.5) + 2
     assert abs(v - expect) < 1e-6
     assert v >= expect  # rounded up
@@ -114,7 +118,7 @@ def test_part2_bound_values():
 def test_part2_bound_monotone_in_hjprime():
     prev = None
     for h in range(0, 10):
-        v = thm1_part2_bound(1, h, 2)
+        v = _part2_rhs(1, h, 2)
         if prev is not None:
             assert v >= prev
         prev = v
@@ -159,7 +163,7 @@ def _evaluations():
         for deg_f in (1, 2, 3):
             for h in (0, Fraction(1, 3), 3, Fraction(7, 2), 100):
                 ref = _ref(Fraction(q * q - 1, 2)) * (deg_f + _ref_log(1 + _ref(h) / q, q)) + q
-                yield ("part2", q, deg_f, h), thm1_part2_bound(deg_f, h, q), ref
+                yield ("part2", q, deg_f, h), _part2_rhs(deg_f, h, q), ref
         for a in (1, Fraction(5, 3), 4.2925, 17, 100):
             yield ("lemma64", q, a), lemma64_resolve(a, q), _ref_resolved(_ref(a), q)
         for m in _moduli(q, 3 if q == 2 else 2):
@@ -290,7 +294,7 @@ def test_part2_verdict_is_exact(h, exact):
     for lhs, verdict in _verdict_cases(lo, hi, exact):
         rep = thm1_part2_report(h - lhs, h, 1, 2)
         assert rep.satisfied is verdict, (h, lhs)
-        assert rep.to_payload()["rhs"] == thm1_part2_bound(1, h, 2)
+        assert rep.to_payload()["rhs"] == _part2_rhs(1, h, 2)
         assert bounds._IV.dps == 30
 
 

@@ -41,6 +41,10 @@ Local heights have one path: ``dmod`` reads every h_G^v off its one
 per-place table, so it imports neither ``valuation`` nor ``log_abs``
 from ``places``, and reads neither off the module.
 
+``isogeny.minimal_N`` has one path to N, the minimal polynomial of a
+Krylov pass: ``isogeny.py`` imports no ``monic_polys_of_degree`` and
+reads none off ``factor``, so no search over monic N can come back.
+
 Every name in ``drinfeld.__all__`` is an attribute of the package, so an
 entry left behind by a deletion cannot break ``from drinfeld import *``.
 """
@@ -447,6 +451,41 @@ def test_local_height_guard_sees_each_form():
         "from .valuation import places\n"
     )
     assert list(_per_place_divisions(tree)) == [1, 2, 3, 4, 6, 7]
+
+
+def _monic_enumerations(tree):
+    """Lines that import monic_polys_of_degree (or *) from a factor module,
+    or read it off a name ``factor``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "factor":
+            if any(alias.name in ("monic_polys_of_degree", "*") for alias in node.names):
+                yield node.lineno
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "monic_polys_of_degree"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "factor"
+        ):
+            yield node.lineno
+
+
+def test_isogeny_searches_no_monic_N():
+    tree = ast.parse((SRC / "isogeny.py").read_text())
+    functions = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert "minimal_N" in functions and not list(_monic_enumerations(tree))
+
+
+def test_monic_enumeration_guard_sees_each_form():
+    tree = ast.parse(
+        "from .factor import monic_polys_of_degree\n"
+        "from drinfeld.factor import factor, monic_polys_of_degree as monics\n"
+        "from .factor import *\n"
+        "from . import factor\n"
+        "ms = factor.monic_polys_of_degree(A, 2)\n"
+        "from .factor import is_irreducible\n"
+        "from .monic_polys_of_degree import factor\n"
+    )
+    assert list(_monic_enumerations(tree)) == [1, 2, 3, 5]
 
 
 def _missing_exports(module):
